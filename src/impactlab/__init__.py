@@ -86,7 +86,6 @@ from .paths import (
     PathGrid,
     PathSample,
     ShockSchedule,
-    increments_matrix,
     martingale_component,
     path_generator,
     simulate_batch,

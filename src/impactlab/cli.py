@@ -27,7 +27,15 @@ import yaml
 
 from . import __version__
 from .cumulants import Brownian, GammaProcess, OneSidedStable
-from .dp import DpScenario, Lattice, convergence_study, emm_eipu, no_rebalance_check, value_recursion
+from .dp import (
+    DpScenario,
+    Lattice,
+    buy_and_hold_position,
+    convergence_study,
+    emm_eipu,
+    no_rebalance_check,
+    value_recursion,
+)
 from .efficient import LevyScenario, allocation_value, efficient_path_record
 from .errors import (
     ConfigError,
@@ -613,32 +621,37 @@ def _run_dp_value(args) -> int:
     lattice_n = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
     refine = root.boolean("refine", default=True)
     scenario = _dp_scenario(root, agents, lattice_n)
-
-    result = value_recursion(scenario, refine=refine)
+    buy_and_hold = root.boolean("buy_and_hold", default=False)
+    emm_root = root.boolean("emm_root", default=False)
+    if buy_and_hold:
+        try:
+            buy_and_hold_position(scenario)
+        except PreconditionError as exc:
+            raise ConfigError("buy_and_hold", str(exc)) from exc
     out = _out_dir(root, args)
-    target = out / "dp_value.csv"
-    emit_csv(
-        target,
+
+    # every result is computed before the first file is written
+    result = value_recursion(scenario, refine=refine)
+    outputs = [(
+        "dp_value.csv",
         ("n", "value", "root_policy", "pi0_g"),
         [(lattice_n, result.value, float(result.policies[0][0]), result.pi0_g)],
-    )
-    _note(args.quiet, f"wrote {target}")
-
-    if root.boolean("buy_and_hold", default=False):
-        report = no_rebalance_check(scenario, refine=refine)
-        target = out / "dp_buy_and_hold.csv"
-        emit_csv(
-            target,
+    )]
+    if buy_and_hold:
+        report = no_rebalance_check(scenario, result=result)
+        outputs.append((
+            "dp_buy_and_hold.csv",
             ("y_star", "is_buy_and_hold", "value_gap", "max_policy_deviation"),
             [(report.y_star, report.is_buy_and_hold, report.value_gap,
               report.max_policy_deviation)],
+        ))
+    if emm_root:
+        outputs.append(
+            ("dp_emm.csv", ("n", "s_star_root"), [(lattice_n, emm_eipu(scenario, 0, 0))])
         )
-        _note(args.quiet, f"wrote {target}")
-
-    if root.boolean("emm_root", default=False):
-        target = out / "dp_emm.csv"
-        emit_csv(target, ("n", "s_star_root"), [(lattice_n, emm_eipu(scenario, 0, 0))])
-        _note(args.quiet, f"wrote {target}")
+    for name, header, rows in outputs:
+        emit_csv(out / name, header, rows)
+        _note(args.quiet, f"wrote {out / name}")
     return 0
 
 

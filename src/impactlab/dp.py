@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
+from .utility import ce, tilted_mean
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG2 = math.log(2.0)
+_COIN = np.full(2, -_LOG2)  # log-weights of one fair coin flip
 
 
 @dataclass(frozen=True)
@@ -98,18 +100,6 @@ class DpScenario:
         return np.linspace(lo, hi, count)
 
 
-def _ce_from_logweights(values: np.ndarray, logw: np.ndarray, aversion: float) -> float:
-    if aversion == 0.0:
-        return float(np.exp(logw) @ values)
-    if math.isinf(aversion):
-        return float(values.min())
-    with np.errstate(over="ignore"):
-        out = -logsumexp(logw - aversion * values) / aversion
-    if not math.isfinite(out):
-        raise OverflowError("conditional certainty equivalent overflowed")
-    return float(out)
-
-
 def conditional_ce(
     scenario: DpScenario, level: int, m: int, terminal_fn: Callable, aversion: float
 ) -> float:
@@ -117,29 +107,12 @@ def conditional_ce(
     leaves = scenario.lattice.leaf_values_from(level, m)
     logw = scenario.lattice.leaf_log_weights_from(level)
     vals = np.asarray(terminal_fn(leaves), dtype=float)
-    return _ce_from_logweights(vals, logw, aversion)
+    return float(ce(vals, logw, aversion))
 
 
 def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callable) -> float:
     """Supplier conditional indifference value (aversion gamma) at a node."""
     return conditional_ce(scenario, level, m, terminal_fn, scenario.agents.gamma)
-
-
-def _one_step_ce(up: np.ndarray, down: np.ndarray, aversion: float):
-    """CE over one fair coin flip; vectorized over trailing shape."""
-    if aversion == 0.0:
-        return 0.5 * (up + down)
-    if math.isinf(aversion):
-        return np.minimum(up, down)
-    return -(np.logaddexp(-aversion * up, -aversion * down) - _LOG2) / aversion
-
-
-def _pi_menu(gamma: float, y: np.ndarray, g_vals, s_vals, logw) -> np.ndarray:
-    """Pi(G - y*S) at one node for every y in the scan grid."""
-    payoff = g_vals[None, :] - y[:, None] * s_vals[None, :]
-    if gamma == 0.0:
-        return payoff @ np.exp(logw)
-    return -logsumexp(logw[None, :] - gamma * payoff, axis=1) / gamma
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 70):
@@ -181,23 +154,24 @@ def sup_convolution(
     gamma, c = agents.gamma, agents.c
     y = scenario.y_grid()
     logw = lat.leaf_log_weights_from(level + 1)
+    coin = _COIN[:, None]
 
-    child_g, child_s, menus = [], [], []
+    # row mc holds child node mc's leaves; menus[mc] is Pi_child(G - y*S) on the grid
+    child_g = np.empty((level + 2, lat.n - level))
+    child_s = np.empty_like(child_g)
+    menus = np.empty((level + 2, y.size))
     for mc in range(level + 2):
         leaves = lat.leaf_values_from(level + 1, mc)
-        g_vals = np.asarray(scenario.payoffs.g_fn(leaves), dtype=float)
-        s_vals = np.asarray(scenario.payoffs.s_fn(leaves), dtype=float)
-        child_g.append(g_vals)
-        child_s.append(s_vals)
-        menus.append(_pi_menu(gamma, y, g_vals, s_vals, logw))
+        child_g[mc] = scenario.payoffs.g_fn(leaves)
+        child_s[mc] = scenario.payoffs.s_fn(leaves)
+        menus[mc] = ce(child_g[mc] - y[:, None] * child_s[mc], logw, gamma, axis=1)
 
     values = np.empty(level + 1)
     policies = np.empty(level + 1)
     for m in range(level + 1):
-        pi_dn, pi_up = menus[m], menus[m + 1]
-        objective = _one_step_ce(
-            continuation[m + 1] - pi_up, continuation[m] - pi_dn, c
-        ) + _one_step_ce(pi_up, pi_dn, gamma)
+        # rows (down child, up child) of each coin-flip pair
+        pi_pair, owed = menus[m:m + 2], continuation[m:m + 2]
+        objective = ce(owed[:, None] - pi_pair, coin, c, axis=0) + ce(pi_pair, coin, gamma, axis=0)
         best = objective.max()
         ties = np.nonzero(objective == best)[0]
         j = min(ties, key=lambda k: (abs(y[k]), 0.0 if y[k] < 0.0 else 1.0))
@@ -205,17 +179,11 @@ def sup_convolution(
         if refine:
             lo = float(y[max(j - 1, 0)])
             hi = float(y[min(j + 1, y.size - 1)])
+            g_pair, s_pair = child_g[m:m + 2], child_s[m:m + 2]
 
             def scalar_objective(yy: float) -> float:
-                p_up = _pi_menu(gamma, np.array([yy]), child_g[m + 1], child_s[m + 1], logw)[0]
-                p_dn = _pi_menu(gamma, np.array([yy]), child_g[m], child_s[m], logw)[0]
-                step_u = _one_step_ce(
-                    np.asarray(continuation[m + 1] - p_up),
-                    np.asarray(continuation[m] - p_dn),
-                    c,
-                )
-                step_pi = _one_step_ce(np.asarray(p_up), np.asarray(p_dn), gamma)
-                return float(step_u + step_pi)
+                pi = ce(g_pair - yy * s_pair, logw, gamma)
+                return float(ce(owed - pi, _COIN, c) + ce(pi, _COIN, gamma))
 
             y_ref, val_ref = _golden_max(scalar_objective, lo, hi)
             if val_ref >= val_best:
@@ -272,13 +240,10 @@ class NoRebalanceReport:
     max_policy_deviation: float
 
 
-def no_rebalance_check(scenario: DpScenario, refine: bool = True) -> NoRebalanceReport:
-    """For endowments with G - y*S proportional to G + H, verify buy-and-hold.
+def buy_and_hold_position(scenario: DpScenario) -> float:
+    """The single y_star with g - y_star*s = (c/(c+gamma)) * (g+h) on every leaf.
 
-    Solves g - y*s = (c/(c+gamma)) * (g+h) pointwise on the leaves for a single
-    y_star (PreconditionError if none exists or it is inadmissible), then checks
-    the recursion's policy sits at y_star everywhere and that the root value
-    equals the aggregate CE of G + H minus Pi_0(G).
+    PreconditionError if no such y_star exists or it is inadmissible.
     """
     lat = scenario.lattice
     leaves = lat.level_values(lat.n)
@@ -299,8 +264,22 @@ def no_rebalance_check(scenario: DpScenario, refine: bool = True) -> NoRebalance
     lo, hi = scenario.admissible
     if not lo <= y_star <= hi:
         raise PreconditionError(f"buy-and-hold position {y_star} is inadmissible")
+    return y_star
 
-    result = value_recursion(scenario, refine=refine)
+
+def no_rebalance_check(
+    scenario: DpScenario, refine: bool = True, result: Optional[DpValue] = None
+) -> NoRebalanceReport:
+    """For endowments with G - y*S proportional to G + H, verify buy-and-hold.
+
+    Finds y_star with ``buy_and_hold_position``, then checks the recursion's
+    policy sits at y_star everywhere and that the root value equals the
+    aggregate CE of G + H minus Pi_0(G).  ``result``, when given, is this
+    scenario's ``value_recursion`` output and is used instead of a new run.
+    """
+    y_star = buy_and_hold_position(scenario)
+    if result is None:
+        result = value_recursion(scenario, refine=refine)
     max_dev = max(
         float(np.max(np.abs(pol - y_star))) for pol in result.policies
     )
@@ -326,10 +305,8 @@ def emm_eipu(scenario: DpScenario, level: int, m: int) -> float:
     g_vals = np.asarray(scenario.payoffs.g_fn(leaves), dtype=float)
     s_vals = np.asarray(scenario.payoffs.s_fn(leaves), dtype=float)
     h_vals = np.asarray(scenario.payoffs.h_fn(leaves), dtype=float)
-    exponent = logw - scenario.agents.aggregate_aversion * (g_vals + h_vals)
-    exponent = exponent - exponent.max()
-    tilted = np.exp(exponent)
-    return float((s_vals @ tilted) / tilted.sum())
+    abar = scenario.agents.aggregate_aversion
+    return tilted_mean(s_vals, g_vals + h_vals, logw, abar)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from typing import Callable, Tuple
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import (
     NoRootError,
@@ -32,7 +31,7 @@ from .errors import (
     QuadratureError,
 )
 from .paths import PathSample
-from .utility import AgentPair
+from .utility import AgentPair, ce, tilted_mean
 
 DEFAULT_ORDER = 128
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -88,9 +87,7 @@ def _ce_field(fn, t: float, w: float, aversion: float, order: int) -> float:
     nodes, logw = _rules(order)
     spread = math.sqrt(1.0 - t)
     vals = _terminal_values(fn, w + spread * nodes)
-    if aversion == 0.0:
-        return float(np.exp(logw) @ vals)
-    return float(-logsumexp(logw - aversion * vals) / aversion)
+    return float(ce(vals, logw, aversion))
 
 
 def _grad_field(fn, t: float, w: float, aversion: float, order: int) -> float:
@@ -100,10 +97,7 @@ def _grad_field(fn, t: float, w: float, aversion: float, order: int) -> float:
     vals = _terminal_values(fn, w + spread * nodes)
     if aversion == 0.0:
         return float(np.exp(logw) @ (nodes * vals)) / spread
-    shifted = logw - aversion * vals
-    shifted -= shifted.max()
-    weights = np.exp(shifted)
-    return -float(nodes @ weights) / (aversion * spread * float(weights.sum()))
+    return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
 
 
 def field_v(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:

@@ -11,17 +11,13 @@ result is independent of execution order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .cumulants import Brownian, GammaProcess, LevyModel, OneSidedStable
 from .errors import ParameterError, ScheduleError
-
-THREADS_ENV = "IMPACTLAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -137,59 +133,18 @@ def simulate_path(
     return PathSample(x=x, increments=inc, h_prime=schedule.series(grid))
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ParameterError("thread count must be >= 1")
-    return threads
-
-
 def simulate_batch(
     model: LevyModel,
     grid: PathGrid,
     schedule: ShockSchedule,
     seed: int,
     n_paths: int,
-    threads: Optional[int] = None,
 ) -> list:
-    """n_paths independent paths, indexed 0..n_paths-1.
-
-    Worker count comes from ``threads`` or the IMPACTLAB_THREADS env var;
-    results land in path-index order regardless of scheduling.
-    """
+    """n_paths independent paths, indexed 0..n_paths-1; path k equals
+    ``simulate_path(model, grid, schedule, seed, k)``."""
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
-    threads = _resolve_threads(threads)
-    if threads == 1:
-        return [
-            simulate_path(model, grid, schedule, seed, i) for i in range(n_paths)
-        ]
-    out = [None] * n_paths
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, sample in enumerate(
-            pool.map(lambda k: simulate_path(model, grid, schedule, seed, k), range(n_paths))
-        ):
-            out[i] = sample
-    return out
-
-
-def increments_matrix(
-    model: LevyModel,
-    grid: PathGrid,
-    seed: int,
-    n_paths: int,
-) -> np.ndarray:
-    """(n_paths, n_steps) increment draws with the same per-path seeding as simulate_path."""
-    out = np.empty((n_paths, grid.n_steps))
-    for i in range(n_paths):
-        rng = path_generator(seed, i)
-        out[i] = model.sample_increments(rng, grid.dt, grid.n_steps)
-    return out
+    return [simulate_path(model, grid, schedule, seed, i) for i in range(n_paths)]
 
 
 def martingale_component(model: LevyModel, path: PathSample, grid: PathGrid) -> np.ndarray:

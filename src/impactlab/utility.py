@@ -6,9 +6,12 @@ aversion ``a``.  Two agents appear throughout: a supplier with aversion
 legal first-class value meaning worst-case (essential infimum) pricing
 and is handled by branching, never by arithmetic on the infinity.
 
-On finite sample sets the map is computed with a log-sum-exp shift so
-that large negative payoffs cannot overflow; builtin ``OverflowError``
-is raised only if even the shifted sum is non-finite.
+Every certainty equivalent in the package, on sample sets, lattice
+leaves or quadrature nodes, goes through one array kernel, ``ce``, and
+its exponential tilt, ``tilted_mean``.  The kernel shifts the exponent by
+its maximum before summing, so large negative payoffs cannot overflow;
+builtin ``OverflowError`` is raised only if even the shifted sum is
+non-finite.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cumulants import LevyModel
 from .errors import DomainError, ParameterError
@@ -88,6 +90,38 @@ class SampleSet:
         return SampleSet(self.values + float(cash), self.weights)
 
 
+def ce(values, logw, aversion: float, axis: int = -1):
+    """-(1/a) log sum_i exp(logw_i - a v_i) along ``axis``.
+
+    ``logw`` holds log-weights summing to one along ``axis`` and broadcasts
+    against ``values``; entries of -inf are outside the support.  a = 0
+    gives the weighted mean, a = inf the minimum over the support.
+    """
+    # ufunc reductions rather than ndarray methods: this runs tens of
+    # thousands of times per lattice on arrays of a few elements
+    if aversion == 0.0:
+        return np.add.reduce(np.exp(logw) * values, axis)
+    if math.isinf(aversion):
+        return np.minimum.reduce(np.where(np.isneginf(logw), np.inf, values), axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = logw - aversion * values
+        top = np.maximum.reduce(exponent, axis, keepdims=True)
+        exponent -= top
+        total = np.add.reduce(np.exp(exponent, exponent), axis)
+        out = -(np.log(total) + top.squeeze(axis)) / aversion
+    if not np.isfinite(out).all():
+        raise OverflowError("certainty equivalent is non-finite even after shifting")
+    return out
+
+
+def tilted_mean(x, values, logw, aversion: float) -> float:
+    """E[x exp(-a v)] / E[exp(-a v)] over one 1-d support, for finite a >= 0."""
+    exponent = logw - aversion * values
+    exponent -= exponent.max()
+    tilt = np.exp(exponent)
+    return float(x @ tilt) / float(tilt.sum())
+
+
 def certainty_equivalent(samples: SampleSet, aversion: float) -> float:
     """ce(F; a) = -(1/a) log sum_i w_i exp(-a v_i), with the usual limits.
 
@@ -95,16 +129,9 @@ def certainty_equivalent(samples: SampleSet, aversion: float) -> float:
     """
     if aversion < 0.0 or math.isnan(aversion):
         raise ParameterError("aversion must be >= 0 (math.inf allowed)")
-    v, w = samples.values, samples.weights
-    if aversion == 0.0:
-        return float(w @ v)
-    if math.isinf(aversion):
-        return float(v[w > 0.0].min())
-    with np.errstate(over="ignore"):
-        out = -logsumexp(-aversion * v, b=w) / aversion
-    if not math.isfinite(out):
-        raise OverflowError("certainty equivalent is non-finite even after shifting")
-    return float(out)
+    with np.errstate(divide="ignore"):
+        logw = np.log(samples.weights)
+    return float(ce(samples.values, logw, aversion))
 
 
 def cash_invariance_check(samples: SampleSet, aversion: float, shift: float) -> float:

@@ -407,6 +407,36 @@ def test_dp_black_scholes_symmetric_root_price(tmp_path):
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dp_buy_and_hold_needs_proportional_endowment(tmp_path, capsys):
+    # quadratic endowment with b_quad != 0: G - y*S is never proportional to G + H
+    out = tmp_path / "o"
+    data = dp_config(out, lattice_n=16, admissible={"lo": -2.0, "hi": 2.0}, refine=True)
+    data["model"].update(g_load=0.2, a_lin=0.5, b_quad=0.3)
+    cfg = write_config(tmp_path, data)
+    assert main(["dp-value", "--config", cfg]) == 2
+    assert stderr_record(capsys)["field"] == "buy_and_hold"
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_dp_value_runs_recursion_once(tmp_path, monkeypatch):
+    import impactlab.cli
+    import impactlab.dp
+
+    calls = []
+    original = impactlab.dp.value_recursion
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(impactlab.dp, "value_recursion", counted)
+    monkeypatch.setattr(impactlab.cli, "value_recursion", counted)
+    cfg = write_config(tmp_path, dp_config(tmp_path / "o"))
+    assert main(["dp-value", "--config", cfg, "--quiet"]) == 0
+    assert (tmp_path / "o" / "dp_buy_and_hold.csv").exists()
+    assert len(calls) == 1
+
+
 def test_dp_admissible_validation(tmp_path, capsys):
     data = dp_config(tmp_path)
     data["admissible"] = {"lo": 0.5, "hi": 1.0}

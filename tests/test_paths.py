@@ -1,4 +1,4 @@
-"""Path simulation: exact marginals, schedules, reproducibility, threading."""
+"""Path simulation: exact marginals, schedules, reproducibility, batches."""
 
 import math
 
@@ -144,23 +144,13 @@ def test_reproducibility_and_path_splitting():
     assert not np.array_equal(a.x, d.x)
 
 
-def test_batch_matches_serial_and_threads(monkeypatch):
+def test_batch_matches_serial():
     grid = PathGrid(32)
     sched = ShockSchedule()
     model = Brownian(b=0.1, sigma=1.0)
-    serial = simulate_batch(model, grid, sched, seed=13, n_paths=8, threads=1)
-    threaded = simulate_batch(model, grid, sched, seed=13, n_paths=8, threads=4)
-    for s, t in zip(serial, threaded):
-        assert np.array_equal(s.x, t.x)
+    batch = simulate_batch(model, grid, sched, seed=13, n_paths=8)
+    assert len(batch) == 8
     # batch paths agree with individually simulated ones
-    for k, s in enumerate(serial):
+    for k, s in enumerate(batch):
         solo = simulate_path(model, grid, sched, seed=13, path_index=k)
         assert np.array_equal(s.x, solo.x)
-    # env var is honored when threads is not passed
-    monkeypatch.setenv("IMPACTLAB_THREADS", "2")
-    env_batch = simulate_batch(model, grid, sched, seed=13, n_paths=8)
-    for s, t in zip(serial, env_batch):
-        assert np.array_equal(s.x, t.x)
-    monkeypatch.setenv("IMPACTLAB_THREADS", "zebra")
-    with pytest.raises(ParameterError):
-        simulate_batch(model, grid, sched, seed=13, n_paths=2)

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from impactlab import (
     AgentPair,
@@ -19,6 +23,7 @@ from impactlab import (
     levy_pi,
     levy_price_curve,
 )
+from impactlab.utility import ce, tilted_mean
 
 
 def test_agent_pair_composites():
@@ -141,6 +146,108 @@ def test_ce_overflow_and_bad_aversion():
         certainty_equivalent(samples, 10.0)
     with pytest.raises(ParameterError):
         certainty_equivalent(samples, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel, against independent references
+
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False)
+# log-weights sum to one only up to roundoff, and that error reaches the CE
+# divided by the aversion, so finite aversions stay away from 0
+_AVERSION = st.floats(0.01, 100.0)
+
+
+def _log_weights(draw, k):
+    """k normalized log-weights, some of them -inf (zero weight)."""
+    raw = draw(arrays(float, k, elements=st.floats(0.0, 1.0)))
+    raw[draw(st.integers(0, k - 1))] += 0.5  # at least one supported value
+    with np.errstate(divide="ignore"):
+        return np.log(raw / raw.sum())
+
+
+@st.composite
+def weighted_support(draw, max_len=12):
+    """values and log-weights of one support."""
+    k = draw(st.integers(1, max_len))
+    return draw(arrays(float, k, elements=_VALUES)), _log_weights(draw, k)
+
+
+def _scale(*arrays_):
+    return max(1.0, *(float(np.max(np.abs(a))) for a in arrays_))
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), _AVERSION)
+def test_kernel_matches_logsumexp(support, aversion):
+    values, logw = support
+    reference = -logsumexp(logw - aversion * values) / aversion
+    assert abs(ce(values, logw, aversion) - reference) <= 1e-12 * _scale(values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 1),
+    _AVERSION,
+    st.data(),
+)
+def test_kernel_matches_logsumexp_on_either_axis(rows, cols, axis, aversion, data):
+    values = data.draw(arrays(float, (rows, cols), elements=_VALUES))
+    logw = _log_weights(data.draw, values.shape[axis])
+    logw = logw if axis == 1 else logw[:, None]
+    got = ce(values, logw, aversion, axis=axis)
+    reference = -logsumexp(logw - aversion * values, axis=axis) / aversion
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference)) <= 1e-12 * _scale(values)
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), st.floats(0.01, 1e6))
+def test_kernel_limits(support, aversion):
+    values, logw = support
+    weights = np.exp(logw)
+    supported = values[weights > 0.0]
+    tol = 1e-12 * _scale(values)
+    mean = float(weights @ values)
+    worst = float(supported.min())
+    assert abs(ce(values, logw, 0.0) - mean) <= tol
+    assert ce(values, logw, math.inf) == worst
+    # between the two limits, and close to each one at its end
+    got = ce(values, logw, aversion)
+    spread = float(supported.max() - worst)
+    assert mean - aversion * spread**2 / 8.0 - tol <= got <= mean + tol
+    j = np.flatnonzero(weights > 0.0)[np.argmin(supported)]
+    assert worst - tol <= got <= worst - logw[j] / aversion + tol
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), st.floats(-1e3, 1e3), st.sampled_from([0.0, 0.1, 1.0, 10.0, math.inf]))
+def test_kernel_cash_invariance(support, cash, aversion):
+    values, logw = support
+    shifted = ce(values + cash, logw, aversion)
+    assert abs(shifted - ce(values, logw, aversion) - cash) <= 1e-12 * _scale(values, cash)
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), st.just(0.0) | _AVERSION, st.just(0.0) | _AVERSION)
+def test_kernel_monotone_in_aversion(support, a1, a2):
+    values, logw = support
+    lo, hi = sorted((a1, a2))
+    assert ce(values, logw, hi) <= ce(values, logw, lo) + 1e-12 * _scale(values)
+    assert ce(values, logw, math.inf) <= ce(values, logw, hi) + 1e-12 * _scale(values)
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), st.floats(0.0, 0.3), st.data())
+def test_tilted_mean_matches_softmax(support, aversion, data):
+    values, logw = support
+    x = data.draw(arrays(float, values.shape, elements=_VALUES))
+    # |aversion * values| <= 300: the unshifted exponentials stay finite
+    direct = np.exp(logw - aversion * values)
+    direct /= direct.sum()
+    got = tilted_mean(x, values, logw, aversion)
+    assert abs(got - float(direct @ x)) <= 1e-12 * _scale(x)
 
 
 def test_levy_pi_anchor():
