@@ -8,14 +8,13 @@ with status 2.  Computation-stage errors exit 3 with a machine-readable
 JSON record on stderr; ``verify`` exits 1 when any invariant fails.
 
 CSV output uses a header row, '.' decimal separator, 17 significant digits
-for reals, and LF line endings, so reruns with the same config and seed
-are byte-identical.
+for reals (%.17g, -0.0 written as 0), and LF line endings, so reruns with
+the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -396,26 +395,34 @@ def _quad_order(root: Section) -> int:
 # CSV emission
 
 
-def _csv_field(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if value == 0.0:
-            value = 0.0  # fold -0.0
-        return format(value, ".17g")
-    return str(value)
+_BLOCK_ROWS = 4096  # rows per formatted write: the text held stays bounded for any grid
 
 
-def emit_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Header + rows, 17 significant digits, LF endings, byte-stable."""
+def emit_csv(path: Path, header: Sequence[str], columns) -> None:
+    """Header + equal-length columns, LF endings, byte-stable.
+
+    Bools are written true/false and integers with %d.  Everything else is
+    float64 written with %.17g after adding +0.0: -0.0 as 0; nan, inf, -inf.
+    """
+    cols, specs = [], []
+    for col in map(np.asarray, columns):
+        if col.dtype == np.bool_:
+            cols.append(np.where(col, "true", "false"))
+            specs.append("%s")
+        elif np.issubdtype(col.dtype, np.integer):
+            cols.append(col)
+            specs.append("%d")
+        else:
+            cols.append(np.asarray(col, dtype=float) + 0.0)
+            specs.append("%.17g")
+    if len(cols) != len(header) or len({len(c) for c in cols}) > 1:
+        raise ValueError("emit_csv needs one equal-length column per header field")
+    line = ",".join(specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_csv_field(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS):
+            rows = list(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols)))
+            fh.write(line * len(rows) % tuple(v for row in rows for v in row))
 
 
 def _note(quiet: bool, message: str) -> None:
@@ -492,25 +499,16 @@ def _run_levy_sim(args) -> int:
         emit_csv(
             target,
             ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity"),
-            zip(
-                record.times,
-                record.x,
-                record.h_prime,
-                record.y_star,
-                record.s_star,
-                record.risk_premium,
-                record.convexity,
-            ),
+            (record.times, record.x, record.h_prime, record.y_star, record.s_star,
+             record.risk_premium, record.convexity),
         )
         _note(args.quiet, f"wrote {target}")
-        summary.append(
-            (k, record.endowment_payoff, record.trading_pnl, record.terminal_wealth, alloc)
-        )
+        summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
     target = out / "levy_summary.csv"
     emit_csv(
         target,
         ("path", "endowment_payoff", "trading_pnl", "terminal_wealth", "allocation_value"),
-        summary,
+        (np.arange(n_paths), *zip(*summary), np.full(n_paths, alloc)),
     )
     _note(args.quiet, f"wrote {target}")
     return 0
@@ -575,7 +573,7 @@ def _run_markov_fields(args) -> int:
             )
     out = _out_dir(root, args)
     target = out / "markov_fields.csv"
-    emit_csv(target, ("t", "w", "v", "u", "p", "q", "y_star", "s_star"), rows)
+    emit_csv(target, ("t", "w", "v", "u", "p", "q", "y_star", "s_star"), zip(*rows))
     _note(args.quiet, f"wrote {target}")
     return 0
 
@@ -589,7 +587,6 @@ def _run_shockwave(args) -> int:
     sec = root.section("model")
     if "kind" in sec.data and sec.string("kind") != "shockwave":
         raise ConfigError("model.kind", "must be 'shockwave' in shockwave mode")
-    sec.data.setdefault("kind", "shockwave")
     model = _shockwave_model(sec, agents)
     seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
     n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
@@ -605,7 +602,7 @@ def _run_shockwave(args) -> int:
         emit_csv(
             target,
             ("t", "W", "S_star", "Y_star", "wave_position"),
-            zip(record.times, record.w, record.s_star, record.y_star, record.wave_position),
+            (record.times, record.w, record.s_star, record.y_star, record.wave_position),
         )
         _note(args.quiet, f"wrote {target}")
     return 0
@@ -630,27 +627,27 @@ def _run_dp_value(args) -> int:
             raise ConfigError("buy_and_hold", str(exc)) from exc
     out = _out_dir(root, args)
 
-    # every result is computed before the first file is written
+    # every result is computed before the first file is written; each file is one row
     result = value_recursion(scenario, refine=refine)
     outputs = [(
         "dp_value.csv",
         ("n", "value", "root_policy", "pi0_g"),
-        [(lattice_n, result.value, float(result.policies[0][0]), result.pi0_g)],
+        (lattice_n, result.value, float(result.policies[0][0]), result.pi0_g),
     )]
     if buy_and_hold:
         report = no_rebalance_check(scenario, result=result)
         outputs.append((
             "dp_buy_and_hold.csv",
             ("y_star", "is_buy_and_hold", "value_gap", "max_policy_deviation"),
-            [(report.y_star, report.is_buy_and_hold, report.value_gap,
-              report.max_policy_deviation)],
+            (report.y_star, report.is_buy_and_hold, report.value_gap,
+             report.max_policy_deviation),
         ))
     if emm_root:
         outputs.append(
-            ("dp_emm.csv", ("n", "s_star_root"), [(lattice_n, emm_eipu(scenario, 0, 0))])
+            ("dp_emm.csv", ("n", "s_star_root"), (lattice_n, emm_eipu(scenario, 0, 0)))
         )
-    for name, header, rows in outputs:
-        emit_csv(out / name, header, rows)
+    for name, header, row in outputs:
+        emit_csv(out / name, header, [[v] for v in row])
         _note(args.quiet, f"wrote {out / name}")
     return 0
 
@@ -680,7 +677,7 @@ def _run_convergence(args) -> int:
     table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
     out = _out_dir(root, args)
     target = out / "convergence.csv"
-    emit_csv(target, ("n", "value", "error"), [(r.n, r.value, r.error) for r in table])
+    emit_csv(target, ("n", "value", "error"), zip(*[(r.n, r.value, r.error) for r in table]))
     _note(args.quiet, f"wrote {target}")
     return 0
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
@@ -61,15 +60,13 @@ class Lattice:
         return (2 * (m + ups) - self.n) / math.sqrt(self.n)
 
     def leaf_log_weights_from(self, level: int) -> np.ndarray:
-        """Log binomial weights of the leaves from any node at this level."""
+        """Log binomial weights of the leaves from any node at this level (exact binomials)."""
         remaining = self.n - level
-        ups = np.arange(remaining + 1)
-        return (
-            gammaln(remaining + 1.0)
-            - gammaln(ups + 1.0)
-            - gammaln(remaining - ups + 1.0)
-            - remaining * _LOG2
-        )
+        logs, binom = [], 1
+        for k in range(remaining + 1):
+            logs.append(math.log(binom))
+            binom = binom * (remaining - k) // (k + 1)
+        return np.array(logs) - remaining * _LOG2
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.optimize import brentq
 
 from .errors import (
     NoRootError,
@@ -197,6 +196,8 @@ def completeness_invert(
         raise PreconditionError(
             "y -> -dp/dw is not monotone on the searched bracket"
         )
+    from scipy.optimize import brentq  # here, so that importing impactlab loads no scipy
+
     root = brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     if abs(residual(root)) > residual_tol:
         raise NoRootError(f"Brent polish left residual {residual(root):.3e}")

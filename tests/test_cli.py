@@ -1,15 +1,25 @@
 """End-to-end CLI runs: exit codes, dotted-field errors, byte-stable CSV output."""
 
 import csv
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from impactlab.cli import _csv_field, emit_csv, main
+from impactlab import cli
+from impactlab.cli import emit_csv, main
 from impactlab.cumulants import GammaProcess
 from impactlab.dp import DpScenario, Lattice, emm_eipu
 from impactlab.efficient import LevyScenario, allocation_value, efficient_path_record
@@ -506,15 +516,137 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_emit_csv_and_field_formatting(tmp_path):
     target = tmp_path / "empty.csv"
-    emit_csv(target, ("a", "b"), [])
+    emit_csv(target, ("a", "b"), ([], []))
     assert target.read_bytes() == b"a,b\n"
 
-    emit_csv(target, ("a", "b", "c", "d"), [(-0.0, True, 3, 0.1)])
+    emit_csv(target, ("a", "b", "c", "d"), ([-0.0], [True], [3], [0.1]))
     text = target.read_text(encoding="utf-8")
     assert text == "a,b,c,d\n0,true,3,0.10000000000000001\n"
-    assert _csv_field(float("-0.0")) == "0"
-    assert _csv_field(False) == "false"
-    assert _csv_field(np.float64(1.5)) == "1.5"
+
+    emit_csv(target, ("x", "flag"), (np.array([1.5, -0.0]), np.array([False, True])))
+    assert target.read_text(encoding="utf-8") == "x,flag\n1.5,false\n0,true\n"
     # 17 significant digits round-trip float64 exactly
     x = math.pi * 1e-7
-    assert float(_csv_field(x)) == x
+    emit_csv(target, ("x",), ([x],))
+    assert float(read_csv(target)[1][0][0]) == x
+
+    with pytest.raises(ValueError):
+        emit_csv(target, ("a", "b"), ([1.0, 2.0], [1.0]))
+    with pytest.raises(ValueError):
+        emit_csv(target, ("a", "b"), ([1.0],))
+
+
+def _reference_field(value) -> str:
+    """The per-value rule of the row-wise csv.writer emitter that emit_csv replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if value == 0.0:
+            value = 0.0  # fold -0.0
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_csv(header, columns) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in zip(*columns):
+        writer.writerow([_reference_field(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e300, -1e300]
+
+
+@st.composite
+def _csv_tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool"]), min_size=1, max_size=5)):
+        if kind == "float":
+            elements = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(_SPECIAL_FLOATS)
+            col = draw(arrays(np.float64, n_rows, elements=elements))
+        elif kind == "int":
+            col = draw(arrays(np.int64, n_rows, elements=st.integers(-(2**63), 2**63 - 1)))
+        else:
+            col = draw(arrays(np.bool_, n_rows))
+        columns.append(col.tolist() if draw(st.booleans()) else col)
+    return columns
+
+
+@settings(deadline=None, max_examples=200)
+@given(columns=_csv_tables(), block_rows=st.integers(1, 5))
+def test_emit_csv_matches_row_writer_reference(tmp_path_factory, columns, block_rows):
+    header = [f"c{j}" for j in range(len(columns))]
+    target = tmp_path_factory.mktemp("emit") / "table.csv"
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        emit_csv(target, header, columns)
+    assert target.read_bytes() == _reference_csv(header, columns)
+
+
+# sha256 of every CSV written by the three runs below, recorded from the
+# row-wise csv.writer emitter that emit_csv replaced (numpy 2.4, x86-64 Linux)
+RECORDED_SHA256 = {
+    "levy-sim": {
+        "levy_path_000.csv": "b2505eff64b90969a68c3d69c4ba022452864762026d0d3c9eac8d6276618cf6",
+        "levy_path_001.csv": "71b55193c9f7e602b1a08e890f83c6bb2d81633b543e6b9acf453ca06dc0ba16",
+        "levy_path_002.csv": "d18be5c7b2760141b4a7eb8cc16550093a7cc44a26df345f065e5ded63814c11",
+        "levy_summary.csv": "1aaaf664835cdc6d84ef2390325a71ee54e10e9a1837a81999208ed0ea44ed17",
+    },
+    "shockwave": {
+        "shockwave_path_000.csv": "7b2227425098bab687a29edafdf95e6a68eab836652f4ab1c096e3ba5adb69d5",
+        "shockwave_path_001.csv": "67453477a535c7cd2af3fe502aa567d9e67ae9fac5b5360b14e304fd152fb838",
+        "shockwave_path_002.csv": "e63318dd151d174214c9845f286fcf8b2a584a3a0eb37982712a6008762b3423",
+    },
+    "markov-fields": {
+        "markov_fields.csv": "fd113ab18cc22a264b707bc581db639ae9679423ad9bfbb3fb1992f8969da13c",
+    },
+}
+
+
+def _recorded_run_config(mode, out):
+    if mode == "levy-sim":
+        shocks = {"initial_value": 0.0, "h": 0.0, "shocks": [[0.25, 0.25], [0.75, -0.5]]}
+        return levy_config(out, paths=3, grid=64, schedule=shocks)
+    if mode == "shockwave":
+        return dict(shockwave_config(out), paths=3, grid=64)
+    data = markov_config(out)
+    data["w"] = {"min": -1.0, "max": 1.0, "count": 11}
+    return data
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDED_SHA256))
+def test_csv_bytes_match_recorded_digests(tmp_path, mode):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, _recorded_run_config(mode, out))
+    assert main([mode, "--config", cfg, "--quiet"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == RECORDED_SHA256[mode]
+
+
+def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
+    """Only completeness_invert imports scipy; the CLI and its path modes never do."""
+    levy = write_config(tmp_path, levy_config(tmp_path / "levy"), "levy.yaml")
+    shock = write_config(tmp_path, shockwave_config(tmp_path / "shock"), "shock.yaml")
+    code = "\n".join([
+        "import json, sys",
+        "import impactlab.cli as cli",
+        "loaded = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "seen = [loaded()]",
+        f"assert cli.main(['levy-sim', '--config', {levy!r}, '--quiet']) == 0",
+        "seen.append(loaded())",
+        f"assert cli.main(['shockwave', '--config', {shock!r}, '--quiet']) == 0",
+        "seen.append(loaded())",
+        "print(json.dumps(seen))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], []]

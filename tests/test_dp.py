@@ -71,6 +71,17 @@ def test_lattice_geometry_and_weights():
     assert np.allclose(weights, expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 7, 20, 512])
+def test_leaf_log_weights_are_exact_log_binomials(n):
+    lat = Lattice(n)
+    for level in range(n + 1):
+        r = n - level
+        ref = np.array([math.log(math.comb(r, k)) - r * math.log(2.0) for k in range(r + 1)])
+        logw = lat.leaf_log_weights_from(level)
+        assert np.all(np.abs(logw - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert abs(math.fsum(np.exp(logw)) - 1.0) <= 1e-13
+
+
 def test_lattice_validation():
     with pytest.raises(ParameterError):
         Lattice(0)
