@@ -364,7 +364,15 @@ def _dp_payoffs(root: Section, agents: AgentPair, kinds) -> MarkovPayoffs:
     return _black_scholes_payoffs(sec, agents)
 
 
+# value_recursion holds the (n+1, grid) menus plus (2, n, grid) pair arrays
+# and CE temporaries at its widest level: about 9 float64s per (n+2) * grid
+# cell as measured with tracemalloc; 10 leaves some room
+_DP_BYTES_PER_CELL = 10 * 8
+_DP_MEMORY_BUDGET = 2 * 1024**3
+
+
 def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario:
+    """``lattice_n`` is the largest lattice the run will build."""
     adm = root.section("admissible")
     adm.require_keys({"lo", "hi"})
     lo = adm.number("lo")
@@ -374,8 +382,14 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario
     if not lo <= 0.0 <= hi:
         raise ConfigError("admissible.lo", "interval must contain 0")
     resolution = root.number("y_resolution", default=1e-3, minimum=0.0, exclusive_min=True)
-    if (hi - lo) / resolution > 2e6:
-        raise ConfigError("y_resolution", "scan grid would exceed 2e6 points")
+    points = (hi - lo) / resolution + 1.0  # float: a tiny resolution must not overflow
+    need = _DP_BYTES_PER_CELL * (lattice_n + 2) * points
+    if need > _DP_MEMORY_BUDGET:
+        raise ConfigError(
+            "y_resolution",
+            f"the recursion at n={lattice_n} on {points:.4g} grid points would hold about "
+            f"{need / 2**30:.3g} GiB, over the {_DP_MEMORY_BUDGET / 2**30:.3g} GiB budget",
+        )
     payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
     return DpScenario(Lattice(lattice_n), payoffs, (lo, hi), resolution)
 
@@ -425,9 +439,16 @@ def emit_csv(path: Path, header: Sequence[str], columns) -> None:
             fh.write(line * len(rows) % tuple(v for row in rows for v in row))
 
 
-def _note(quiet: bool, message: str) -> None:
+def _note(quiet: bool, message: str, stream=None) -> None:
     if not quiet:
-        print(message)
+        print(message, file=stream)
+
+
+def _note_bound_hits(quiet: bool, n: int, hits: int) -> None:
+    """A policy on an end of the admissible interval may be the constraint, not an optimum."""
+    if hits:
+        _note(quiet, f"n={n}: {hits} lattice node(s) have their policy on an admissible "
+              "bound (admissible.lo or admissible.hi)", sys.stderr)
 
 
 def _out_dir(root: Section, args) -> Path:
@@ -629,6 +650,7 @@ def _run_dp_value(args) -> int:
 
     # every result is computed before the first file is written; each file is one row
     result = value_recursion(scenario, refine=refine)
+    _note_bound_hits(args.quiet, lattice_n, result.bound_hits)
     outputs = [(
         "dp_value.csv",
         ("n", "value", "root_policy", "pi0_g"),
@@ -672,9 +694,11 @@ def _run_convergence(args) -> int:
     limit = None
     if root.data.get("limit") is not None:
         limit = root.number("limit")
-    scenario = _dp_scenario(root, agents, n_list[0])
+    scenario = _dp_scenario(root, agents, n_list[-1])
 
     table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
+    for row in table:
+        _note_bound_hits(args.quiet, row.n, row.bound_hits)
     out = _out_dir(root, args)
     target = out / "convergence.csv"
     emit_csv(target, ("n", "value", "error"), zip(*[(r.n, r.value, r.error) for r in table]))

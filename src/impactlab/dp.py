@@ -8,10 +8,11 @@ one-step conditional certainty equivalents plus conditional prices of
 the form Pi_t(G - y*S).  Cash never enters the state: values are stored
 net of cash and the identity V(x, z) = x + V(0, z) is what tests check.
 
-The per-period supremum is scanned on an inventory grid of resolution
-``y_resolution`` and then polished with golden-section search between
-the winning grid point's neighbors (the objective is concave in y).
-Grid ties break toward the smallest |y|, then toward negative y.
+Each level is a few array operations over all its nodes.  The menus
+Pi(G - y*S) on an inventory grid of resolution ``y_resolution`` rise from
+the leaves by the tower property, O(n^2 * grid) in all; the grid argmax
+(ties toward the smallest |y|, then negative y) is polished by lockstep
+golden-section search between its neighbors (the objective is concave).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
@@ -29,6 +31,7 @@ from .utility import ce, tilted_mean
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG2 = math.log(2.0)
 _COIN = np.full(2, -_LOG2)  # log-weights of one fair coin flip
+_PAIR = _COIN[:, None, None]  # the same, along axis 0 of a (2, nodes, grid) pair array
 
 
 @dataclass(frozen=True)
@@ -112,34 +115,40 @@ def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callab
     return conditional_ce(scenario, level, m, terminal_fn, scenario.agents.gamma)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 70):
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+def _leaf_payoffs(scenario: DpScenario):
+    """G, S and H on the n+1 leaves; node (level, m) reaches leaves m..m+n-level."""
+    leaves = scenario.lattice.level_values(scenario.lattice.n)
+    pay = scenario.payoffs
+    return [np.asarray(fn(leaves), dtype=float) for fn in (pay.g_fn, pay.s_fn, pay.h_fn)]
+
+
+def _pairs(rows: np.ndarray) -> np.ndarray:
+    """(down child, up child) rows of every node one level up, stacked on axis 0."""
+    return np.stack((rows[:-1], rows[1:]))
+
+
+def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
+    """Pi(G - y*S) on the y grid, one row per node of ``level``: G - y*S at the
+    leaves, then one coin-flip CE of the children's rows per level up."""
+    g, s, _ = _leaf_payoffs(scenario)
+    menus = g[:, None] - s[:, None] * y
+    for _ in range(scenario.lattice.n - level):
+        menus = ce(_pairs(menus), _PAIR, scenario.agents.gamma, axis=0)
+    return menus
 
 
 def sup_convolution(
-    scenario: DpScenario,
-    level: int,
-    continuation: np.ndarray,
-    refine: bool = True,
+    scenario: DpScenario, level: int, continuation: np.ndarray, refine: bool = True,
+    menus: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One backward step: from the composed field at level+1 to level.
 
     For each node, maximizes over the post-trade inventory y the sum of the
     demander's one-step CE of (continuation - Pi_child(G - y*S)) and the
-    supplier's one-step CE of Pi_child(G - y*S).
+    supplier's one-step CE of Pi_child(G - y*S).  ``menus``, when given,
+    holds the children's Pi(G - y*S) on the y grid, one row per node at
+    level+1, and its first level+1 rows are overwritten with this level's;
+    without it the children's rows are built up from the leaves.
     """
     lat = scenario.lattice
     if not 0 <= level < lat.n:
@@ -147,86 +156,88 @@ def sup_convolution(
     continuation = np.asarray(continuation, dtype=float)
     if continuation.shape != (level + 2,):
         raise ParameterError("continuation must hold one value per node at level+1")
-    agents = scenario.agents
-    gamma, c = agents.gamma, agents.c
+    gamma, c = scenario.agents.gamma, scenario.agents.c
     y = scenario.y_grid()
-    logw = lat.leaf_log_weights_from(level + 1)
+    if menus is None:
+        menus = _level_menus(scenario, level + 1, y)
+    elif menus.shape != (level + 2, y.size):
+        raise ParameterError("menus must hold one y-grid row per node at level+1")
+
+    owed, pairs = _pairs(continuation), _pairs(menus)
+    own = ce(pairs, _PAIR, gamma, axis=0)  # this level's menus, also the supplier term
+    objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), _PAIR, c, axis=0) + own
+    menus[:level + 1] = own
+    # grid argmax per node; ties go to the smallest |y|, then to negative y
+    order = np.lexsort((y >= 0.0, np.abs(y)))
+    ranked = objective[:, order]
+    j = order[np.argmax(ranked == ranked.max(axis=1, keepdims=True), axis=1)]
+    if not refine:
+        return objective[np.arange(level + 1), j], y[j]
+    return _refine(scenario, level, owed, y, j)
+
+
+def _refine(scenario, level, owed, y, j, iters: int = 70):
+    """Golden-section search between the neighbors of grid point y[j], for every
+    node of the level in lockstep, on the objective from the children's leaves;
+    the final midpoint replaces y[j] when it does at least as well."""
+    gamma, c = scenario.agents.gamma, scenario.agents.c
+    logw = scenario.lattice.leaf_log_weights_from(level + 1)
+    # row mc of a window: the leaves of child (level+1, mc)
+    g, s = (_pairs(sliding_window_view(v, logw.size)) for v in _leaf_payoffs(scenario)[:2])
     coin = _COIN[:, None]
 
-    # row mc holds child node mc's leaves; menus[mc] is Pi_child(G - y*S) on the grid
-    child_g = np.empty((level + 2, lat.n - level))
-    child_s = np.empty_like(child_g)
-    menus = np.empty((level + 2, y.size))
-    for mc in range(level + 2):
-        leaves = lat.leaf_values_from(level + 1, mc)
-        child_g[mc] = scenario.payoffs.g_fn(leaves)
-        child_s[mc] = scenario.payoffs.s_fn(leaves)
-        menus[mc] = ce(child_g[mc] - y[:, None] * child_s[mc], logw, gamma, axis=1)
+    def objective(yy):
+        pi = ce(g - yy[:, None] * s, logw, gamma)
+        return ce(owed - pi, coin, c, axis=0) + ce(pi, coin, gamma, axis=0)
 
-    values = np.empty(level + 1)
-    policies = np.empty(level + 1)
-    for m in range(level + 1):
-        # rows (down child, up child) of each coin-flip pair
-        pi_pair, owed = menus[m:m + 2], continuation[m:m + 2]
-        objective = ce(owed[:, None] - pi_pair, coin, c, axis=0) + ce(pi_pair, coin, gamma, axis=0)
-        best = objective.max()
-        ties = np.nonzero(objective == best)[0]
-        j = min(ties, key=lambda k: (abs(y[k]), 0.0 if y[k] < 0.0 else 1.0))
-        y_best, val_best = float(y[j]), float(objective[j])
-        if refine:
-            lo = float(y[max(j - 1, 0)])
-            hi = float(y[min(j + 1, y.size - 1)])
-            g_pair, s_pair = child_g[m:m + 2], child_s[m:m + 2]
-
-            def scalar_objective(yy: float) -> float:
-                pi = ce(g_pair - yy * s_pair, logw, gamma)
-                return float(ce(owed - pi, _COIN, c) + ce(pi, _COIN, gamma))
-
-            y_ref, val_ref = _golden_max(scalar_objective, lo, hi)
-            if val_ref >= val_best:
-                y_best, val_best = y_ref, val_ref
-        values[m] = val_best
-        policies[m] = y_best
-    return values, policies
+    lo, hi = y[np.maximum(j - 1, 0)], y[np.minimum(j + 1, y.size - 1)]
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(iters):
+        left = f1 >= f2  # the maximum lies in [lo, x2], and x1 becomes the new x2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x_keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
+        x_new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        f_new = objective(x_new)
+        x1, f1 = np.where(left, x_new, x_keep), np.where(left, f_new, f_keep)
+        x2, f2 = np.where(left, x_keep, x_new), np.where(left, f_keep, f_new)
+    mid = 0.5 * (lo + hi)
+    f_mid, f_grid = objective(mid), objective(y[j])
+    better = f_mid >= f_grid
+    return np.where(better, f_mid, f_grid), np.where(better, mid, y[j])
 
 
 @dataclass(frozen=True)
 class DpValue:
     """Composed-field recursion output: root value net of Pi_0(G), the field
-    F_k per level, per-node policies, and the root supplier value Pi_0(G)."""
+    F_k per level, per-node policies, the root supplier value Pi_0(G), and
+    how many nodes have their policy on an end of the admissible interval."""
 
     value: float
     fields: List[np.ndarray]
     policies: List[np.ndarray]
     pi0_g: float
+    bound_hits: int
 
 
 def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     """Backward induction as a composition of one-step sup-convolutions.
 
     F_n = (g+h)(leaves); F_k = one sup-convolution of F_{k+1}; the demander
-    value is F_0(root) - Pi_0(G).
+    value is F_0(root) - Pi_0(G).  One menu array is carried up the levels.
     """
-    lat = scenario.lattice
-    leaves = lat.level_values(lat.n)
-    terminal = np.asarray(scenario.payoffs.g_fn(leaves), dtype=float) + np.asarray(
-        scenario.payoffs.h_fn(leaves), dtype=float
-    )
-    fields: List[np.ndarray] = [None] * (lat.n + 1)
-    policies: List[np.ndarray] = [None] * lat.n
-    fields[lat.n] = terminal
-    current = terminal
-    for level in range(lat.n - 1, -1, -1):
-        current, pol = sup_convolution(scenario, level, current, refine=refine)
-        fields[level] = current
-        policies[level] = pol
+    g, _, h = _leaf_payoffs(scenario)
+    fields, policies = [g + h], []
+    menus = _level_menus(scenario, scenario.lattice.n, scenario.y_grid())
+    for level in range(scenario.lattice.n - 1, -1, -1):
+        current, pol = sup_convolution(scenario, level, fields[-1], refine, menus[:level + 2])
+        fields.append(current)
+        policies.append(pol)
     pi0_g = conditional_pi(scenario, 0, 0, scenario.payoffs.g_fn)
-    return DpValue(
-        value=float(current[0]) - pi0_g,
-        fields=fields,
-        policies=policies,
-        pi0_g=pi0_g,
-    )
+    lo, hi = scenario.admissible
+    tol = 1e-12 * (hi - lo)  # refinement stops a few 1e-15 widths short of a binding end
+    hits = sum(int(np.count_nonzero((p <= lo + tol) | (p >= hi - tol))) for p in policies)
+    return DpValue(float(current[0]) - pi0_g, fields[::-1], policies[::-1], pi0_g, hits)
 
 
 @dataclass(frozen=True)
@@ -242,11 +253,7 @@ def buy_and_hold_position(scenario: DpScenario) -> float:
 
     PreconditionError if no such y_star exists or it is inadmissible.
     """
-    lat = scenario.lattice
-    leaves = lat.level_values(lat.n)
-    g_vals = np.asarray(scenario.payoffs.g_fn(leaves), dtype=float)
-    s_vals = np.asarray(scenario.payoffs.s_fn(leaves), dtype=float)
-    h_vals = np.asarray(scenario.payoffs.h_fn(leaves), dtype=float)
+    g_vals, s_vals, h_vals = _leaf_payoffs(scenario)
     weight = scenario.agents.demander_weight
     target = weight * (g_vals + h_vals)
     movable = np.abs(s_vals) > 1e-14
@@ -311,6 +318,7 @@ class ConvergenceRow:
     n: int
     value: float
     error: float
+    bound_hits: int
 
 
 def convergence_study(
@@ -337,9 +345,9 @@ def convergence_study(
             admissible=scenario.admissible,
             y_resolution=scenario.y_resolution,
         )
-        value = value_recursion(sub, refine=refine).value
-        error = abs(value - limit)
+        result = value_recursion(sub, refine=refine)
+        error = abs(result.value - limit)
         if not math.isfinite(error):
             raise PreconditionError(f"non-finite convergence error at n={n}")
-        rows.append(ConvergenceRow(n=int(n), value=value, error=error))
+        rows.append(ConvergenceRow(int(n), result.value, error, result.bound_hits))
     return rows

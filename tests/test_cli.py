@@ -494,6 +494,74 @@ def test_convergence_n_list_validation(tmp_path, capsys):
     assert stderr_record(capsys)["field"] == "n_list[1]"
 
 
+@pytest.mark.parametrize("mode", ["dp-value", "convergence"])
+def test_dp_memory_estimate_refuses_before_any_output(tmp_path, capsys, monkeypatch, mode):
+    # n = 64 on 2e6 grid points would hold ~10 GB; refused while validating
+    def never(*args, **kwargs):
+        raise AssertionError("the recursion must not start")
+
+    monkeypatch.setattr(cli, "value_recursion", never)
+    monkeypatch.setattr(cli, "convergence_study", never)
+    out = tmp_path / "o"
+    data = convergence_config(out) if mode == "convergence" else dp_config(out)
+    data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6)
+    if mode == "convergence":
+        data["n_list"] = [2, 64]
+    else:
+        data["lattice_n"] = 64
+    cfg = write_config(tmp_path, data)
+    assert main([mode, "--config", cfg]) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == "y_resolution" and "GiB" in record["message"]
+    assert not out.exists()
+
+
+def test_dp_memory_estimate_accepts_documented_sizes():
+    # README and benchmark runs (n <= 32 on <= 4001 points) sit far inside the
+    # budget, and so does a 512-level lattice on the README grid
+    agents = AgentPair(1.0, 1.0)
+    for n, lo, hi, res in [(16, -2.0, 2.0, 1e-3), (32, -2.0, 2.0, 1e-3),
+                           (20, -1.0, 1.0, 1e-3), (512, -2.0, 2.0, 1e-3)]:
+        data = dp_config(".", admissible={"lo": lo, "hi": hi}, y_resolution=res)
+        scenario = cli._dp_scenario(cli.Section(data), agents, n)
+        assert scenario.lattice.n == n and scenario.y_grid().size == round((hi - lo) / res) + 1
+    assert cli._DP_BYTES_PER_CELL * (64 + 2) * 2_000_001 > cli._DP_MEMORY_BUDGET
+
+
+def _readme_config(mode):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```yaml\n")[1:]]
+    return next(yaml.safe_load(b) for b in blocks if f"mode: {mode}\n" in b)
+
+
+@pytest.mark.parametrize("mode", ["dp-value", "convergence"])
+def test_readme_lattice_examples_run(tmp_path, mode):
+    cfg = write_config(tmp_path, _readme_config(mode))
+    assert main([mode, "--config", cfg, "--quiet", "--out", str(tmp_path / "o")]) == 0
+    assert list((tmp_path / "o").iterdir())
+
+
+def test_bound_hits_are_reported_on_stderr(tmp_path, capsys):
+    # H = S = W_1 with gamma = c wants y = -1/2 everywhere; [-0.2, 0.2] binds at every node
+    out = tmp_path / "o"
+    data = dp_config(out, buy_and_hold=False, emm_root=False, lattice_n=3,
+                     admissible={"lo": -0.2, "hi": 0.2}, y_resolution=0.01)
+    cfg = write_config(tmp_path, data)
+    assert main(["dp-value", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "n=3: 6 lattice node(s) have their policy on an admissible bound" in captured.err
+    assert "admissible bound" not in captured.out
+    assert main(["dp-value", "--config", cfg, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+    data = convergence_config(out)
+    data.update(admissible={"lo": -0.2, "hi": 0.2}, n_list=[1, 2])
+    cfg = write_config(tmp_path, data)
+    assert main(["convergence", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert "n=1: 1 lattice node(s)" in err and "n=2: 3 lattice node(s)" in err
+
+
 # ---------------------------------------------------------------------------
 # verify and plumbing
 

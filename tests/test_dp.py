@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab.dp import (
     DpScenario,
     Lattice,
+    _level_menus,
     conditional_ce,
     conditional_pi,
     convergence_study,
@@ -18,8 +22,15 @@ from impactlab.dp import (
     value_recursion,
 )
 from impactlab.errors import ParameterError, PreconditionError
-from impactlab.markov import MarkovPayoffs, field_p, field_v
-from impactlab.utility import AgentPair
+from impactlab.markov import (
+    MarkovPayoffs,
+    QuadraticModel,
+    field_p,
+    field_v,
+    quadratic_p,
+    quadratic_v,
+)
+from impactlab.utility import AgentPair, ce
 
 
 def wrap(f):
@@ -205,6 +216,197 @@ def test_sup_convolution_validation():
         sup_convolution(scn, 2, np.zeros(3))
     with pytest.raises(ParameterError):
         sup_convolution(scn, 0, np.zeros(5))
+
+
+SYMMETRIC_GRIDS = [((-1.5, 1.5), 1.0), ((-0.5, 0.5), 0.25)]
+
+
+@pytest.mark.parametrize("admissible,res", SYMMETRIC_GRIDS)
+def test_sup_convolution_tie_breaks_at_every_node(admissible, res):
+    # menus even in y make grid points +-y tie exactly at every node of the
+    # level: the winner is the negative one, and 0 beats them all when it ties
+    level = 3
+    scn = make_scenario(5, IDENT, ZERO, ZERO, gamma=1.3, c=0.7, admissible=admissible, res=res)
+    y = scn.y_grid()
+    rng = np.random.default_rng(11)
+    menus = rng.normal(size=(level + 2, 1)) + rng.normal(scale=0.5, size=(level + 2, 1)) * y**2
+    owed = rng.normal(size=level + 2)
+    values, policies = sup_convolution(scn, level, owed, refine=False, menus=menus.copy())
+    for m in range(level + 1):
+        objective = np.array([
+            ce_flip(owed[m + 1] - menus[m + 1, k], owed[m] - menus[m, k], 0.7)
+            + ce_flip(menus[m + 1, k], menus[m, k], 1.3)
+            for k in range(y.size)
+        ])
+        mags = np.unique(np.abs(y))
+        by_mag = np.array([objective[np.abs(y) == a].max() for a in mags])
+        top = np.sort(by_mag)
+        assert top[-1] - top[-2] > 1e-9  # the reference is not itself at a near-tie
+        assert policies[m] == -mags[np.argmax(by_mag)]
+        assert values[m] == pytest.approx(top[-1], abs=1e-12)
+    assert np.any(policies < 0.0)
+
+
+@pytest.mark.parametrize("admissible,res,expected", [((-1.5, 1.5), 1.0, -0.5), ((-0.5, 0.5), 0.25, 0.0)])
+def test_value_recursion_full_ties_take_smallest_then_negative_y(admissible, res, expected):
+    # S = 0 leaves every grid point tied exactly at every node of every level;
+    # on the step-0.25 grid 0 must win over -0.25 (an additive key such as
+    # 2|y| + (y >= 0) would rank -0.25 first)
+    scn = make_scenario(4, ZERO, lambda w: 0.3 * w**2, IDENT, admissible=admissible, res=res)
+    for pol in value_recursion(scn, refine=False).policies:
+        assert np.all(pol == expected)
+
+
+def test_sup_convolution_menus_contract():
+    # given menus are overwritten with this level's rows: the tower step of the children
+    scn = make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=1.3, c=0.7)
+    y = scn.y_grid()
+    owed = np.linspace(-0.2, 0.3, 4)
+    menus = _level_menus(scn, 3, y)
+    values, policies = sup_convolution(scn, 2, owed, refine=False, menus=menus)
+    assert np.array_equal(menus[:3], _level_menus(scn, 2, y))
+    alone = sup_convolution(scn, 2, owed, refine=False)
+    assert np.array_equal(alone[0], values) and np.array_equal(alone[1], policies)
+    with pytest.raises(ParameterError):
+        sup_convolution(scn, 2, owed, menus=np.zeros((3, y.size)))
+
+
+def _golden_max_reference(f, lo, hi, iters=70):
+    # the scalar golden-section search the lockstep refinement replaced
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def test_lockstep_refine_matches_scalar_golden_section():
+    rng = np.random.default_rng(2024)
+    coin = np.full(2, -math.log(2.0))
+    for trial in range(9):
+        n = int(rng.integers(1, 6))
+        a = rng.uniform(-1.0, 1.0, size=(3, 3))
+        # the last trial has S = 0: a flat objective, where the midpoint ties its grid point
+        k = float(trial < 8)
+        gamma = float(rng.choice([0.0, rng.uniform(0.3, 2.0)]))
+        c = float(rng.choice([math.inf, rng.uniform(0.3, 2.0)]))
+        scn = make_scenario(
+            n,
+            lambda w, a=a, k=k: k * (1.0 + a[0, 0] * w + 0.2 * a[0, 1] * w**2),
+            lambda w, a=a: a[1, 0] + a[1, 1] * w + a[1, 2] * w**2,
+            lambda w, a=a: a[2, 0] + a[2, 1] * w + a[2, 2] * w**2,
+            gamma=gamma, c=c, admissible=(-1.5, 1.5), res=0.05,
+        )
+        lat, y = scn.lattice, scn.y_grid()
+        for level in range(n):
+            owed = rng.normal(size=level + 2)
+            _, grid_policies = sup_convolution(scn, level, owed, refine=False)
+            values, policies = sup_convolution(scn, level, owed, refine=True)
+            logw = lat.leaf_log_weights_from(level + 1)
+            for m in range(level + 1):
+                j = int(np.flatnonzero(y == grid_policies[m])[0])
+                kids = [lat.leaf_values_from(level + 1, m + k) for k in (0, 1)]
+                g_pair = np.array([scn.payoffs.g_fn(w) for w in kids])
+                s_pair = np.array([scn.payoffs.s_fn(w) for w in kids])
+
+                def objective(yy):
+                    pi = ce(g_pair - yy * s_pair, logw, gamma)
+                    return float(ce(owed[m:m + 2] - pi, coin, c) + ce(pi, coin, gamma))
+
+                y_ref, val_ref = _golden_max_reference(
+                    objective, y[max(j - 1, 0)], y[min(j + 1, y.size - 1)]
+                )
+                val_grid = objective(y[j])
+                want = (val_ref, y_ref) if val_ref >= val_grid else (val_grid, y[j])
+                assert abs(values[m] - want[0]) <= 1e-12
+                assert abs(policies[m] - want[1]) <= 1e-12
+
+
+_POLY = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)])
+
+
+def _poly(k):
+    return lambda w: k[0] + k[1] * w + k[2] * w**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    g=_POLY,
+    s=_POLY,
+    gamma=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+    ys=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+)
+def test_tower_menus_match_leaf_enumeration(n, g, s, gamma, ys):
+    scn = make_scenario(n, _poly(s), _poly(g), ZERO, gamma=gamma)
+    y = np.array(ys)
+    for level in range(n + 1):
+        menus = _level_menus(scn, level, y)
+        for m in range(level + 1):
+            for k, yy in enumerate(y):
+                ref = conditional_pi(scn, level, m, lambda w: _poly(g)(w) - yy * _poly(s)(w))
+                assert abs(menus[m, k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    g=_POLY,
+    s=_POLY,
+    h=_POLY,
+    gamma=st.floats(0.2, 2.0),
+    c=st.one_of(st.floats(0.2, 2.0), st.just(math.inf)),
+)
+def test_value_recursion_matches_direct_recursion_on_random_lattices(n, g, s, h, gamma, c):
+    scn = make_scenario(
+        n, _poly(s), _poly(g), _poly(h), gamma=gamma, c=c, admissible=(-1.0, 1.0), res=0.25
+    )
+    assert value_recursion(scn, refine=False).value == pytest.approx(
+        direct_root_value(scn), abs=1e-10
+    )
+
+
+def test_value_recursion_scales_to_256_levels():
+    # O(n^2 * grid): n = 256 on 2001 grid points takes seconds, and the error
+    # against the closed-form limit halves from n = 128 (the O(1/n) lattice rate)
+    model = QuadraticModel(
+        g_load=0.2, mu=0.0, sigma=1.0, a_lin=0.5, b_quad=0.3, agents=AgentPair(1.0, 1.0)
+    )
+    limit = quadratic_v(model, 0.0, 0.0) - quadratic_p(model, 0.0, 0.0, 0.0)
+    started = time.perf_counter()
+    errors = {}
+    for n in (128, 256):
+        scn = DpScenario(Lattice(n), model.payoffs(), (-1.0, 1.0), 1e-3)
+        assert scn.y_grid().size == 2001
+        errors[n] = abs(value_recursion(scn, refine=False).value - limit)
+    assert time.perf_counter() - started < 60.0
+    assert errors[128] / errors[256] == pytest.approx(2.0, rel=0.1)
+
+
+def test_bound_hits_count_policies_on_the_admissible_ends():
+    # H = S = W_1 with gamma = c wants y = -1/2 at every node
+    free = value_recursion(make_scenario(3, IDENT, ZERO, IDENT, admissible=(-1.0, 1.0), res=0.01))
+    assert free.bound_hits == 0
+    narrow = make_scenario(3, IDENT, ZERO, IDENT, admissible=(-0.2, 0.2), res=0.01)
+    # on [0, 1] refinement ends a few 1e-18 above the binding end 0, not on it
+    long_only = make_scenario(3, IDENT, ZERO, IDENT, admissible=(0.0, 1.0), res=0.01)
+    for scn, end in ((narrow, -0.2), (long_only, 0.0)):
+        for refine in (False, True):
+            result = value_recursion(scn, refine=refine)
+            assert result.bound_hits == 6
+            assert all(np.allclose(pol, end, rtol=0.0, atol=1e-12) for pol in result.policies)
+    rows = convergence_study(narrow, [1, 2], limit=0.0, refine=False)
+    assert [r.bound_hits for r in rows] == [1, 3]
 
 
 # ---------------------------------------------------------------------------
