@@ -50,10 +50,8 @@ from .markov import (
     MarkovPayoffs,
     QuadraticModel,
     ShockWaveModel,
-    field_p,
-    field_q,
-    field_u,
-    field_v,
+    _rules,
+    _state_fields,
     quadratic_closed_forms,
     shockwave_path,
     shockwave_price,
@@ -397,8 +395,6 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario
 def _quad_order(root: Section) -> int:
     order = root.integer("order", default=128, minimum=2)
     try:
-        from .markov import _rules
-
         _rules(order)
     except QuadratureError as exc:
         raise ConfigError("order", str(exc)) from exc
@@ -552,8 +548,7 @@ def _run_markov_fields(args) -> int:
             raise ConfigError(f"times[{i}]", "must lie in [0, 1)")
     wsec = root.section("w")
     wsec.require_keys({"min", "max", "count"})
-    w_min = wsec.number("min")
-    w_max = wsec.number("max")
+    w_min, w_max = wsec.number("min"), wsec.number("max")
     if w_min > w_max:
         raise ConfigError("w.max", "must be >= w.min")
     count = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
@@ -562,7 +557,6 @@ def _run_markov_fields(args) -> int:
     kind = sec.string("kind", choices=("quadratic", "shockwave"))
     if kind == "quadratic":
         model = _quadratic_model(sec, agents)
-        payoffs = model.payoffs()
 
         def closed(t, w):
             forms = quadratic_closed_forms(model, t, w)
@@ -570,31 +564,20 @@ def _run_markov_fields(args) -> int:
 
     else:
         model = _shockwave_model(sec, agents)
-        payoffs = model.payoffs()
 
         def closed(t, w):
-            return float(shockwave_strategy(model, t, w)), float(shockwave_price(model, t, w))
+            return shockwave_strategy(model, t, w), shockwave_price(model, t, w)
 
-    rows = []
-    for t in times:
-        for w in np.linspace(w_min, w_max, count):
-            w = float(w)
-            y_star, s_star = closed(t, w)
-            rows.append(
-                (
-                    t,
-                    w,
-                    field_v(payoffs, t, w, order),
-                    field_u(payoffs, t, w, order),
-                    field_p(payoffs, t, w, inventory, order),
-                    field_q(payoffs, t, w, inventory, order),
-                    y_star,
-                    s_star,
-                )
-            )
+    payoffs = model.payoffs()
+    w = np.linspace(w_min, w_max, count)
+    table = np.hstack([
+        np.vstack((np.full(count, t), w, *_state_fields(payoffs, t, w, inventory, order),
+                   *closed(t, w)))
+        for t in times
+    ])
     out = _out_dir(root, args)
     target = out / "markov_fields.csv"
-    emit_csv(target, ("t", "w", "v", "u", "p", "q", "y_star", "s_star"), zip(*rows))
+    emit_csv(target, ("t", "w", "v", "u", "p", "q", "y_star", "s_star"), table)
     _note(args.quiet, f"wrote {target}")
     return 0
 

@@ -6,7 +6,11 @@ Cole-Hopf form: conditional exponential certainty equivalents of the
 terminal data under the Gaussian transition, evaluated with probabilists'
 Gauss-Hermite quadrature in log space.  Spatial gradients use the exact
 Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s, so no
-derivative of the terminal callables is ever needed.
+derivative of the terminal callables is ever needed.  Each callable runs
+once per call, on the nodes of a whole array of states (one row each), and
+v, u, p, q are reductions of those rows along the node axis.  Root-finding
+for the strategy reuses the node values of s and g, and checks each bracket
+at 9 points with one batched residual; only Brent's steps are scalar.
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -33,6 +37,7 @@ from .paths import PathSample
 from .utility import AgentPair, ce, tilted_mean
 
 DEFAULT_ORDER = 128
+_STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays bound the memory
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -66,7 +71,7 @@ def _terminal_values(fn, points) -> np.ndarray:
     vals = np.asarray(fn(points), dtype=float)
     if vals.shape != points.shape:
         vals = np.broadcast_to(vals, points.shape).astype(float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise QuadratureError("terminal payoff is non-finite at a quadrature node")
     return vals
 
@@ -78,34 +83,54 @@ def _check_t(t: float, terminal_ok: bool):
         raise ParameterError("gradient fields need t < 1")
 
 
-def _ce_field(fn, t: float, w: float, aversion: float, order: int) -> float:
-    """Conditional certainty equivalent E-form of fn(W_1) given W_t = w."""
+def _node_values(t: float, w, order: int, *fns):
+    """Each callable at the quadrature points, from one call on the raveled 1-d points:
+    a row per w of the 1-d ``w``, a column per node w + sqrt(1-t)*z_k (w at t = 1)."""
+    points = np.asarray(w, dtype=float)[:, None]
+    if t < 1.0:
+        points = points + math.sqrt(1.0 - t) * _rules(order)[0]
+    return [_terminal_values(fn, points.ravel()).reshape(points.shape) for fn in fns]
+
+
+def _ce_rows(vals, t: float, aversion: float, order: int):
+    """Conditional certainty equivalent of each row of node values."""
     if t == 1.0:
-        vals = _terminal_values(fn, np.asarray([w], dtype=float))
-        return float(vals[0])
-    nodes, logw = _rules(order)
-    spread = math.sqrt(1.0 - t)
-    vals = _terminal_values(fn, w + spread * nodes)
-    return float(ce(vals, logw, aversion))
+        return vals[..., 0]
+    return ce(vals, _rules(order)[1], aversion)
 
 
-def _grad_field(fn, t: float, w: float, aversion: float, order: int) -> float:
-    """w-derivative of _ce_field via the Gaussian kernel identity (t < 1)."""
+def _grad_rows(vals, t: float, aversion: float, order: int):
+    """w-derivative of _ce_rows via the Gaussian kernel identity (t < 1)."""
     nodes, logw = _rules(order)
     spread = math.sqrt(1.0 - t)
-    vals = _terminal_values(fn, w + spread * nodes)
     if aversion == 0.0:
-        return float(np.exp(logw) @ (nodes * vals)) / spread
+        return np.vecdot(nodes * vals, np.exp(logw)) / spread
     return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
+
+
+def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DEFAULT_ORDER):
+    """Rows v, u, p, q at one t < 1 for each w of a 1-d array (in blocks), inventory y."""
+    _check_t(t, terminal_ok=False)
+    abar, gamma = payoffs.agents.aggregate_aversion, payoffs.agents.gamma
+    out = np.empty((4, len(w)))
+    for start in range(0, len(w), _STATE_BLOCK):
+        rows = slice(start, start + _STATE_BLOCK)
+        s, g, h = _node_values(t, w[rows], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+        total, book = g + h, g - y * s
+        out[:, rows] = (
+            _ce_rows(total, t, abar, order),
+            _grad_rows(total, t, abar, order),
+            _ce_rows(book, t, gamma, order),
+            _grad_rows(book, t, gamma, order),
+        )
+    return out
 
 
 def field_v(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """Aggregate allocation value v(t, w): CE of (g+h)(W_1) at aversion c*gamma/(c+gamma)."""
     _check_t(t, terminal_ok=True)
-    fn = lambda x: np.asarray(payoffs.g_fn(x), dtype=float) + np.asarray(
-        payoffs.h_fn(x), dtype=float
-    )
-    return _ce_field(fn, t, w, payoffs.agents.aggregate_aversion, order)
+    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
+    return float(_ce_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
 
 
 def field_p(
@@ -113,19 +138,15 @@ def field_p(
 ) -> float:
     """Supplier book value p(t, w, y): CE of (g - y*s)(W_1) at aversion gamma."""
     _check_t(t, terminal_ok=True)
-    fn = lambda x: np.asarray(payoffs.g_fn(x), dtype=float) - y * np.asarray(
-        payoffs.s_fn(x), dtype=float
-    )
-    return _ce_field(fn, t, w, payoffs.agents.gamma, order)
+    s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
+    return float(_ce_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
 
 
 def field_u(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """u = dv/dw, computed by differentiating under the quadrature."""
     _check_t(t, terminal_ok=False)
-    fn = lambda x: np.asarray(payoffs.g_fn(x), dtype=float) + np.asarray(
-        payoffs.h_fn(x), dtype=float
-    )
-    return _grad_field(fn, t, w, payoffs.agents.aggregate_aversion, order)
+    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
+    return float(_grad_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
 
 
 def field_q(
@@ -133,10 +154,8 @@ def field_q(
 ) -> float:
     """q = dp/dw at inventory y, computed by differentiating under the quadrature."""
     _check_t(t, terminal_ok=False)
-    fn = lambda x: np.asarray(payoffs.g_fn(x), dtype=float) - y * np.asarray(
-        payoffs.s_fn(x), dtype=float
-    )
-    return _grad_field(fn, t, w, payoffs.agents.gamma, order)
+    s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
+    return float(_grad_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
 
 
 def replication_price(
@@ -144,12 +163,9 @@ def replication_price(
 ) -> float:
     """Supplier indifference charge for taking on -H: CE_gamma(g) - CE_gamma(g+h)."""
     _check_t(t, terminal_ok=True)
-    gamma = payoffs.agents.gamma
-    g_only = lambda x: np.asarray(payoffs.g_fn(x), dtype=float)
-    g_plus_h = lambda x: np.asarray(payoffs.g_fn(x), dtype=float) + np.asarray(
-        payoffs.h_fn(x), dtype=float
-    )
-    return _ce_field(g_only, t, w, gamma, order) - _ce_field(g_plus_h, t, w, gamma, order)
+    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
+    ce_g, ce_gh = _ce_rows(np.vstack((g, g + h)), t, payoffs.agents.gamma, order)
+    return float(ce_g - ce_gh)
 
 
 def completeness_invert(
@@ -164,30 +180,30 @@ def completeness_invert(
 ) -> float:
     """Solve -dp/dw(t, w, y) = z for the replicating inventory y.
 
-    Brackets geometrically from ``bracket`` until the residual changes sign,
-    verifies the map is strictly monotone on the bracket at 9 sample points,
-    then polishes with Brent to |residual| <= residual_tol.
-    """
+    With s and g evaluated at the nodes once, doubles the bracket about its
+    midpoint until the residual changes sign, checks the map is monotone at 9
+    points of it (ends included, one batched residual), then polishes with
+    Brent to |residual| <= residual_tol."""
     _check_t(t, terminal_ok=False)
+    s, g = (vals[0] for vals in _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn))
 
-    def residual(y: float) -> float:
-        return -field_q(payoffs, t, w, y, order) - z
+    def residual(y):
+        return -_grad_rows(g - np.multiply.outer(y, s), t, payoffs.agents.gamma, order) - z
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError("bracket must satisfy lo < hi")
-    r_lo, r_hi = residual(lo), residual(hi)
+    probe_vals = residual(np.linspace(lo, hi, 9))
     expansions = 0
-    while r_lo * r_hi > 0.0:
+    while probe_vals[0] * probe_vals[-1] > 0.0:
         if expansions >= max_expansions:
             raise NoRootError(
                 f"no sign change in [{lo}, {hi}] after {expansions} expansions"
             )
-        lo, hi = 2.0 * lo, 2.0 * hi
-        r_lo, r_hi = residual(lo), residual(hi)
+        mid, width = 0.5 * (lo + hi), hi - lo
+        lo, hi = mid - width, mid + width
+        probe_vals = residual(np.linspace(lo, hi, 9))
         expansions += 1
-    probes = np.linspace(lo, hi, 9)
-    probe_vals = np.array([residual(p) for p in probes])
     diffs = np.diff(probe_vals)
     # deep exponential tilts flatten numerically at the bracket ends, so only a
     # genuine direction reversal (not a flat stretch) disqualifies the map

@@ -114,12 +114,17 @@ def ce(values, logw, aversion: float, axis: int = -1):
     return out
 
 
-def tilted_mean(x, values, logw, aversion: float) -> float:
-    """E[x exp(-a v)] / E[exp(-a v)] over one 1-d support, for finite a >= 0."""
+def tilted_mean(x, values, logw, aversion: float):
+    """E[x exp(-a v)] / E[exp(-a v)] along the last axis, for finite a >= 0.
+
+    ``x`` and ``logw`` are 1-d over the support; each row of ``values`` is
+    tilted on its own.
+    """
     exponent = logw - aversion * values
-    exponent -= exponent.max()
+    exponent -= np.maximum.reduce(exponent, -1, keepdims=True)
     tilt = np.exp(exponent)
-    return float(x @ tilt) / float(tilt.sum())
+    # one dot product per row: a matrix-vector product sums in another order
+    return np.vecdot(tilt, x) / np.add.reduce(tilt, -1)
 
 
 def certainty_equivalent(samples: SampleSet, aversion: float) -> float:

@@ -1,10 +1,15 @@
 """Quadrature fields vs closed forms, gradients, completeness, and the shock wave."""
 
+import collections
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from impactlab import markov
 from impactlab.errors import (
     NoRootError,
     ParameterError,
@@ -13,6 +18,8 @@ from impactlab.errors import (
 )
 from impactlab.markov import (
     MarkovPayoffs,
+    _rules,
+    _state_fields,
     QuadraticModel,
     ShockWaveModel,
     completeness_invert,
@@ -549,3 +556,163 @@ def test_infinite_demander_hedges_perfectly():
     mean_coarse = float(np.mean(errs_coarse))
     assert mean_fine < 5e-3  # the hedge identifies the constant itself
     assert mean_fine < mean_coarse < 5.0 * mean_fine
+
+
+# ---------------------------------------------------------------------------
+# the array path against the scalar fields and the per-call root finder
+
+
+@st.composite
+def field_models(draw):
+    """A quadratic model (gamma may be 0) or a shock-wave model."""
+    c = draw(st.floats(0.2, 3.0))
+    if draw(st.booleans()):
+        return quad_model(
+            gamma=draw(st.just(0.0) | st.floats(0.1, 2.0)),
+            c=c,
+            g_load=draw(st.floats(-1.0, 1.0)),
+            mu=draw(st.floats(-0.5, 0.5)),
+            sigma=draw(st.floats(0.3, 2.0) | st.floats(-2.0, -0.3)),
+            a_lin=draw(st.floats(-1.0, 1.0)),
+            b_quad=draw(st.floats(-0.3, 1.0)),
+            h_const=draw(st.floats(-0.5, 0.5)),
+        )
+    return ShockWaveModel(
+        mu=draw(st.floats(-0.5, 0.5)),
+        sigma=draw(st.floats(0.3, 2.0)),
+        w_c=draw(st.floats(-1.5, 0.5)),
+        agents=AgentPair(gamma=draw(st.floats(0.2, 4.0)), c=c),
+        offset=draw(st.floats(-0.5, 0.5)),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    field_models(),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=13),
+    st.floats(-2.0, 2.0),
+    st.integers(1, 5),
+)
+def test_state_fields_equal_scalar_fields(model, t, w, y, block):
+    """Blocks of states through the nodes give the scalar fields bit for bit."""
+    pay = model.payoffs()
+    w = np.array(w)
+    with mock.patch.object(markov, "_STATE_BLOCK", block):
+        rows = _state_fields(pay, t, w, y)
+    scalar = [
+        (field_v(pay, t, x), field_u(pay, t, x), field_p(pay, t, x, y), field_q(pay, t, x, y))
+        for x in w.tolist()
+    ]
+    assert rows.shape == (4, w.size)
+    assert (rows == np.array(scalar).T).all()
+
+
+def _reference_invert(payoffs, t, w, z, order=128, bracket=(-50.0, 50.0)):
+    """completeness_invert before the payoffs were hoisted: every residual calls
+    s and g again and tilts one 1-d support; the bracket ends and the 9 probes
+    are separate scalar residuals."""
+    from scipy.optimize import brentq
+
+    nodes, logw = _rules(order)
+    spread = math.sqrt(1.0 - t)
+    gamma = payoffs.agents.gamma
+
+    def residual(y):
+        x = w + spread * nodes
+        vals = np.asarray(payoffs.g_fn(x), dtype=float) - y * np.asarray(payoffs.s_fn(x), dtype=float)
+        if gamma == 0.0:
+            q = float(np.exp(logw) @ (nodes * vals)) / spread
+        else:
+            exponent = logw - gamma * vals
+            exponent -= exponent.max()
+            tilt = np.exp(exponent)
+            q = -(float(nodes @ tilt) / float(tilt.sum())) / (gamma * spread)
+        return -q - z
+
+    lo, hi = bracket
+    r_lo, r_hi = residual(lo), residual(hi)
+    while r_lo * r_hi > 0.0:
+        lo, hi = 2.0 * lo, 2.0 * hi
+        r_lo, r_hi = residual(lo), residual(hi)
+    probe_vals = np.array([residual(p) for p in np.linspace(lo, hi, 9)])
+    diffs = np.diff(probe_vals)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(probe_vals))))
+    assert not ((diffs > tol).any() and (diffs < -tol).any())
+    root = brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    assert abs(residual(root)) <= 1e-10
+    return float(root)
+
+
+def test_completeness_invert_equals_per_call_reference():
+    rng = np.random.default_rng(51)
+    for k in range(50):
+        if k % 2 == 0:
+            model = quad_model(
+                gamma=0.0 if k % 10 == 2 else rng.uniform(0.2, 2.0),
+                c=rng.uniform(0.2, 3.0),
+                g_load=rng.uniform(-1.0, 1.0),
+                sigma=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0),
+                b_quad=rng.uniform(0.0, 1.0),
+            )
+            # a quarter of the roots, y = g_load + z/sigma, lie beyond the default
+            # bracket, so it expands; a mild gamma keeps the tilt inside the nodes
+            if k % 4 == 0:
+                model = quad_model(gamma=rng.uniform(0.005, 0.02), sigma=model.sigma)
+                root = rng.choice([-1.0, 1.0]) * rng.uniform(60.0, 300.0)
+        else:
+            model = ShockWaveModel(
+                mu=rng.uniform(-0.3, 0.3),
+                sigma=rng.uniform(0.5, 2.0),
+                w_c=rng.uniform(-1.0, 0.0),
+                agents=AgentPair(gamma=rng.uniform(0.5, 3.0), c=rng.uniform(0.5, 3.0)),
+            )
+        pay = model.payoffs()
+        t, w = rng.uniform(0.0, 0.95), rng.uniform(-1.5, 1.5)
+        z = (root - model.g_load) * model.sigma if k % 4 == 0 else rng.uniform(-3.0, 3.0)
+        assert completeness_invert(pay, t, w, z) == _reference_invert(pay, t, w, z)
+
+
+def _counting_payoffs(calls):
+    base = quad_model(gamma=0.02).payoffs()
+
+    def counted(name, fn):
+        def wrapped(x):
+            assert x.ndim == 1
+            calls[name] += 1
+            return fn(x)
+
+        return wrapped
+
+    return MarkovPayoffs(
+        s_fn=counted("s", base.s_fn),
+        g_fn=counted("g", base.g_fn),
+        h_fn=counted("h", base.h_fn),
+        agents=base.agents,
+    )
+
+
+def test_payoffs_run_once_per_inversion_and_per_block():
+    calls = collections.Counter()
+    pay = _counting_payoffs(calls)
+    completeness_invert(pay, 0.3, 0.2, 1.5)
+    assert calls == {"s": 1, "g": 1}
+    completeness_invert(pay, 0.3, 0.2, 150.0)  # root near 116: two expansions
+    assert calls == {"s": 2, "g": 2}
+    calls.clear()
+    with mock.patch.object(markov, "_STATE_BLOCK", 3):
+        _state_fields(pay, 0.5, np.linspace(-1.0, 1.0, 7), 0.2)
+    assert calls == {"s": 3, "g": 3, "h": 3}
+
+
+def test_completeness_invert_expands_a_bracket_with_an_end_at_zero():
+    # doubling both ends kept 0 fixed, so (0, 1) grew to [0, 2**30] and missed the root
+    model = QuadraticModel(
+        g_load=0.2, mu=0.0, sigma=1.0, a_lin=0.5, b_quad=0.2, agents=AgentPair(1.0, 1.0)
+    )
+    pay = model.payoffs()
+    expected = quadratic_closed_forms(model, 0.5, 0.3).y_star
+    for bracket in ((0.0, 1.0), (-1.0, 0.0), (0.5, 3.0)):
+        got = optimal_strategy_markov(pay, 0.5, 0.3, bracket=bracket)
+        assert got == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(-0.1619, abs=1e-4)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab import (
     Brownian,
@@ -154,3 +156,50 @@ def test_batch_matches_serial():
     for k, s in enumerate(batch):
         solo = simulate_path(model, grid, sched, seed=13, path_index=k)
         assert np.array_equal(s.x, solo.x)
+
+
+@st.composite
+def snapped_schedules(draw):
+    """A grid, distinct interior indices, and shock times within 0.45 steps of them."""
+    n = draw(st.integers(2, 200))
+    indices = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 8))))
+    offsets = draw(st.lists(st.floats(-0.45, 0.45), min_size=len(indices), max_size=len(indices)))
+    jumps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(indices), max_size=len(indices)))
+    shocks = [((k + d) / n, j) for k, d, j in zip(indices, offsets, jumps)]
+    return n, indices, shocks, draw(st.floats(-1.0, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(snapped_schedules())
+def test_schedule_snaps_to_nearest_index_right_continuously(case):
+    n, indices, shocks, initial = case
+    series = ShockSchedule(initial_value=initial, shocks=tuple(shocks)).series(PathGrid(n))
+    expected = []
+    for i in range(n + 1):
+        level = initial
+        for k, (_, jump) in zip(indices, shocks):
+            if k <= i:  # a jump already counts at its own grid index
+                level += jump
+        expected.append(level)
+    assert series.tolist() == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 200),
+    st.data(),
+    st.tuples(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45)).filter(lambda d: abs(d[0] - d[1]) >= 0.01),
+)
+def test_schedule_refuses_shared_and_boundary_indices(n, data, offsets):
+    k = data.draw(st.integers(1, n - 1))
+    d1, d2 = sorted(offsets)
+    shared = ShockSchedule(shocks=(((k + d1) / n, 1.0), ((k + d2) / n, -1.0)))
+    with pytest.raises(ScheduleError, match="same grid index"):
+        shared.series(PathGrid(n))
+    edge = data.draw(st.floats(0.01, 0.45))
+    for s in (edge / n, 1.0 - edge / n):  # snaps to index 0 or n
+        with pytest.raises(ScheduleError, match="outside the open interval"):
+            ShockSchedule(shocks=((s, 1.0),)).series(PathGrid(n))
+    for s in (0.0, 1.0, -edge, 1.0 + edge):
+        with pytest.raises(ScheduleError):
+            ShockSchedule(shocks=((s, 1.0),))

@@ -321,3 +321,53 @@ def test_price_curve_risk_neutral_limit():
         err[gamma] = abs(levy_price_curve(model, gamma, a, z, y, x_t, t) - line)
     assert err[1e-4] < err[1e-2] * 1.1e-2  # shrinks proportionally with gamma
     assert levy_price_curve(model, 0.0, a, z, y, x_t, t) == pytest.approx(line)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), weighted_support(), st.floats(0.0, 10.0), st.data())
+def test_tilted_mean_rows_equal_one_support_formula(rows, support, aversion, data):
+    """Each row is tilted as the one-support formula it replaced, bit for bit."""
+    x, logw = support
+    values = data.draw(arrays(float, (rows, x.size), elements=_VALUES))
+    got = tilted_mean(x, values, logw, aversion)
+    for row, value in zip(values, got):
+        exponent = logw - aversion * row
+        exponent -= exponent.max()
+        tilt = np.exp(exponent)
+        assert value == float(x @ tilt) / float(tilt.sum())
+
+
+_LEVY_MODELS = st.one_of(
+    st.builds(Brownian, b=st.floats(-1.0, 1.0), sigma=st.floats(0.0, 2.0)),
+    st.builds(GammaProcess, alpha=st.floats(0.5, 5.0), beta=st.floats(0.1, 5.0)),
+    st.builds(OneSidedStable, r=st.floats(0.1, 2.0), alpha=st.floats(0.1, 0.9)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _LEVY_MODELS,
+    st.floats(0.1, 3.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 1.0),
+    st.tuples(st.floats(0.0, 0.3), st.floats(0.4, 0.6), st.floats(0.7, 0.95)),
+)
+def test_price_curve_convex_and_zero_at_no_trade(model, gamma, a, z, x_t, t, fractions):
+    """Inside the cumulant domain P_t(z, 0) = 0 and P_t(z, .) is convex."""
+    # the cumulant sees gamma*hold before a trade of y and gamma*(hold - y) after it
+    hold, y_hi = a + z, 2.0
+    if isinstance(model, GammaProcess):  # both above -alpha
+        hold = max(hold, -0.9 * model.alpha / gamma)
+        y_hi = min(y_hi, hold + 0.9 * model.alpha / gamma)
+    elif isinstance(model, OneSidedStable):  # both >= 0
+        hold = abs(hold)
+        y_hi = min(y_hi, hold)
+    z = hold - a
+    ys = [y_hi - 2.0 + 2.0 * f for f in fractions]
+    assert levy_price_curve(model, gamma, a, z, 0.0, x_t, t) == 0.0
+    p = [levy_price_curve(model, gamma, a, z, y, x_t, t) for y in ys]
+    d1 = (p[1] - p[0]) / (ys[1] - ys[0])
+    d2 = (p[2] - p[1]) / (ys[2] - ys[1])
+    assert d2 >= d1 - 1e-12 * max(1.0, *map(abs, p)) / min(ys[1] - ys[0], ys[2] - ys[1])
