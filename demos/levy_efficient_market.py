@@ -13,6 +13,7 @@ from impactlab.cumulants import GammaProcess
 from impactlab.efficient import (
     LevyScenario,
     allocation_value,
+    efficient_batch_record,
     efficient_path_record,
     eipu,
     optimal_position,
@@ -44,7 +45,7 @@ def main():
 
     print("\n== simulated outcomes (2000 paths, seed 7) ==")
     batch = simulate_batch(model, scenario.grid, schedule, seed=7, n_paths=2000)
-    wealth = np.array([efficient_path_record(scenario, p).terminal_wealth for p in batch])
+    wealth = efficient_batch_record(scenario, batch).terminal_wealth
     exps = np.exp(-agents.c * wealth)
     ce = -np.log(exps.mean()) / agents.c
     print(f"Monte Carlo certainty equivalent {ce:+.4f} "

@@ -36,9 +36,11 @@ from .dp import (
     value_recursion,
 )
 from .efficient import (
+    EfficientBatchRecord,
     EfficientPathRecord,
     LevyScenario,
     allocation_value,
+    efficient_batch_record,
     efficient_convexity,
     efficient_path_record,
     efficient_price,
@@ -63,6 +65,7 @@ from .markov import (
     MarkovPayoffs,
     QuadraticForms,
     QuadraticModel,
+    ShockWaveBatchRecord,
     ShockWaveModel,
     ShockWavePathRecord,
     completeness_invert,
@@ -76,6 +79,7 @@ from .markov import (
     quadratic_p,
     quadratic_v,
     replication_price,
+    shockwave_batch,
     shockwave_path,
     shockwave_price,
     shockwave_strategy,
@@ -83,6 +87,7 @@ from .markov import (
     wave_position,
 )
 from .paths import (
+    PathBatch,
     PathGrid,
     PathSample,
     ShockSchedule,

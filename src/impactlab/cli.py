@@ -9,15 +9,23 @@ JSON record on stderr; ``verify`` exits 1 when any invariant fails.
 
 CSV output uses a header row, '.' decimal separator, 17 significant digits
 for reals (%.17g, -0.0 written as 0), and LF line endings, so reruns with
-the same config and seed are byte-identical.
+the same config and seed are byte-identical.  The path modes simulate in
+blocks of paths, format each path-independent column once per run, and
+write every file into a staging directory whose files move into the output
+directory only after the last one is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -35,7 +43,7 @@ from .dp import (
     no_rebalance_check,
     value_recursion,
 )
-from .efficient import LevyScenario, allocation_value, efficient_path_record
+from .efficient import LevyScenario, allocation_value, efficient_batch_record
 from .errors import (
     ConfigError,
     DomainError,
@@ -47,13 +55,14 @@ from .errors import (
     ScheduleError,
 )
 from .markov import (
+    _STATE_BLOCK,
     MarkovPayoffs,
     QuadraticModel,
     ShockWaveModel,
     _rules,
     _state_fields,
     quadratic_closed_forms,
-    shockwave_path,
+    shockwave_batch,
     shockwave_price,
     shockwave_strategy,
 )
@@ -408,16 +417,15 @@ def _quad_order(root: Section) -> int:
 _BLOCK_ROWS = 4096  # rows per formatted write: the text held stays bounded for any grid
 
 
-def emit_csv(path: Path, header: Sequence[str], columns) -> None:
-    """Header + equal-length columns, LF endings, byte-stable.
-
-    Bools are written true/false and integers with %d.  Everything else is
-    float64 written with %.17g after adding +0.0: -0.0 as 0; nan, inf, -inf.
-    """
+def _prepared(header: Sequence[str], columns):
+    """Columns ready for %-formatting, and the line format; checks their shape."""
     cols, specs = [], []
     for col in map(np.asarray, columns):
         if col.dtype == np.bool_:
             cols.append(np.where(col, "true", "false"))
+            specs.append("%s")
+        elif col.dtype.kind == "U":
+            cols.append(col)
             specs.append("%s")
         elif np.issubdtype(col.dtype, np.integer):
             cols.append(col)
@@ -427,12 +435,64 @@ def emit_csv(path: Path, header: Sequence[str], columns) -> None:
             specs.append("%.17g")
     if len(cols) != len(header) or len({len(c) for c in cols}) > 1:
         raise ValueError("emit_csv needs one equal-length column per header field")
-    line = ",".join(specs) + "\n"
+    return cols, ",".join(specs) + "\n"
+
+
+def _write_rows(fh, cols, line: str) -> None:
+    for start in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS].tolist() for c in cols]
+        values = [None] * (len(block) * len(block[0]))
+        for j, col in enumerate(block):
+            values[j::len(block)] = col
+        fh.write(line * len(block[0]) % tuple(values))
+
+
+def emit_csv(path: Path, header: Sequence[str], columns=(), *, blocks=None) -> None:
+    """Header + equal-length columns, LF endings, byte-stable.
+
+    Bools are written true/false and integers with %d.  String columns are
+    written as they are (see ``_formatted``).  Everything else is float64
+    written with %.17g after adding +0.0: -0.0 as 0; nan, inf, -inf.
+    ``blocks``, an iterable of such column sets, writes their rows one block
+    after another under the one header, holding one block at a time.
+    """
+    tables = (_prepared(header, b) for b in ([columns] if blocks is None else blocks))
+    table = next(tables, None)  # a malformed first table raises before the file is opened
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS):
-            rows = list(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols)))
-            fh.write(line * len(rows) % tuple(v for row in rows for v in row))
+        while table is not None:
+            _write_rows(fh, *table)
+            table = next(tables, None)
+
+
+def _formatted(column) -> np.ndarray:
+    """A float column as the strings emit_csv would write for it, to format it once
+    and write it to many files."""
+    values = (np.asarray(column, dtype=float) + 0.0).tolist()
+    return np.array(["%.17g" % v for v in values])
+
+
+@contextlib.contextmanager
+def _staged(out: Path):
+    """A staging directory inside ``out``.  Its files move into ``out`` when the
+    block completes; it is removed either way, so a failed run adds no file."""
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield stage
+        for f in sorted(stage.iterdir()):
+            os.replace(f, out / f.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+_PATH_BLOCK_VALUES = 1 << 16  # path levels per simulated block: memory stays bounded
+
+
+def _path_blocks(model, grid: PathGrid, schedule: ShockSchedule, seed: int, n_paths: int):
+    """Consecutive ``PathBatch`` blocks of paths 0..n_paths-1."""
+    rows = max(1, _PATH_BLOCK_VALUES // (grid.n_steps + 1))
+    for first in range(0, n_paths, rows):
+        yield simulate_batch(model, grid, schedule, seed, min(rows, n_paths - first), first=first)
 
 
 def _note(quiet: bool, message: str, stream=None) -> None:
@@ -507,27 +567,29 @@ def _run_levy_sim(args) -> int:
 
     out = _out_dir(root, args)
     width = _path_width(n_paths)
-    batch = simulate_batch(model, grid, schedule, seed, n_paths)
     alloc = allocation_value(scenario)
-    summary = []
-    for k, path in enumerate(batch):
-        record = efficient_path_record(scenario, path)
-        target = out / f"levy_path_{k:0{width}d}.csv"
+    header = ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity")
+    shared, summary, names = None, [], []
+    with _staged(out) as stage:
+        for batch in _path_blocks(model, grid, schedule, seed, n_paths):
+            record = efficient_batch_record(scenario, batch)
+            if shared is None:
+                shared = [_formatted(c) for c in (record.times, record.h_prime, record.y_star,
+                                                  record.risk_premium, record.convexity)]
+            t, h_prime, y_star, premium, convexity = shared
+            for k, x, s_star in zip(itertools.count(batch.first), record.x, record.s_star):
+                names.append(f"levy_path_{k:0{width}d}.csv")
+                emit_csv(stage / names[-1], header,
+                         (t, x, h_prime, y_star, s_star, premium, convexity))
+            summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
+        names.append("levy_summary.csv")
         emit_csv(
-            target,
-            ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity"),
-            (record.times, record.x, record.h_prime, record.y_star, record.s_star,
-             record.risk_premium, record.convexity),
+            stage / names[-1],
+            ("path", "endowment_payoff", "trading_pnl", "terminal_wealth", "allocation_value"),
+            (np.arange(n_paths), *map(np.concatenate, zip(*summary)), np.full(n_paths, alloc)),
         )
-        _note(args.quiet, f"wrote {target}")
-        summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
-    target = out / "levy_summary.csv"
-    emit_csv(
-        target,
-        ("path", "endowment_payoff", "trading_pnl", "terminal_wealth", "allocation_value"),
-        (np.arange(n_paths), *zip(*summary), np.full(n_paths, alloc)),
-    )
-    _note(args.quiet, f"wrote {target}")
+    for name in names:
+        _note(args.quiet, f"wrote {out / name}")
     return 0
 
 
@@ -570,15 +632,20 @@ def _run_markov_fields(args) -> int:
 
     payoffs = model.payoffs()
     w = np.linspace(w_min, w_max, count)
-    table = np.hstack([
-        np.vstack((np.full(count, t), w, *_state_fields(payoffs, t, w, inventory, order),
-                   *closed(t, w)))
-        for t in times
-    ])
+    rows = 8 * _STATE_BLOCK  # a multiple of the quadrature's state block keeps its blocks
+
+    def table():
+        for t in times:
+            for start in range(0, count, rows):
+                ws = w[start:start + rows]
+                yield (np.full(len(ws), t), ws, *_state_fields(payoffs, t, ws, inventory, order),
+                       *closed(t, ws))
+
     out = _out_dir(root, args)
-    target = out / "markov_fields.csv"
-    emit_csv(target, ("t", "w", "v", "u", "p", "q", "y_star", "s_star"), table)
-    _note(args.quiet, f"wrote {target}")
+    with _staged(out) as stage:
+        emit_csv(stage / "markov_fields.csv", ("t", "w", "v", "u", "p", "q", "y_star", "s_star"),
+                 blocks=table())
+    _note(args.quiet, f"wrote {out / 'markov_fields.csv'}")
     return 0
 
 
@@ -600,15 +667,20 @@ def _run_shockwave(args) -> int:
     driver = Brownian(b=0.0, sigma=1.0)
     out = _out_dir(root, args)
     width = _path_width(n_paths)
-    for k, path in enumerate(simulate_batch(driver, grid, ShockSchedule(), seed, n_paths)):
-        record = shockwave_path(model, path, grid)
-        target = out / f"shockwave_path_{k:0{width}d}.csv"
-        emit_csv(
-            target,
-            ("t", "W", "S_star", "Y_star", "wave_position"),
-            (record.times, record.w, record.s_star, record.y_star, record.wave_position),
-        )
-        _note(args.quiet, f"wrote {target}")
+    header = ("t", "W", "S_star", "Y_star", "wave_position")
+    shared, names = None, []
+    with _staged(out) as stage:
+        for batch in _path_blocks(driver, grid, ShockSchedule(), seed, n_paths):
+            record = shockwave_batch(model, batch, grid)
+            if shared is None:
+                shared = [_formatted(record.times), _formatted(record.wave_position)]
+            t, position = shared
+            rows = zip(itertools.count(batch.first), record.w, record.s_star, record.y_star)
+            for k, w, s_star, y_star in rows:
+                names.append(f"shockwave_path_{k:0{width}d}.csv")
+                emit_csv(stage / names[-1], header, (t, w, s_star, y_star, position))
+    for name in names:
+        _note(args.quiet, f"wrote {out / name}")
     return 0
 
 

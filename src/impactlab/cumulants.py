@@ -14,6 +14,10 @@ three families share one small interface:
 family is not differentiable at the left edge ``u = 0``; asking for a
 derivative there raises :class:`NonDifferentiableError` rather than
 returning an infinity that would poison downstream arithmetic.
+
+Each public ``kappa*`` method validates its argument (``_check``) and then
+evaluates the formula (``_kappa*``).  A caller that evaluates several of
+them at one argument array validates it once and calls the formulas.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ def _as_float_array(u):
     return out
 
 
+def _value(out):
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class Brownian:
     """Drifting Brownian factor: X_t = b*t + sigma*W_t."""
@@ -50,23 +58,26 @@ class Brownian:
     def domain_contains(self, u) -> bool:
         return bool(np.all(np.isfinite(np.asarray(u, dtype=float))))
 
-    def _check(self, u):
+    def _check(self, u, strict: bool = False):
         return _as_float_array(u)
 
     def kappa(self, u):
-        u = self._check(u)
-        out = self.b * u - 0.5 * self.sigma**2 * u**2
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa(self._check(u)))
 
     def kappa_prime(self, u):
-        u = self._check(u)
-        out = self.b - self.sigma**2 * u
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_prime(self._check(u, strict=True)))
 
     def kappa_double_prime(self, u):
-        u = self._check(u)
-        out = np.full_like(u, -self.sigma**2)
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_double_prime(self._check(u, strict=True)))
+
+    def _kappa(self, u):
+        return self.b * u - 0.5 * self.sigma**2 * u**2
+
+    def _kappa_prime(self, u):
+        return self.b - self.sigma**2 * u
+
+    def _kappa_double_prime(self, u):
+        return np.full_like(u, -self.sigma**2)
 
     def mean(self) -> float:
         return self.b
@@ -92,7 +103,7 @@ class GammaProcess:
         u = np.asarray(u, dtype=float)
         return bool(np.all(np.isfinite(u)) and np.all(u > -self.alpha))
 
-    def _check(self, u):
+    def _check(self, u, strict: bool = False):
         u = _as_float_array(u)
         if np.any(u <= -self.alpha):
             raise DomainError(
@@ -101,19 +112,22 @@ class GammaProcess:
         return u
 
     def kappa(self, u):
-        u = self._check(u)
-        out = self.beta * np.log1p(u / self.alpha)
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa(self._check(u)))
 
     def kappa_prime(self, u):
-        u = self._check(u)
-        out = self.beta / (self.alpha + u)
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_prime(self._check(u, strict=True)))
 
     def kappa_double_prime(self, u):
-        u = self._check(u)
-        out = -self.beta / (self.alpha + u) ** 2
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_double_prime(self._check(u, strict=True)))
+
+    def _kappa(self, u):
+        return self.beta * np.log1p(u / self.alpha)
+
+    def _kappa_prime(self, u):
+        return self.beta / (self.alpha + u)
+
+    def _kappa_double_prime(self, u):
+        return -self.beta / (self.alpha + u) ** 2
 
     def mean(self) -> float:
         return self.beta / self.alpha
@@ -144,7 +158,7 @@ class OneSidedStable:
         u = np.asarray(u, dtype=float)
         return bool(np.all(np.isfinite(u)) and np.all(u >= 0.0))
 
-    def _check(self, u, strict: bool):
+    def _check(self, u, strict: bool = False):
         u = _as_float_array(u)
         if np.any(u < 0.0):
             raise DomainError("stable cumulant needs u >= 0")
@@ -155,19 +169,22 @@ class OneSidedStable:
         return u
 
     def kappa(self, u):
-        u = self._check(u, strict=False)
-        out = self.r * u**self.alpha
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa(self._check(u)))
 
     def kappa_prime(self, u):
-        u = self._check(u, strict=True)
-        out = self.r * self.alpha * u ** (self.alpha - 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_prime(self._check(u, strict=True)))
 
     def kappa_double_prime(self, u):
-        u = self._check(u, strict=True)
-        out = self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
-        return float(out) if out.ndim == 0 else out
+        return _value(self._kappa_double_prime(self._check(u, strict=True)))
+
+    def _kappa(self, u):
+        return self.r * u**self.alpha
+
+    def _kappa_prime(self, u):
+        return self.r * self.alpha * u ** (self.alpha - 1.0)
+
+    def _kappa_double_prime(self, u):
+        return self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
 
     def mean(self) -> float:
         raise NonDifferentiableError(

@@ -9,18 +9,25 @@ along a simulated path, and the time-0 value of the whole allocation.
 
 All formulas reduce to cumulant evaluations at the composite aversion
 ``abar = c*gamma/(c+gamma)``; ``c = inf`` branches to ``abar = gamma``.
+
+Along simulated paths, every column that depends only on the scenario and
+the H' series (times, H', Y*, risk premium, convexity, the fee leg of the
+P&L) is built once, read-only, and shared; only x, s*, the endowment
+payoff, the P&L and the terminal wealth are computed per path.  The
+per-path functions are one-row cases of the batched ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cumulants import LevyModel, OneSidedStable
 from .errors import DomainError, NonDifferentiableError, ParameterError
-from .paths import PathGrid, PathSample, ShockSchedule
+from .paths import PathBatch, PathGrid, PathSample, ShockSchedule
 from .utility import AgentPair
 
 
@@ -56,6 +63,20 @@ class LevyScenario:
     @property
     def abar(self) -> float:
         return self.agents.aggregate_aversion
+
+    @cached_property
+    def _drift(self) -> float:
+        # kappa'(0); the stable family raises NonDifferentiableError on every call
+        return self.model.kappa_prime(0.0)
+
+    @cached_property
+    def _kappa_ga(self) -> float:
+        return self.model.kappa(self.agents.gamma * self.a)
+
+    @cached_property
+    def _columns_memo(self) -> list:
+        # one slot: (key, _shared_columns value) of the last H' series seen
+        return [None]
 
 
 def optimal_position(agents: AgentPair, a: float, h_prime: float) -> float:
@@ -116,27 +137,32 @@ def efficient_price(
     )
 
 
-def realized_pnl(scenario: LevyScenario, path: PathSample, strategy) -> float:
+def _fee_leg(scenario: LevyScenario, y: np.ndarray) -> float:
+    """The path-independent part of the P&L of positions y: P&L = sum_i y_i dX_i + fee."""
+    g = scenario.agents.gamma
+    dt = scenario.grid.dt
+    if g == 0.0:
+        return -(scenario._drift * float(y.sum()) * dt)
+    u = g * (scenario.a - y)
+    if not scenario.model.domain_contains(u):
+        raise DomainError("strategy leaves the supplier inventory domain")
+    return float(np.sum(scenario.model._kappa(u) - scenario._kappa_ga)) * dt / g
+
+
+def realized_pnl(scenario: LevyScenario, path: PathSample | PathBatch, strategy):
     """Demander trading P&L of a per-interval position array along one path.
 
     strategy[i] is the position held on [t_i, t_{i+1}); the sums use this
     left-point value, matching simple predictable strategies:
     sum_i Y_i dX_i + (1/gamma) sum_i (kappa(gamma*(a-Y_i)) - kappa(gamma*a)) dt.
+    A ``PathSample`` gives a float; a ``PathBatch`` gives one P&L per path.
     """
     y = np.asarray(strategy, dtype=float)
     n = scenario.grid.n_steps
     if y.shape != (n,):
         raise ParameterError(f"strategy must have one position per interval ({n})")
-    g = scenario.agents.gamma
-    dt = scenario.grid.dt
-    trade_leg = float(y @ path.increments)
-    if g == 0.0:
-        return trade_leg - scenario.model.kappa_prime(0.0) * float(y.sum()) * dt
-    u = g * (scenario.a - y)
-    if not scenario.model.domain_contains(u):
-        raise DomainError("strategy leaves the supplier inventory domain")
-    fee_leg = float(np.sum(scenario.model.kappa(u) - scenario.model.kappa(g * scenario.a)))
-    return trade_leg + fee_leg * dt / g
+    pnl = np.vecdot(path.increments, y) + _fee_leg(scenario, y)
+    return float(pnl) if pnl.ndim == 0 else pnl
 
 
 def allocation_value(scenario: LevyScenario) -> float:
@@ -160,7 +186,11 @@ def allocation_value(scenario: LevyScenario) -> float:
 
 @dataclass(frozen=True)
 class EfficientPathRecord:
-    """Per-grid-time market state along one path, plus terminal wealth split."""
+    """Per-grid-time market state along one path, plus terminal wealth split.
+
+    times, h_prime, y_star, risk_premium and convexity are read-only arrays
+    shared by every path with the same H' series.
+    """
 
     times: np.ndarray
     x: np.ndarray
@@ -174,37 +204,83 @@ class EfficientPathRecord:
     terminal_wealth: float
 
 
+@dataclass(frozen=True)
+class EfficientBatchRecord:
+    """``EfficientPathRecord`` for every path of a batch.
+
+    times, h_prime, y_star, risk_premium and convexity are the shared
+    read-only (n+1) columns; x and s_star are (paths, n+1) and the terminal
+    wealth split is one value per path.
+    """
+
+    times: np.ndarray
+    x: np.ndarray
+    h_prime: np.ndarray
+    y_star: np.ndarray
+    s_star: np.ndarray
+    risk_premium: np.ndarray
+    convexity: np.ndarray
+    endowment_payoff: np.ndarray
+    trading_pnl: np.ndarray
+    terminal_wealth: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _shared_columns(scenario: LevyScenario, h_prime):
+    """For one H' series: the record columns every path shares, s_star - x, and
+    the fee leg of the P&L at Y*.  Memoised on the series' bytes."""
+    h = np.asarray(h_prime, dtype=float)
+    key = (h.shape, h.tobytes())
+    entry = scenario._columns_memo[0]
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    times = scenario.grid.times
+    w = scenario.agents.demander_weight
+    y_star = (1.0 - w) * scenario.a - w * h
+    model = scenario.model
+    u = model._check(scenario.abar * (scenario.a + h), strict=True)
+    slope = model._kappa_prime(u)
+    convexity = -scenario.agents.gamma * (1.0 - times) * model._kappa_double_prime(u)
+    if isinstance(model, OneSidedStable):
+        premium = np.full_like(h, math.nan)
+    else:
+        premium = (1.0 - times) * (scenario._drift - slope)
+    shared = dict(times=times, h_prime=h.copy(), y_star=y_star, risk_premium=premium,
+                  convexity=convexity)
+    value = (
+        {name: _read_only(column) for name, column in shared.items()},
+        (1.0 - times) * slope,
+        _fee_leg(scenario, y_star[:-1]),
+    )
+    scenario._columns_memo[0] = (key, value)
+    return value
+
+
+def _record(record_type, scenario: LevyScenario, paths):
+    """One code path for a ``PathSample`` (1-d rows) and a ``PathBatch`` (matrices)."""
+    shared, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
+    endowment = scenario.schedule.h + np.vecdot(paths.increments, shared["h_prime"][:-1])
+    pnl = np.vecdot(paths.increments, shared["y_star"][:-1]) + fee
+    wealth = endowment + pnl
+    if endowment.ndim == 0:
+        endowment, pnl, wealth = float(endowment), float(pnl), float(wealth)
+    return record_type(x=paths.x, s_star=paths.x + slope_leg, endowment_payoff=endowment,
+                       trading_pnl=pnl, terminal_wealth=wealth, **shared)
+
+
 def efficient_path_record(scenario: LevyScenario, path: PathSample) -> EfficientPathRecord:
     """Evaluate the closed-form market along a simulated path.
 
     The risk premium column is NaN for the stable family, whose compensated
     level does not exist; s_star comes from the direct formula either way.
     """
-    grid = scenario.grid
-    times = grid.times
-    h = path.h_prime
-    w = scenario.agents.demander_weight
-    y_star = (1.0 - w) * scenario.a - w * h
-    u = scenario.abar * (scenario.a + h)
-    slope = np.atleast_1d(scenario.model.kappa_prime(u))
-    s_star = path.x + (1.0 - times) * slope
-    curv = np.atleast_1d(scenario.model.kappa_double_prime(u))
-    convexity = -scenario.agents.gamma * (1.0 - times) * curv
-    if isinstance(scenario.model, OneSidedStable):
-        premium = np.full_like(s_star, math.nan)
-    else:
-        premium = (1.0 - times) * (scenario.model.kappa_prime(0.0) - slope)
-    endowment = scenario.schedule.h + float(h[:-1] @ path.increments)
-    pnl = realized_pnl(scenario, path, y_star[:-1])
-    return EfficientPathRecord(
-        times=times,
-        x=path.x,
-        h_prime=h,
-        y_star=y_star,
-        s_star=s_star,
-        risk_premium=premium,
-        convexity=convexity,
-        endowment_payoff=endowment,
-        trading_pnl=pnl,
-        terminal_wealth=endowment + pnl,
-    )
+    return _record(EfficientPathRecord, scenario, path)
+
+
+def efficient_batch_record(scenario: LevyScenario, batch: PathBatch) -> EfficientBatchRecord:
+    """``efficient_path_record`` for every path of a batch, row k for path first + k."""
+    return _record(EfficientBatchRecord, scenario, batch)

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     QuadratureError,
 )
-from .paths import PathSample
+from .paths import PathBatch, PathSample
 from .utility import AgentPair, ce, tilted_mean
 
 DEFAULT_ORDER = 128
@@ -404,7 +404,10 @@ def shockwave_price(model: ShockWaveModel, t, w):
 
 @dataclass(frozen=True)
 class ShockWavePathRecord:
-    """Wave-market state along one driver path, one row per grid time."""
+    """Wave-market state along one driver path, one row per grid time.
+
+    times and wave_position do not depend on the path and are read-only.
+    """
 
     times: np.ndarray
     w: np.ndarray
@@ -413,17 +416,41 @@ class ShockWavePathRecord:
     wave_position: np.ndarray
 
 
-def shockwave_path(model: ShockWaveModel, path: PathSample, grid) -> ShockWavePathRecord:
-    """Evaluate the wave market along a standard Brownian driver path."""
+@dataclass(frozen=True)
+class ShockWaveBatchRecord:
+    """``ShockWavePathRecord`` for every path of a batch: w, s_star and y_star
+    are (paths, n+1); times and wave_position are shared, read-only (n+1)."""
+
+    times: np.ndarray
+    w: np.ndarray
+    s_star: np.ndarray
+    y_star: np.ndarray
+    wave_position: np.ndarray
+
+
+def _wave_record(record_type, model: ShockWaveModel, w, grid):
+    """One code path for a path's levels (1-d) and a batch's (paths, n+1) matrix."""
     times = grid.times
-    w = path.x
-    return ShockWavePathRecord(
+    times.flags.writeable = False
+    position = wave_position(model, times)
+    position.flags.writeable = False
+    return record_type(
         times=times,
         w=w,
         s_star=shockwave_price(model, times, w),
         y_star=shockwave_strategy(model, times, w),
-        wave_position=wave_position(model, times),
+        wave_position=position,
     )
+
+
+def shockwave_path(model: ShockWaveModel, path: PathSample, grid) -> ShockWavePathRecord:
+    """Evaluate the wave market along a standard Brownian driver path."""
+    return _wave_record(ShockWavePathRecord, model, path.x, grid)
+
+
+def shockwave_batch(model: ShockWaveModel, batch: PathBatch, grid) -> ShockWaveBatchRecord:
+    """``shockwave_path`` for every path of a batch, row k for path first + k."""
+    return _wave_record(ShockWaveBatchRecord, model, batch.x, grid)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ the cumulant formulas up to Monte Carlo error only.  Reproducibility
 contract: same (model, grid, schedule, seed) gives bit-identical paths;
 batch runs derive one generator per path from (seed, path_index) so the
 result is independent of execution order.
+
+A batch is the Monte Carlo primitive: path k's increments are drawn from
+its own stream into row k of one matrix, one ``cumsum`` along the rows
+gives the levels, and one read-only H' series serves every path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -127,10 +132,31 @@ def simulate_path(
     path_index: int = 0,
 ) -> PathSample:
     """Draw one path with exact-marginal increments; deterministic in (seed, path_index)."""
-    rng = path_generator(seed, path_index)
-    inc = model.sample_increments(rng, grid.dt, grid.n_steps)
-    x = np.concatenate(([0.0], np.cumsum(inc)))
-    return PathSample(x=x, increments=inc, h_prime=schedule.series(grid))
+    return simulate_batch(model, grid, schedule, seed, 1, first=path_index)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PathBatch(Sequence):
+    """Paths first, first+1, ... as the rows of one matrix.
+
+    ``x`` is (paths, n+1) with column 0 all zero, ``increments`` is
+    (paths, n), and the read-only (n+1) series ``h_prime`` is shared by every
+    path.  Indexing gives ``PathSample`` row views (a slice gives a list of
+    them); nothing is copied.
+    """
+
+    x: np.ndarray
+    increments: np.ndarray
+    h_prime: np.ndarray
+    first: int = 0
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return PathSample(x=self.x[k], increments=self.increments[k], h_prime=self.h_prime)
 
 
 def simulate_batch(
@@ -139,12 +165,22 @@ def simulate_batch(
     schedule: ShockSchedule,
     seed: int,
     n_paths: int,
-) -> list:
-    """n_paths independent paths, indexed 0..n_paths-1; path k equals
-    ``simulate_path(model, grid, schedule, seed, k)``."""
+    first: int = 0,
+) -> PathBatch:
+    """Paths first..first+n_paths-1 as one ``PathBatch``; its row k - first
+    equals ``simulate_path(model, grid, schedule, seed, k)``."""
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
-    return [simulate_path(model, grid, schedule, seed, i) for i in range(n_paths)]
+    h_prime = schedule.series(grid)
+    h_prime.flags.writeable = False
+    n = grid.n_steps
+    increments = np.empty((n_paths, n))
+    for row, k in zip(increments, range(first, first + n_paths)):
+        row[:] = model.sample_increments(path_generator(seed, k), grid.dt, n)
+    x = np.empty((n_paths, n + 1))
+    x[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=x[:, 1:])
+    return PathBatch(x=x, increments=increments, h_prime=h_prime, first=first)
 
 
 def martingale_component(model: LevyModel, path: PathSample, grid: PathGrid) -> np.ndarray:

@@ -25,8 +25,8 @@ from impactlab.dp import (
 from impactlab.efficient import (
     LevyScenario,
     allocation_value,
+    efficient_batch_record,
     efficient_convexity,
-    efficient_path_record,
     efficient_price,
     eipu,
 )
@@ -160,14 +160,8 @@ def test_criterion_04_allocation_identity():
     )
     n_paths = 100_000
     batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=404, n_paths=n_paths)
-    endowment = np.empty(n_paths)
-    optimal = np.empty(n_paths)
-    x1 = np.empty(n_paths)
-    for k, path in enumerate(batch):
-        rec = efficient_path_record(scn, path)
-        endowment[k] = rec.endowment_payoff
-        optimal[k] = rec.terminal_wealth
-        x1[k] = path.x[-1]
+    rec = efficient_batch_record(scn, batch)
+    endowment, optimal, x1 = rec.endowment_payoff, rec.terminal_wealth, batch.x[:, -1]
 
     c, gamma, a = scn.agents.c, scn.agents.gamma, scn.a
     alloc = allocation_value(scn)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from impactlab.cli import emit_csv, main
 from impactlab.cumulants import GammaProcess
 from impactlab.dp import DpScenario, Lattice, emm_eipu
 from impactlab.efficient import LevyScenario, allocation_value, efficient_path_record
+from impactlab.errors import QuadratureError
 from impactlab.markov import QuadraticModel, quadratic_closed_forms
 from impactlab.paths import PathGrid, ShockSchedule, simulate_path
 from impactlab.utility import AgentPair
@@ -335,6 +337,72 @@ def test_shockwave_rejects_foreign_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, data)
     assert main(["shockwave", "--config", cfg]) == 2
     assert stderr_record(capsys)["field"] == "agents.gamma"
+
+
+# ---------------------------------------------------------------------------
+# all-or-nothing output and bounded memory
+
+
+@pytest.mark.parametrize("fail_at", [0, 3])
+@pytest.mark.parametrize("mode", ["levy-sim", "shockwave"])
+def test_path_modes_write_all_or_nothing(tmp_path, monkeypatch, capsys, mode, fail_at):
+    out = tmp_path / "o"
+    data = levy_config(out, paths=5) if mode == "levy-sim" else dict(shockwave_config(out), paths=5)
+    cfg = write_config(tmp_path, data)
+    real, calls = cli.emit_csv, []
+
+    def failing(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == fail_at + 1:
+            raise OSError(f"injected failure at path {fail_at}")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_csv", failing)
+    assert main([mode, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "injected" in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []  # no CSV, and no staging directory left behind
+    monkeypatch.setattr(cli, "emit_csv", real)
+    assert main([mode, "--config", cfg, "--quiet"]) == 0
+    assert len(list(out.iterdir())) == (6 if mode == "levy-sim" else 5)
+
+
+def test_markov_fields_failure_mid_table_writes_nothing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, markov_config(out))
+    real, calls = cli._state_fields, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:  # the rows of the first t are already written
+            raise QuadratureError("injected failure at the second t")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_state_fields", failing)
+    assert main(["markov-fields", "--config", cfg]) == 3
+    assert stderr_record(capsys)["error"] == "QuadratureError"
+    assert list(out.iterdir()) == []
+
+
+def test_markov_fields_memory_does_not_grow_with_times(tmp_path):
+    """The table is written one block of states at a time, never held whole."""
+
+    def peak(n_times):
+        data = markov_config(tmp_path / f"o{n_times}")
+        data.update(times=[i / (n_times + 1) for i in range(n_times)], order=16)
+        data["w"] = {"min": -1.0, "max": 1.0, "count": 1000}
+        cfg = write_config(tmp_path, data, f"fields{n_times}.yaml")
+        tracemalloc.start()
+        try:
+            assert main(["markov-fields", "--config", cfg, "--quiet"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations
+    few, many = peak(2), peak(8)
+    assert many < 1.1 * few, (few, many)
 
 
 # ---------------------------------------------------------------------------

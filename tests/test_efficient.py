@@ -17,6 +17,7 @@ from impactlab import (
     PathSample,
     ShockSchedule,
     allocation_value,
+    efficient_batch_record,
     efficient_convexity,
     efficient_path_record,
     efficient_price,
@@ -178,7 +179,7 @@ def test_realized_pnl_expectation():
     # gamma=1, a=0, Y=1: mean pnl -> kappa(-1) - kappa(0) = -1/2
     scn = brownian_scenario(a=0.0, n=1)
     batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=17, n_paths=100_000)
-    pnls = np.array([realized_pnl(scn, p, np.ones(1)) for p in batch])
+    pnls = realized_pnl(scn, batch, np.ones(1))
     se = pnls.std(ddof=1) / math.sqrt(pnls.size)
     assert abs(pnls.mean() - (-0.5)) < 3 * se
 
@@ -226,7 +227,7 @@ def test_allocation_value_monte_carlo():
         ShockSchedule(initial_value=0.4, shocks=((0.5, -0.9),), h=0.2), PathGrid(16),
     )
     batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=23, n_paths=20_000)
-    wealth = np.array([efficient_path_record(scn, p).terminal_wealth for p in batch])
+    wealth = efficient_batch_record(scn, batch).terminal_wealth
     c = scn.agents.c
     exps = np.exp(-c * wealth)
     ce = -math.log(exps.mean()) / c
