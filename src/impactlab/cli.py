@@ -2,17 +2,22 @@
 
 Subcommands mirror the scenario modes: ``levy-sim``, ``markov-fields``,
 ``shockwave``, ``dp-value``, ``convergence``, ``verify``.  Every config
-carries ``schema_version: 1``; field problems are reported as a ConfigError
-naming the offending dotted path, before any computation starts, and exit
-with status 2.  Computation-stage errors exit 3 with a machine-readable
-JSON record on stderr; ``verify`` exits 1 when any invariant fails.
+carries ``schema_version: 1``.  Validation builds the library objects a run
+needs; a malformed field, or a library rule it breaks (a ParameterError,
+DomainError, ScheduleError, PreconditionError or QuadratureError raised while
+they are built), is reported as a ConfigError naming the offending dotted
+path, before any computation starts and before the output directory is made,
+and exits with status 2.  Computation-stage errors exit 3 with a
+machine-readable JSON record on stderr; ``verify`` exits 1 when any
+invariant fails.
 
 CSV output uses a header row, '.' decimal separator, 17 significant digits
 for reals (%.17g, -0.0 written as 0), and LF line endings, so reruns with
-the same config and seed are byte-identical.  The path modes simulate in
-blocks of paths, format each path-independent column once per run, and
-write every file into a staging directory whose files move into the output
-directory only after the last one is written.
+the same config and seed are byte-identical.  Every mode writes its files
+into a staging directory whose files move into the output directory only
+after the last one is written, so a failed run adds no file.  The path
+modes simulate in blocks of paths and format each path-independent column
+once per run.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .verification import run_all
 
 SCHEMA_VERSION = 1
 
-_MODULE_ERRORS = (
+_RUN_ERRORS = (  # a run that passed validation and then fails exits 3
     ParameterError,
     DomainError,
     ScheduleError,
@@ -81,6 +86,7 @@ _MODULE_ERRORS = (
     PreconditionError,
     NonDifferentiableError,
     OverflowError,
+    OSError,
 )
 
 _REQUIRED = object()
@@ -126,12 +132,9 @@ class Section:
         self,
         name: str,
         default=_REQUIRED,
-        minimum: Optional[float] = None,
-        maximum: Optional[float] = None,
-        exclusive_min: bool = False,
-        exclusive_max: bool = False,
-        allow_inf: bool = False,
+        positive: bool = False,
         nonzero: bool = False,
+        allow_inf: bool = False,
     ) -> float:
         raw = self._fetch(name, default)
         if isinstance(raw, str) and allow_inf and raw.lower() in ("inf", "infinity"):
@@ -143,34 +146,18 @@ class Section:
             raise ConfigError(self.path(name), "must not be NaN")
         if math.isinf(value) and not allow_inf:
             raise ConfigError(self.path(name), "must be finite")
-        if minimum is not None:
-            if exclusive_min and not value > minimum:
-                raise ConfigError(self.path(name), f"must be > {minimum}")
-            if not exclusive_min and not value >= minimum:
-                raise ConfigError(self.path(name), f"must be >= {minimum}")
-        if maximum is not None:
-            if exclusive_max and not value < maximum:
-                raise ConfigError(self.path(name), f"must be < {maximum}")
-            if not exclusive_max and not value <= maximum:
-                raise ConfigError(self.path(name), f"must be <= {maximum}")
+        if positive and not value > 0.0:
+            raise ConfigError(self.path(name), "must be > 0")
         if nonzero and value == 0.0:
             raise ConfigError(self.path(name), "must be nonzero")
         return value
 
-    def integer(
-        self,
-        name: str,
-        default=_REQUIRED,
-        minimum: Optional[int] = None,
-        maximum: Optional[int] = None,
-    ) -> int:
+    def integer(self, name: str, default=_REQUIRED, minimum: Optional[int] = None) -> int:
         raw = self._fetch(name, default)
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(self.path(name), "must be an integer")
         if minimum is not None and raw < minimum:
             raise ConfigError(self.path(name), f"must be >= {minimum}")
-        if maximum is not None and raw > maximum:
-            raise ConfigError(self.path(name), f"must be <= {maximum}")
         return int(raw)
 
     def string(self, name: str, default=_REQUIRED, choices=None) -> str:
@@ -240,12 +227,30 @@ def _load_config(path: Optional[str], mode: str) -> Section:
 # shared builders
 
 
+_LIBRARY_ERRORS = (ParameterError, DomainError, ScheduleError, PreconditionError, QuadratureError)
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    """Report a library rule broken inside the block as a ConfigError naming ``name``.
+
+    Section's own ConfigErrors pass through with their fields.  Where a
+    constructor checks several arguments, Section bounds all but one of them,
+    so an error from the library names the one left.
+    """
+    try:
+        yield
+    except _LIBRARY_ERRORS as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
 def _agents(root: Section) -> AgentPair:
     sec = root.section("agents")
     sec.require_keys({"gamma", "c"})
-    gamma = sec.number("gamma", minimum=0.0)
-    c = sec.number("c", minimum=0.0, exclusive_min=True, allow_inf=True)
-    return AgentPair(gamma=gamma, c=c)
+    gamma = sec.number("gamma")
+    c = sec.number("c", positive=True, allow_inf=True)
+    with _field(sec.path("gamma")):
+        return AgentPair(gamma=gamma, c=c)
 
 
 def _levy_model(root: Section):
@@ -253,20 +258,18 @@ def _levy_model(root: Section):
     family = sec.string("family", choices=("brownian", "gamma", "stable"))
     if family == "brownian":
         sec.require_keys({"family", "b", "sigma"})
-        return Brownian(b=sec.number("b"), sigma=sec.number("sigma", minimum=0.0))
+        b, sigma = sec.number("b"), sec.number("sigma")
+        with _field(sec.path("sigma")):
+            return Brownian(b=b, sigma=sigma)
     if family == "gamma":
         sec.require_keys({"family", "alpha", "beta"})
-        return GammaProcess(
-            alpha=sec.number("alpha", minimum=0.0, exclusive_min=True),
-            beta=sec.number("beta", minimum=0.0, exclusive_min=True),
-        )
+        alpha, beta = sec.number("alpha", positive=True), sec.number("beta")
+        with _field(sec.path("beta")):
+            return GammaProcess(alpha=alpha, beta=beta)
     sec.require_keys({"family", "r", "alpha"})
-    return OneSidedStable(
-        r=sec.number("r", minimum=0.0, exclusive_min=True),
-        alpha=sec.number(
-            "alpha", minimum=0.0, maximum=1.0, exclusive_min=True, exclusive_max=True
-        ),
-    )
+    r, alpha = sec.number("r", positive=True), sec.number("alpha")
+    with _field(sec.path("alpha")):
+        return OneSidedStable(r=r, alpha=alpha)
 
 
 def _schedule(root: Section) -> ShockSchedule:
@@ -278,66 +281,49 @@ def _schedule(root: Section) -> ShockSchedule:
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(sec.path("shocks"), "must be a list of [time, jump] pairs")
     shocks = []
-    last = 0.0
     for i, item in enumerate(raw):
         field = f"{sec.path('shocks')}[{i}]"
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ConfigError(field, "must be a [time, jump] pair")
-        time, jump = item
-        for label, value in (("time", time), ("jump", jump)):
+        for label, value in zip(("time", "jump"), item):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(field, f"{label} must be a number")
-        time, jump = float(time), float(jump)
-        if not (0.0 < time < 1.0):
-            raise ConfigError(field, "shock time must lie strictly inside (0, 1)")
-        if time <= last:
-            raise ConfigError(field, "shock times must be strictly increasing")
-        if not math.isfinite(jump):
-            raise ConfigError(field, "shock jump must be finite")
-        last = time
-        shocks.append((time, jump))
+        with _field(field):  # the shock on its own and after its predecessor
+            ShockSchedule(shocks=(*shocks[-1:], item))
+        shocks.append(item)
     return ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
 
 
 def _quadratic_model(sec: Section, agents: AgentPair) -> QuadraticModel:
     sec.require_keys({"kind", "g_load", "mu", "sigma", "a_lin", "b_quad", "h_const"})
-    b_quad = sec.number("b_quad", default=0.0)
-    abar = agents.aggregate_aversion
-    if 1.0 + abar * b_quad <= 0.0:
-        raise ConfigError(
-            sec.path("b_quad"),
-            f"needs 1 + abar*b_quad > 0 at aggregate aversion {abar}",
+    with _field(sec.path("b_quad")):
+        return QuadraticModel(
+            g_load=sec.number("g_load", default=0.0),
+            mu=sec.number("mu", default=0.0),
+            sigma=sec.number("sigma", nonzero=True),
+            a_lin=sec.number("a_lin", default=0.0),
+            b_quad=sec.number("b_quad", default=0.0),
+            agents=agents,
+            h_const=sec.number("h_const", default=0.0),
         )
-    return QuadraticModel(
-        g_load=sec.number("g_load", default=0.0),
-        mu=sec.number("mu", default=0.0),
-        sigma=sec.number("sigma", nonzero=True),
-        a_lin=sec.number("a_lin", default=0.0),
-        b_quad=b_quad,
-        agents=agents,
-        h_const=sec.number("h_const", default=0.0),
-    )
 
 
 def _shockwave_model(sec: Section, agents: AgentPair) -> ShockWaveModel:
     sec.require_keys({"kind", "mu", "sigma", "w_c", "offset"})
-    if agents.aggregate_aversion <= 0.0:
-        raise ConfigError(
-            "agents.gamma", "shock-wave model needs strictly positive aggregate aversion"
+    with _field("agents.gamma"):
+        return ShockWaveModel(
+            mu=sec.number("mu", default=0.0),
+            sigma=sec.number("sigma", positive=True),
+            w_c=sec.number("w_c"),
+            agents=agents,
+            offset=sec.number("offset", default=0.0),
         )
-    return ShockWaveModel(
-        mu=sec.number("mu", default=0.0),
-        sigma=sec.number("sigma", minimum=0.0, exclusive_min=True),
-        w_c=sec.number("w_c"),
-        agents=agents,
-        offset=sec.number("offset", default=0.0),
-    )
 
 
 def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> MarkovPayoffs:
     sec.require_keys({"kind", "zeta", "sigma", "alpha", "mu"})
-    zeta = sec.number("zeta", minimum=0.0, exclusive_min=True)
-    sigma = sec.number("sigma", minimum=0.0, exclusive_min=True)
+    zeta = sec.number("zeta", positive=True)
+    sigma = sec.number("sigma", positive=True)
     alpha = sec.number("alpha")
     mu = sec.number("mu", default=0.0)
     gamma, c = agents.gamma, agents.c
@@ -373,40 +359,44 @@ def _dp_payoffs(root: Section, agents: AgentPair, kinds) -> MarkovPayoffs:
 
 # value_recursion holds the (n+1, grid) menus plus (2, n, grid) pair arrays
 # and CE temporaries at its widest level: about 9 float64s per (n+2) * grid
-# cell as measured with tracemalloc; 10 leaves some room
+# cell as measured with tracemalloc; 10 leaves some room.  The budget also
+# bounds the markov-fields w grid, 8 bytes a point.
 _DP_BYTES_PER_CELL = 10 * 8
 _DP_MEMORY_BUDGET = 2 * 1024**3
+
+
+def _over_budget(field: str, what: str, need: float) -> None:
+    if need > _DP_MEMORY_BUDGET:
+        raise ConfigError(field, f"{what} would hold about {need / 2**30:.3g} GiB, over the "
+                                 f"{_DP_MEMORY_BUDGET / 2**30:.3g} GiB budget")
 
 
 def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario:
     """``lattice_n`` is the largest lattice the run will build."""
     adm = root.section("admissible")
     adm.require_keys({"lo", "hi"})
-    lo = adm.number("lo")
-    hi = adm.number("hi")
-    if not lo < hi:
-        raise ConfigError("admissible.hi", "must exceed admissible.lo")
-    if not lo <= 0.0 <= hi:
-        raise ConfigError("admissible.lo", "interval must contain 0")
-    resolution = root.number("y_resolution", default=1e-3, minimum=0.0, exclusive_min=True)
+    lo, hi = adm.number("lo"), adm.number("hi")
+    resolution = root.number("y_resolution", default=1e-3, positive=True)
     points = (hi - lo) / resolution + 1.0  # float: a tiny resolution must not overflow
-    need = _DP_BYTES_PER_CELL * (lattice_n + 2) * points
-    if need > _DP_MEMORY_BUDGET:
-        raise ConfigError(
-            "y_resolution",
-            f"the recursion at n={lattice_n} on {points:.4g} grid points would hold about "
-            f"{need / 2**30:.3g} GiB, over the {_DP_MEMORY_BUDGET / 2**30:.3g} GiB budget",
-        )
+    _over_budget("y_resolution", f"the recursion at n={lattice_n} on {points:.4g} grid points",
+                 _DP_BYTES_PER_CELL * (lattice_n + 2) * points)
     payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
-    return DpScenario(Lattice(lattice_n), payoffs, (lo, hi), resolution)
+    lattice = Lattice(lattice_n)
+    # DpScenario checks lo < hi, then lo <= 0 <= hi, then 0 < resolution <= hi - lo.
+    # Each build below can break one rule only: [0, hi - lo] holds 0 whenever it
+    # is an interval, and a resolution of hi - lo always fits.
+    with _field("admissible.hi"):
+        DpScenario(lattice, payoffs, (0.0, hi - lo), hi - lo)
+    with _field("admissible.lo"):
+        DpScenario(lattice, payoffs, (lo, hi), hi - lo)
+    with _field("y_resolution"):
+        return DpScenario(lattice, payoffs, (lo, hi), resolution)
 
 
 def _quad_order(root: Section) -> int:
-    order = root.integer("order", default=128, minimum=2)
-    try:
+    order = root.integer("order", default=128)
+    with _field("order"):
         _rules(order)
-    except QuadratureError as exc:
-        raise ConfigError("order", str(exc)) from exc
     return order
 
 
@@ -473,16 +463,21 @@ def _formatted(column) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _staged(out: Path):
-    """A staging directory inside ``out``.  Its files move into ``out`` when the
-    block completes; it is removed either way, so a failed run adds no file."""
+def _staged(out: Path, quiet: bool):
+    """Make ``out`` and a staging directory inside it.  The staged files move into
+    ``out`` when the block completes, and a line notes each; the staging directory
+    is removed either way, so a failed run adds no file."""
+    out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         yield stage
-        for f in sorted(stage.iterdir()):
-            os.replace(f, out / f.name)
+        names = sorted(f.name for f in stage.iterdir())
+        for name in names:
+            os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+    for name in names:
+        _note(quiet, f"wrote {out / name}")
 
 
 _PATH_BLOCK_VALUES = 1 << 16  # path levels per simulated block: memory stays bounded
@@ -507,11 +502,8 @@ def _note_bound_hits(quiet: bool, n: int, hits: int) -> None:
               "bound (admissible.lo or admissible.hi)", sys.stderr)
 
 
-def _out_dir(root: Section, args) -> Path:
-    configured = root.string("out", default=".")
-    out = Path(args.out) if args.out is not None else Path(configured)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_path(root: Section, args) -> Path:
+    return Path(args.out) if args.out is not None else Path(root.string("out", default="."))
 
 
 def _path_width(n_paths: int) -> int:
@@ -544,33 +536,23 @@ def _run_levy_sim(args) -> int:
     seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
     n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
     n_steps = _int_setting(args.grid, "--grid", root, "grid", 256, 1)
-
-    gamma, abar = agents.gamma, agents.aggregate_aversion
-    if gamma > 0.0 and not model.domain_contains(gamma * loading):
-        raise ConfigError(
-            "loading", f"gamma*loading = {gamma * loading} leaves the cumulant domain"
-        )
-    for i, level in enumerate(schedule.levels()):
-        if abar > 0.0 and not model.domain_contains(abar * (loading + level)):
-            field = "schedule.initial_value" if i == 0 else f"schedule.shocks[{i - 1}]"
-            raise ConfigError(
-                field,
-                f"aggregate exposure {abar * (loading + level)} leaves the cumulant domain",
-            )
+    out = _out_path(root, args)
 
     grid = PathGrid(n_steps)
-    try:
+    with _field("loading"):  # H' = -loading puts the aggregate argument at 0
+        LevyScenario(model, agents, loading, ShockSchedule(initial_value=-loading), grid)
+    for i, level in enumerate(schedule.levels()):
+        with _field("schedule.initial_value" if i == 0 else f"schedule.shocks[{i - 1}]"):
+            LevyScenario(model, agents, loading, ShockSchedule(initial_value=level), grid)
+    with _field("schedule.shocks"):
         schedule.series(grid)
-    except ScheduleError as exc:
-        raise ConfigError("schedule.shocks", str(exc)) from exc
     scenario = LevyScenario(model, agents, loading, schedule, grid)
 
-    out = _out_dir(root, args)
     width = _path_width(n_paths)
     alloc = allocation_value(scenario)
     header = ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity")
-    shared, summary, names = None, [], []
-    with _staged(out) as stage:
+    shared, summary = None, []
+    with _staged(out, args.quiet) as stage:
         for batch in _path_blocks(model, grid, schedule, seed, n_paths):
             record = efficient_batch_record(scenario, batch)
             if shared is None:
@@ -578,18 +560,14 @@ def _run_levy_sim(args) -> int:
                                                   record.risk_premium, record.convexity)]
             t, h_prime, y_star, premium, convexity = shared
             for k, x, s_star in zip(itertools.count(batch.first), record.x, record.s_star):
-                names.append(f"levy_path_{k:0{width}d}.csv")
-                emit_csv(stage / names[-1], header,
+                emit_csv(stage / f"levy_path_{k:0{width}d}.csv", header,
                          (t, x, h_prime, y_star, s_star, premium, convexity))
             summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
-        names.append("levy_summary.csv")
         emit_csv(
-            stage / names[-1],
+            stage / "levy_summary.csv",
             ("path", "endowment_payoff", "trading_pnl", "terminal_wealth", "allocation_value"),
             (np.arange(n_paths), *map(np.concatenate, zip(*summary)), np.full(n_paths, alloc)),
         )
-    for name in names:
-        _note(args.quiet, f"wrote {out / name}")
     return 0
 
 
@@ -614,6 +592,7 @@ def _run_markov_fields(args) -> int:
     if w_min > w_max:
         raise ConfigError("w.max", "must be >= w.min")
     count = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
+    _over_budget("w.count", f"a w grid of {count} points", 8.0 * count)
 
     sec = root.section("model")
     kind = sec.string("kind", choices=("quadratic", "shockwave"))
@@ -630,6 +609,7 @@ def _run_markov_fields(args) -> int:
         def closed(t, w):
             return shockwave_strategy(model, t, w), shockwave_price(model, t, w)
 
+    out = _out_path(root, args)
     payoffs = model.payoffs()
     w = np.linspace(w_min, w_max, count)
     rows = 8 * _STATE_BLOCK  # a multiple of the quadrature's state block keeps its blocks
@@ -641,11 +621,9 @@ def _run_markov_fields(args) -> int:
                 yield (np.full(len(ws), t), ws, *_state_fields(payoffs, t, ws, inventory, order),
                        *closed(t, ws))
 
-    out = _out_dir(root, args)
-    with _staged(out) as stage:
+    with _staged(out, args.quiet) as stage:
         emit_csv(stage / "markov_fields.csv", ("t", "w", "v", "u", "p", "q", "y_star", "s_star"),
                  blocks=table())
-    _note(args.quiet, f"wrote {out / 'markov_fields.csv'}")
     return 0
 
 
@@ -662,14 +640,14 @@ def _run_shockwave(args) -> int:
     seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
     n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
     n_steps = _int_setting(args.grid, "--grid", root, "grid", 1000, 1)
+    out = _out_path(root, args)
 
     grid = PathGrid(n_steps)
     driver = Brownian(b=0.0, sigma=1.0)
-    out = _out_dir(root, args)
     width = _path_width(n_paths)
     header = ("t", "W", "S_star", "Y_star", "wave_position")
-    shared, names = None, []
-    with _staged(out) as stage:
+    shared = None
+    with _staged(out, args.quiet) as stage:
         for batch in _path_blocks(driver, grid, ShockSchedule(), seed, n_paths):
             record = shockwave_batch(model, batch, grid)
             if shared is None:
@@ -677,10 +655,8 @@ def _run_shockwave(args) -> int:
             t, position = shared
             rows = zip(itertools.count(batch.first), record.w, record.s_star, record.y_star)
             for k, w, s_star, y_star in rows:
-                names.append(f"shockwave_path_{k:0{width}d}.csv")
-                emit_csv(stage / names[-1], header, (t, w, s_star, y_star, position))
-    for name in names:
-        _note(args.quiet, f"wrote {out / name}")
+                emit_csv(stage / f"shockwave_path_{k:0{width}d}.csv", header,
+                         (t, w, s_star, y_star, position))
     return 0
 
 
@@ -697,11 +673,9 @@ def _run_dp_value(args) -> int:
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
-        try:
+        with _field("buy_and_hold"):
             buy_and_hold_position(scenario)
-        except PreconditionError as exc:
-            raise ConfigError("buy_and_hold", str(exc)) from exc
-    out = _out_dir(root, args)
+    out = _out_path(root, args)
 
     # every result is computed before the first file is written; each file is one row
     result = value_recursion(scenario, refine=refine)
@@ -723,9 +697,9 @@ def _run_dp_value(args) -> int:
         outputs.append(
             ("dp_emm.csv", ("n", "s_star_root"), (lattice_n, emm_eipu(scenario, 0, 0)))
         )
-    for name, header, row in outputs:
-        emit_csv(out / name, header, [[v] for v in row])
-        _note(args.quiet, f"wrote {out / name}")
+    with _staged(out, args.quiet) as stage:
+        for name, header, row in outputs:
+            emit_csv(stage / name, header, [[v] for v in row])
     return 0
 
 
@@ -750,14 +724,14 @@ def _run_convergence(args) -> int:
     if root.data.get("limit") is not None:
         limit = root.number("limit")
     scenario = _dp_scenario(root, agents, n_list[-1])
+    out = _out_path(root, args)
 
     table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
     for row in table:
         _note_bound_hits(args.quiet, row.n, row.bound_hits)
-    out = _out_dir(root, args)
-    target = out / "convergence.csv"
-    emit_csv(target, ("n", "value", "error"), zip(*[(r.n, r.value, r.error) for r in table]))
-    _note(args.quiet, f"wrote {target}")
+    with _staged(out, args.quiet) as stage:
+        emit_csv(stage / "convergence.csv", ("n", "value", "error"),
+                 zip(*[(r.n, r.value, r.error) for r in table]))
     return 0
 
 
@@ -814,18 +788,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.mode](args)
-    except ConfigError as exc:
+    except (ConfigError, *_RUN_ERRORS) as exc:
         json.dump(_error_record(exc), sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 2
-    except _MODULE_ERRORS as exc:
-        json.dump(_error_record(exc), sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
-    except OSError as exc:
-        json.dump(_error_record(exc), sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -631,6 +631,161 @@ def test_bound_hits_are_reported_on_stderr(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# refusal panel: library rules named by the CLI field they come from
+
+
+def _with_model(data, **model):
+    data["model"] = dict(data["model"], **model)
+    return data
+
+
+def _with_agents(data, gamma, c):
+    data["agents"] = {"gamma": gamma, "c": c}
+    return data
+
+
+def _with_shocks(data, *shocks, **schedule):
+    data["schedule"] = dict(data["schedule"], shocks=[list(s) for s in shocks], **schedule)
+    return data
+
+
+_WAVE = {"kind": "shockwave", "mu": 0.0, "sigma": 1.0, "w_c": -0.6}
+_NOT_PROPORTIONAL = dict(g_load=0.2, a_lin=0.5, b_quad=0.3)
+
+REFUSALS = {
+    # case: (mode, config builder for the output directory, expected field)
+    "shock-time-outside-0-1": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (1.5, 0.25)), "schedule.shocks[0]"),
+    "shocks-out-of-order": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (0.5, 0.25), (0.25, 0.1)),
+        "schedule.shocks[1]"),
+    "non-finite-jump": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (0.25, 0.1), (0.5, math.inf)),
+        "schedule.shocks[1]"),
+    "shocks-snap-to-one-index": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (0.5, 0.1), (0.51, 0.1)),
+        "schedule.shocks"),
+    "gamma-loading-outside-domain": (
+        "levy-sim", lambda o: levy_config(o, loading=-8.0), "loading"),
+    "initial-level-outside-domain": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), initial_value=-9.5),
+        "schedule.initial_value"),
+    "shocked-level-outside-domain": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (0.25, 0.5), (0.5, -10.0)),
+        "schedule.shocks[1]"),
+    "stable-alpha-ge-1": (
+        "levy-sim", lambda o: levy_config(o, model={"family": "stable", "r": 1.0, "alpha": 1.5}),
+        "model.alpha"),
+    "stable-alpha-le-0": (
+        "levy-sim", lambda o: levy_config(o, model={"family": "stable", "r": 1.0, "alpha": 0.0}),
+        "model.alpha"),
+    "gamma-alpha-le-0": (
+        "levy-sim", lambda o: levy_config(o, model={"family": "gamma", "alpha": 0.0, "beta": 1.0}),
+        "model.alpha"),
+    "gamma-beta-le-0": (
+        "levy-sim",
+        lambda o: levy_config(o, model={"family": "gamma", "alpha": 4.0, "beta": -1.0}),
+        "model.beta"),
+    "brownian-sigma-lt-0": (
+        "levy-sim",
+        lambda o: levy_config(o, model={"family": "brownian", "b": 0.0, "sigma": -1.0}),
+        "model.sigma"),
+    "agents-c-le-0": ("levy-sim", lambda o: _with_agents(levy_config(o), 1.0, 0.0), "agents.c"),
+    "b_quad-curvature-markov-fields": (
+        "markov-fields",
+        lambda o: _with_model(_with_agents(markov_config(o), 4.0, 4.0), b_quad=-0.6),
+        "model.b_quad"),
+    "b_quad-curvature-dp-value": (
+        "dp-value", lambda o: _with_model(_with_agents(dp_config(o), 4.0, 4.0), b_quad=-0.6),
+        "model.b_quad"),
+    "zero-aversion-shockwave": (
+        "shockwave", lambda o: _with_agents(shockwave_config(o), 0.0, 1.0), "agents.gamma"),
+    "zero-aversion-markov-fields": (
+        "markov-fields", lambda o: _with_agents(dict(markov_config(o), model=_WAVE), 0.0, 1.0),
+        "agents.gamma"),
+    "zero-aversion-dp-value": (
+        "dp-value",
+        lambda o: _with_agents(dp_config(o, model=_WAVE, buy_and_hold=False), 0.0, 1.0),
+        "agents.gamma"),
+    "zero-aversion-convergence": (
+        "convergence", lambda o: _with_agents(dict(convergence_config(o), model=_WAVE), 0.0, 1.0),
+        "agents.gamma"),
+    "lo-gt-hi": (
+        "dp-value", lambda o: dp_config(o, admissible={"lo": 1.0, "hi": -1.0}), "admissible.hi"),
+    "lo-eq-hi": (
+        "dp-value", lambda o: dp_config(o, admissible={"lo": 0.0, "hi": 0.0}), "admissible.hi"),
+    "interval-without-0": (
+        "dp-value", lambda o: dp_config(o, admissible={"lo": -2.0, "hi": -1.0}), "admissible.lo"),
+    "y_resolution-gt-width-dp-value": (
+        "dp-value", lambda o: dp_config(o, y_resolution=5), "y_resolution"),
+    "y_resolution-gt-width-convergence": (
+        "convergence", lambda o: dict(convergence_config(o), y_resolution=2.5), "y_resolution"),
+    "order-not-computable-markov-fields": (
+        "markov-fields", lambda o: dict(markov_config(o), order=384), "order"),
+    "order-not-computable-convergence": (
+        "convergence", lambda o: dict(convergence_config(o), order=384), "order"),
+    "order-lt-2": ("markov-fields", lambda o: dict(markov_config(o), order=1), "order"),
+    "buy_and_hold-not-proportional": (
+        "dp-value", lambda o: _with_model(dp_config(o), **_NOT_PROPORTIONAL), "buy_and_hold"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_rules_are_refused_naming_the_field(tmp_path, capsys, case):
+    mode, config, field = REFUSALS[case]
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, config(out))
+    assert main([mode, "--config", cfg]) == 2
+    assert stderr_record(capsys)["field"] == field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, names", [
+    ("dp-value", ["dp_buy_and_hold.csv", "dp_emm.csv", "dp_value.csv"]),
+    ("convergence", ["convergence.csv"]),
+])
+def test_lattice_modes_write_all_or_nothing(tmp_path, monkeypatch, capsys, mode, names):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, dp_config(out) if mode == "dp-value" else convergence_config(out))
+    real = cli.emit_csv
+    for fail_at in range(len(names)):
+        calls = []
+
+        def failing(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == fail_at + 1:
+                raise OSError(f"injected failure at file {fail_at}")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_csv", failing)
+        assert main([mode, "--config", cfg, "--quiet"]) == 3
+        assert "injected" in stderr_record(capsys)["message"]
+        assert not out.exists() or list(out.iterdir()) == []  # no CSV, no staging directory
+    monkeypatch.setattr(cli, "emit_csv", real)
+    assert main([mode, "--config", cfg, "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+@pytest.mark.parametrize("by_flag", [False, True])
+def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch,
+                                                               by_flag):
+    def never(*args, **kwargs):
+        raise AssertionError("the w grid must not be built")
+
+    monkeypatch.setattr(cli.np, "linspace", never)
+    out = tmp_path / "o"
+    data = markov_config(out)
+    count = 10**12
+    assert 8 * count > cli._DP_MEMORY_BUDGET
+    argv = ["markov-fields", "--grid", str(count)] if by_flag else ["markov-fields"]
+    data["w"]["count"] = 3 if by_flag else count
+    assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == "w.count" and "GiB" in record["message"]
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # verify and plumbing
 
 
