@@ -15,7 +15,8 @@ CSV output uses a header row, '.' decimal separator, 17 significant digits
 for reals (%.17g, -0.0 written as 0), and LF line endings, so reruns with
 the same config and seed are byte-identical.  Every mode writes its files
 into a staging directory whose files move into the output directory only
-after the last one is written, so a failed run adds no file.  The path
+after the last one is written, so a failed run adds no file (and removes
+the output directory if it made it and it is still empty).  The path
 modes simulate in blocks of paths and format each path-independent column
 once per run.
 """
@@ -466,16 +467,23 @@ def _formatted(column) -> np.ndarray:
 def _staged(out: Path, quiet: bool):
     """Make ``out`` and a staging directory inside it.  The staged files move into
     ``out`` when the block completes, and a line notes each; the staging directory
-    is removed either way, so a failed run adds no file."""
+    is removed either way, so a failed run adds no file.  A failed run also
+    removes ``out`` if it made it and ``out`` is still empty."""
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    completed = False
     try:
         yield stage
         names = sorted(f.name for f in stage.iterdir())
         for name in names:
             os.replace(stage / name, out / name)
+        completed = True
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if made and not completed:
+            with contextlib.suppress(OSError):  # not empty: some file did land in it
+                out.rmdir()
     for name in names:
         _note(quiet, f"wrote {out / name}")
 

@@ -12,7 +12,11 @@ Each level is a few array operations over all its nodes.  The menus
 Pi(G - y*S) on an inventory grid of resolution ``y_resolution`` rise from
 the leaves by the tower property, O(n^2 * grid) in all; the grid argmax
 (ties toward the smallest |y|, then negative y) is polished by lockstep
-golden-section search between its neighbors (the objective is concave).
+safeguarded Newton steps between its neighbors.  The objective's first and
+second y-derivatives are tilted moments of S over the leaves and of the
+children's derivatives over the coin flip (``utility.tilted_moments``), so
+each step costs about one objective evaluation; a zero derivative at the
+grid point keeps it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
-from .utility import ce, tilted_mean
+from .utility import ce, newton_root, tilted_mean, tilted_moments
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG2 = math.log(2.0)
 _COIN = np.full(2, -_LOG2)  # log-weights of one fair coin flip
 _PAIR = _COIN[:, None, None]  # the same, along axis 0 of a (2, nodes, grid) pair array
@@ -176,10 +179,11 @@ def sup_convolution(
     return _refine(scenario, level, owed, y, j)
 
 
-def _refine(scenario, level, owed, y, j, iters: int = 70):
-    """Golden-section search between the neighbors of grid point y[j], for every
-    node of the level in lockstep, on the objective from the children's leaves;
-    the final midpoint replaces y[j] when it does at least as well."""
+def _refine(scenario, level, owed, y, j):
+    """Safeguarded Newton on the objective's y-derivative inside [y[j-1], y[j+1]],
+    from the grid point y[j], for every node of the level in lockstep, on the
+    objective from the children's leaves; the result replaces y[j] when it does
+    at least as well.  A zero derivative at y[j] keeps it."""
     gamma, c = scenario.agents.gamma, scenario.agents.c
     logw = scenario.lattice.leaf_log_weights_from(level + 1)
     # row mc of a window: the leaves of child (level+1, mc)
@@ -190,21 +194,24 @@ def _refine(scenario, level, owed, y, j, iters: int = 70):
         pi = ce(g - yy[:, None] * s, logw, gamma)
         return ce(owed - pi, coin, c, axis=0) + ce(pi, coin, gamma, axis=0)
 
+    def negated_derivatives(yy):
+        """-F' and -F'' from pi' = -E^gamma[S] and pi'' = -gamma*Var^gamma[S] per
+        child, and (CE_a f)' = E^a[f'], (CE_a f)'' = E^a[f''] - a*Var^a[f'] per coin flip."""
+        book = g - yy[:, None] * s
+        pi = ce(book, logw, gamma)
+        mean, var = tilted_moments(s, book, logw, gamma)
+        pi_d = np.stack((-mean, -gamma * var))  # pi' and pi'' of each child
+        dem, dem_var = tilted_moments(-pi_d, owed - pi, coin, c, axis=-2)
+        sup, sup_var = tilted_moments(pi_d, pi, coin, gamma, axis=-2)
+        # a*Var^a[f'] tends to 0 as a -> inf wherever the minimizing child is unique
+        curvature = dem[1] + sup[1] - gamma * sup_var[0] - (0.0 if math.isinf(c) else c) * dem_var[0]
+        return -(dem[0] + sup[0]), -curvature
+
     lo, hi = y[np.maximum(j - 1, 0)], y[np.minimum(j + 1, y.size - 1)]
-    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(iters):
-        left = f1 >= f2  # the maximum lies in [lo, x2], and x1 becomes the new x2
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        x_keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
-        x_new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        f_new = objective(x_new)
-        x1, f1 = np.where(left, x_new, x_keep), np.where(left, f_new, f_keep)
-        x2, f2 = np.where(left, x_keep, x_new), np.where(left, f_keep, f_new)
-    mid = 0.5 * (lo + hi)
-    f_mid, f_grid = objective(mid), objective(y[j])
-    better = f_mid >= f_grid
-    return np.where(better, f_mid, f_grid), np.where(better, mid, y[j])
+    best, _ = newton_root(negated_derivatives, y[j], lo, hi)
+    f_best, f_grid = objective(best), objective(y[j])
+    better = f_best >= f_grid
+    return np.where(better, f_best, f_grid), np.where(better, best, y[j])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s, so no
 derivative of the terminal callables is ever needed.  Each callable runs
 once per call, on the nodes of a whole array of states (one row each), and
 v, u, p, q are reductions of those rows along the node axis.  Root-finding
-for the strategy reuses the node values of s and g, and checks each bracket
-at 9 points with one batched residual; only Brent's steps are scalar.
+for the strategy reuses the node values of s, g (and h, for dv/dw), checks
+each bracket at 9 points with one batched residual, and polishes by
+safeguarded Newton, the residual's y-derivative being a tilted covariance of
+the nodes and s.
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -34,9 +36,14 @@ from .errors import (
     QuadratureError,
 )
 from .paths import PathBatch, PathSample
-from .utility import AgentPair, ce, tilted_mean
+from .utility import AgentPair, ce, newton_root, tilted_mean, tilted_moments
 
 DEFAULT_ORDER = 128
+# the largest order whose rule hermegauss computes finitely; it builds an
+# order x order matrix first, so a larger order is refused before the call
+MAX_ORDER = 371
+_RESIDUAL_TOL = 1e-10  # completeness_invert's defaults, shared with optimal_strategy_markov
+_MAX_EXPANSIONS = 30
 _STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays bound the memory
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -46,6 +53,11 @@ def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and normalized log-weights."""
     if order < 2:
         raise ParameterError("quadrature order must be >= 2")
+    if order > MAX_ORDER:
+        raise QuadratureError(
+            f"Hermite rule of order {order} is not computable in double precision"
+            f" (the largest is {MAX_ORDER})"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
@@ -175,25 +187,39 @@ def completeness_invert(
     z: float,
     order: int = DEFAULT_ORDER,
     bracket: Tuple[float, float] = (-50.0, 50.0),
-    residual_tol: float = 1e-10,
-    max_expansions: int = 30,
+    residual_tol: float = _RESIDUAL_TOL,
+    max_expansions: int = _MAX_EXPANSIONS,
 ) -> float:
     """Solve -dp/dw(t, w, y) = z for the replicating inventory y.
 
     With s and g evaluated at the nodes once, doubles the bracket about its
     midpoint until the residual changes sign, checks the map is monotone at 9
-    points of it (ends included, one batched residual), then polishes with
-    Brent to |residual| <= residual_tol."""
+    points of it (ends included, one batched residual), then polishes by
+    safeguarded Newton inside the probe interval where the sign changes, to
+    |residual| <= residual_tol."""
     _check_t(t, terminal_ok=False)
     s, g = (vals[0] for vals in _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn))
+    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket, residual_tol, max_expansions)
+
+
+def _invert(s, g, gamma, t, z, order, bracket, residual_tol, max_expansions) -> float:
+    """``completeness_invert`` on the node values s and g of one state."""
+    nodes, logw = _rules(order)
+    spread = math.sqrt(1.0 - t)
 
     def residual(y):
-        return -_grad_rows(g - np.multiply.outer(y, s), t, payoffs.agents.gamma, order) - z
+        return -_grad_rows(g - np.multiply.outer(y, s), t, gamma, order) - z
+
+    def with_slope(y):
+        # d/dy of the residual: the gamma-tilted covariance of the nodes and s
+        _, cov = tilted_moments(nodes, g - np.multiply.outer(y, s), logw, gamma, other=s)
+        return residual(y), cov / spread
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError("bracket must satisfy lo < hi")
-    probe_vals = residual(np.linspace(lo, hi, 9))
+    probes = np.linspace(lo, hi, 9)
+    probe_vals = residual(probes)
     expansions = 0
     while probe_vals[0] * probe_vals[-1] > 0.0:
         if expansions >= max_expansions:
@@ -202,7 +228,8 @@ def completeness_invert(
             )
         mid, width = 0.5 * (lo + hi), hi - lo
         lo, hi = mid - width, mid + width
-        probe_vals = residual(np.linspace(lo, hi, 9))
+        probes = np.linspace(lo, hi, 9)
+        probe_vals = residual(probes)
         expansions += 1
     diffs = np.diff(probe_vals)
     # deep exponential tilts flatten numerically at the bracket ends, so only a
@@ -212,11 +239,13 @@ def completeness_invert(
         raise PreconditionError(
             "y -> -dp/dw is not monotone on the searched bracket"
         )
-    from scipy.optimize import brentq  # here, so that importing impactlab loads no scipy
-
-    root = brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    if abs(residual(root)) > residual_tol:
-        raise NoRootError(f"Brent polish left residual {residual(root):.3e}")
+    k = int(np.flatnonzero(probe_vals[:-1] * probe_vals[1:] <= 0.0)[0])
+    (a, b), (ra, rb) = probes[k:k + 2].tolist(), probe_vals[k:k + 2].tolist()
+    # Newton starts where the chord through the probe interval's ends crosses zero
+    start = a if ra == rb else a - ra * (b - a) / (rb - ra)
+    root, left = newton_root(with_slope, start, *((a, b) if ra <= rb else (b, a)))
+    if abs(left) > residual_tol:
+        raise NoRootError(f"Newton polish left residual {float(left):.3e}")
     return float(root)
 
 
@@ -227,9 +256,16 @@ def optimal_strategy_markov(
     order: int = DEFAULT_ORDER,
     bracket: Tuple[float, float] = (-50.0, 50.0),
 ) -> float:
-    """Optimal demander position: invert completeness at z = -(c/(c+gamma)) * dv/dw."""
-    target = -payoffs.agents.demander_weight * field_u(payoffs, t, w, order)
-    return completeness_invert(payoffs, t, w, target, order=order, bracket=bracket)
+    """Optimal demander position: invert completeness at z = -(c/(c+gamma)) * dv/dw.
+
+    s, g and h are evaluated at the nodes once, for dv/dw and the inversion."""
+    _check_t(t, terminal_ok=False)
+    agents = payoffs.agents
+    s, g, h = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+    target = -agents.demander_weight * float(_grad_rows(g + h, t, agents.aggregate_aversion, order)[0])
+    return _invert(
+        s[0], g[0], agents.gamma, t, target, order, bracket, _RESIDUAL_TOL, _MAX_EXPANSIONS
+    )
 
 
 # ---------------------------------------------------------------------------

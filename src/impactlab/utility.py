@@ -12,6 +12,13 @@ its exponential tilt, ``tilted_mean``.  The kernel shifts the exponent by
 its maximum before summing, so large negative payoffs cannot overflow;
 builtin ``OverflowError`` is raised only if even the shifted sum is
 non-finite.
+
+The derivatives of a CE map are tilted moments: if the payoff v depends on
+a parameter y, d ce/dy = E^a[dv/dy] and d2 ce/dy2 = E^a[d2v/dy2] -
+a*Var^a[dv/dy] under the tilt exp(-a v).  ``tilted_moments`` gives them,
+and ``newton_root`` is the safeguarded Newton iteration the package's 1-d
+searches (the lattice sup-convolution, the completeness inversion) run on
+them.
 """
 
 from __future__ import annotations
@@ -125,6 +132,73 @@ def tilted_mean(x, values, logw, aversion: float):
     tilt = np.exp(exponent)
     # one dot product per row: a matrix-vector product sums in another order
     return np.vecdot(tilt, x) / np.add.reduce(tilt, -1)
+
+
+def tilted_moments(x, values, logw, aversion: float, other=None, axis: int = -1):
+    """Tilted mean E^a[x] and covariance Cov^a[x, other] along ``axis``, under
+    the weights exp(logw - a*values) normalized to sum to one.
+
+    ``other`` defaults to ``x``, giving the variance.  ``x`` and ``other``
+    broadcast against ``values``; leading axes of their own give several
+    moments under one tilt.  a = 0 leaves the weights as they are, and
+    a = inf keeps only the supported minimizers of ``values`` (the tilt
+    ``ce``'s minimum is the limit of).
+    """
+    if aversion == 0.0:
+        exponent = np.broadcast_to(logw, np.broadcast_shapes(np.shape(logw), np.shape(values)))
+    elif math.isinf(aversion):
+        lowest = np.minimum.reduce(
+            np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
+        )
+        exponent = np.where(values == lowest, logw, -np.inf)
+    else:
+        exponent = logw - aversion * values
+    tilt = np.exp(exponent - np.maximum.reduce(exponent, axis, keepdims=True))
+    tilt /= np.add.reduce(tilt, axis, keepdims=True)
+    mean = np.add.reduce(tilt * x, axis, keepdims=True)
+    spread = x - mean
+    if other is not None:
+        other = other - np.add.reduce(tilt * other, axis, keepdims=True)
+    cov = np.add.reduce(tilt * spread * (spread if other is None else other), axis)
+    return mean.squeeze(axis), cov
+
+
+_NEWTON_CAP = 128  # steps; bisecting any bracket down to the stopping step takes at most 52
+
+
+def newton_root(fn, x, neg, pos):
+    """A zero of each entry of ``fn`` by safeguarded Newton, all entries in lockstep.
+
+    ``fn`` maps an array of points to (values, slopes).  Entry k starts at
+    x[k] inside the bracket [neg[k], pos[k]] (either end may be the larger),
+    on which fn is taken to be < 0 at neg[k] and > 0 at pos[k]; each value
+    moves the matching end to its point.  A Newton step is taken when it lands
+    strictly inside the bracket and is at most half the step before last;
+    otherwise the bracket is bisected.  An entry stops at a zero value, or
+    where its next step would be at most 4 ulps of the bracket's larger end.
+    Returns the points and fn's values there.
+    """
+    x = np.asarray(x, dtype=float)
+    tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))
+    step = prev = np.abs(np.subtract(pos, neg))
+    f, slope = fn(x)
+    active = f != 0.0
+    for _ in range(_NEWTON_CAP):
+        neg = np.where(f < 0.0, x, neg)
+        pos = np.where(f > 0.0, x, pos)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = f / slope
+        new = x - dx
+        take = ((new - neg) * (new - pos) < 0.0) & (np.abs(dx) <= 0.5 * prev)
+        new = np.where(take, new, 0.5 * (neg + pos))
+        prev, step = step, np.abs(new - x)
+        active &= step > tol
+        if not active.any():
+            break
+        x = np.where(active, new, x)
+        f, slope = fn(x)
+        active &= f != 0.0
+    return x, f
 
 
 def certainty_equivalent(samples: SampleSet, aversion: float) -> float:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from impactlab import cli
+from impactlab import cli, markov
 from impactlab.cli import emit_csv, main
 from impactlab.cumulants import GammaProcess
 from impactlab.dp import DpScenario, Lattice, emm_eipu
@@ -362,7 +362,7 @@ def test_path_modes_write_all_or_nothing(tmp_path, monkeypatch, capsys, mode, fa
     captured = capsys.readouterr()
     assert "injected" in json.loads(captured.err.strip().splitlines()[-1])["message"]
     assert "wrote" not in captured.out
-    assert list(out.iterdir()) == []  # no CSV, and no staging directory left behind
+    assert not out.exists()  # no CSV, no staging directory, and no directory made
     monkeypatch.setattr(cli, "emit_csv", real)
     assert main([mode, "--config", cfg, "--quiet"]) == 0
     assert len(list(out.iterdir())) == (6 if mode == "levy-sim" else 5)
@@ -382,7 +382,28 @@ def test_markov_fields_failure_mid_table_writes_nothing(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "_state_fields", failing)
     assert main(["markov-fields", "--config", cfg]) == 3
     assert stderr_record(capsys)["error"] == "QuadratureError"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["levy-sim", "markov-fields"])
+def test_failed_run_leaves_an_existing_out_and_its_files(tmp_path, monkeypatch, capsys, mode):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    cfg = write_config(tmp_path, levy_config(out) if mode == "levy-sim" else markov_config(out))
+
+    def failing(*args, **kwargs):
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(cli, "emit_csv", failing)
+    assert main([mode, "--config", cfg, "--quiet"]) == 3
+    assert "injected" in stderr_record(capsys)["message"]
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+    # an existing empty directory stays too
+    (out / "notes.txt").unlink()
+    assert main([mode, "--config", cfg, "--quiet"]) == 3
+    assert out.is_dir() and list(out.iterdir()) == []
 
 
 def test_markov_fields_memory_does_not_grow_with_times(tmp_path):
@@ -920,7 +941,8 @@ def test_csv_bytes_match_recorded_digests(tmp_path, mode):
 
 
 def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
-    """Only completeness_invert imports scipy; the CLI and its path modes never do."""
+    """Importing the CLI and running its path modes loads no scipy (no module in
+    the package imports it; see the next test for every mode)."""
     levy = write_config(tmp_path, levy_config(tmp_path / "levy"), "levy.yaml")
     shock = write_config(tmp_path, shockwave_config(tmp_path / "shock"), "shock.yaml")
     code = "\n".join([
@@ -941,3 +963,49 @@ def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], []]
+
+
+def test_every_mode_and_the_strategy_run_with_scipy_unimportable(tmp_path):
+    """scipy is a test dependency only: with every scipy import failing, the lattice
+    and quadrature modes, ``verify`` and ``optimal_strategy_markov`` still run."""
+    configs = {
+        mode: write_config(tmp_path, make(tmp_path / mode), f"{mode}.yaml")
+        for mode, make in (
+            ("convergence", convergence_config),
+            ("dp-value", dp_config),
+            ("markov-fields", markov_config),
+        )
+    }
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",  # any 'import scipy...' now raises ImportError
+        "import impactlab.cli as cli",
+        "from impactlab import AgentPair, QuadraticModel, optimal_strategy_markov",
+        *(f"assert cli.main([{mode!r}, '--config', {cfg!r}, '--quiet']) == 0"
+          for mode, cfg in configs.items()),
+        "assert cli.main(['verify', '--quiet']) == 0",
+        "model = QuadraticModel(0.4, 0.1, 1.3, 0.7, 0.5, AgentPair(1.0, 2.0))",
+        "print(optimal_strategy_markov(model.payoffs(), 0.3, 0.2))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    model = QuadraticModel(0.4, 0.1, 1.3, 0.7, 0.5, AgentPair(1.0, 2.0))
+    assert float(proc.stdout.splitlines()[-1]) == pytest.approx(quadratic_closed_forms(model, 0.3, 0.2).y_star, abs=1e-10)
+    for mode in configs:
+        assert any((tmp_path / mode).iterdir())
+
+
+def test_a_huge_quadrature_order_is_refused_before_the_rule_is_built(tmp_path, capsys, monkeypatch):
+    def no_rule(order):
+        raise AssertionError(f"hermegauss called for order {order}")
+
+    monkeypatch.setattr(markov, "hermegauss", no_rule)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, dict(markov_config(out), order=100000))
+    assert main(["markov-fields", "--config", cfg]) == 2
+    assert stderr_record(capsys)["field"] == "order"
+    assert not out.exists()

@@ -257,6 +257,16 @@ def test_value_recursion_full_ties_take_smallest_then_negative_y(admissible, res
         assert np.all(pol == expected)
 
 
+def test_refine_keeps_grid_policies_when_the_objective_is_flat():
+    # S = 0: the objective does not depend on y, so its derivative is 0 and the
+    # tie-broken grid policy stays (refinement used to walk it to a bracket end)
+    scn = make_scenario(3, ZERO, lambda w: 0.3 * w**2, IDENT, admissible=(-1.5, 1.5), res=1.0)
+    assert scn.y_grid().tolist() == [-1.5, -0.5, 0.5, 1.5]
+    result = value_recursion(scn, refine=True)
+    assert all(np.all(pol == -0.5) for pol in result.policies)
+    assert result.bound_hits == 0
+
+
 def test_sup_convolution_menus_contract():
     # given menus are overwritten with this level's rows: the tower step of the children
     scn = make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=1.3, c=0.7)
@@ -296,7 +306,7 @@ def test_lockstep_refine_matches_scalar_golden_section():
     for trial in range(9):
         n = int(rng.integers(1, 6))
         a = rng.uniform(-1.0, 1.0, size=(3, 3))
-        # the last trial has S = 0: a flat objective, where the midpoint ties its grid point
+        # the last trial has S = 0: a flat objective, where the grid point is kept
         k = float(trial < 8)
         gamma = float(rng.choice([0.0, rng.uniform(0.3, 2.0)]))
         c = float(rng.choice([math.inf, rng.uniform(0.3, 2.0)]))
@@ -327,9 +337,19 @@ def test_lockstep_refine_matches_scalar_golden_section():
                     objective, y[max(j - 1, 0)], y[min(j + 1, y.size - 1)]
                 )
                 val_grid = objective(y[j])
-                want = (val_ref, y_ref) if val_ref >= val_grid else (val_grid, y[j])
-                assert abs(values[m] - want[0]) <= 1e-12
-                assert abs(policies[m] - want[1]) <= 1e-12
+                want = max(val_ref, val_grid)
+                assert abs(values[m] - want) <= 1e-12
+                # golden section stops about 1e-7 short of the maximizer on a flat
+                # top, so the policies differ; the objective must not be lower
+                assert objective(policies[m]) >= want - 1e-15 * max(1.0, abs(want))
+                if k == 0.0:
+                    assert policies[m] == y[j]
+                h = 1e-6
+                if y[max(j - 1, 0)] + h < policies[m] < y[min(j + 1, y.size - 1)] - h:
+                    # first-order condition of a maximum, kinks (c = inf) included
+                    at = objective(policies[m])
+                    assert (objective(policies[m] + h) - at) / h <= 1e-9
+                    assert (at - objective(policies[m] - h)) / h >= -1e-9
 
 
 _POLY = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)])

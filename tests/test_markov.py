@@ -670,7 +670,10 @@ def test_completeness_invert_equals_per_call_reference():
         pay = model.payoffs()
         t, w = rng.uniform(0.0, 0.95), rng.uniform(-1.5, 1.5)
         z = (root - model.g_load) * model.sigma if k % 4 == 0 else rng.uniform(-3.0, 3.0)
-        assert completeness_invert(pay, t, w, z) == _reference_invert(pay, t, w, z)
+        got, want = completeness_invert(pay, t, w, z), _reference_invert(pay, t, w, z)
+        # Newton and Brent stop at different points within a few ulps of the root
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(-field_q(pay, t, w, got) - z) <= 1e-10
 
 
 def _counting_payoffs(calls):
@@ -703,6 +706,19 @@ def test_payoffs_run_once_per_inversion_and_per_block():
     with mock.patch.object(markov, "_STATE_BLOCK", 3):
         _state_fields(pay, 0.5, np.linspace(-1.0, 1.0, 7), 0.2)
     assert calls == {"s": 3, "g": 3, "h": 3}
+
+
+def test_max_order_is_the_largest_finite_hermite_rule():
+    from numpy.polynomial.hermite_e import hermegauss
+
+    with np.errstate(all="ignore"):
+        for order, finite in ((markov.MAX_ORDER, True), (markov.MAX_ORDER + 1, False)):
+            rule = hermegauss(order)
+            assert all(np.isfinite(part).all() for part in rule) == finite
+    assert _rules(markov.MAX_ORDER)[0].size == markov.MAX_ORDER
+    with mock.patch.object(markov, "hermegauss", side_effect=AssertionError("called")):
+        with pytest.raises(QuadratureError):
+            _rules(markov.MAX_ORDER + 1)
 
 
 def test_completeness_invert_expands_a_bracket_with_an_end_at_zero():

@@ -23,7 +23,8 @@ from impactlab import (
     levy_pi,
     levy_price_curve,
 )
-from impactlab.utility import ce, tilted_mean
+from impactlab import utility
+from impactlab.utility import ce, newton_root, tilted_mean, tilted_moments
 
 
 def test_agent_pair_composites():
@@ -371,3 +372,130 @@ def test_price_curve_convex_and_zero_at_no_trade(model, gamma, a, z, x_t, t, fra
     d1 = (p[1] - p[0]) / (ys[1] - ys[0])
     d2 = (p[2] - p[1]) / (ys[2] - ys[1])
     assert d2 >= d1 - 1e-12 * max(1.0, *map(abs, p)) / min(ys[1] - ys[0], ys[2] - ys[1])
+
+
+# ---------------------------------------------------------------------------
+# tilted moments and the safeguarded Newton iteration
+
+
+def _direct_moments(x, other, values, logw, aversion):
+    """One support, by the textbook formulas; a = inf tilts onto the supported minimizers."""
+    weights = np.exp(logw)
+    if math.isinf(aversion):
+        low = values[weights > 0.0].min()
+        weights = np.where(values == low, weights, 0.0)
+    else:
+        weights = weights * np.exp(-aversion * values)
+    weights = weights / weights.sum()
+    mean_x, mean_o = float(weights @ x), float(weights @ other)
+    return mean_x, float(weights @ ((x - mean_x) * (other - mean_o)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(weighted_support(), st.sampled_from([0.0, 0.05, 0.3, math.inf]), st.data())
+def test_tilted_moments_match_direct_formulas(support, aversion, data):
+    values, logw = support
+    x, other = (data.draw(arrays(float, values.shape, elements=st.floats(-10.0, 10.0)))
+                for _ in range(2))
+    # |aversion * values| <= 300: the unshifted exponentials stay finite
+    want = _direct_moments(x, other, values, logw, aversion)
+    mean, cov = tilted_moments(x, values, logw, aversion, other=other)
+    assert abs(mean - want[0]) <= 1e-12 * _scale(x)
+    assert abs(cov - want[1]) <= 1e-12 * _scale(x) * _scale(other)
+    mean, var = tilted_moments(x, values, logw, aversion)
+    assert var == pytest.approx(_direct_moments(x, x, values, logw, aversion)[1], abs=1e-12 * _scale(x) ** 2)
+    assert var >= 0.0
+
+
+def test_tilted_moments_rows_axes_and_stacked_moments():
+    rng = np.random.default_rng(8)
+    values, x, other = rng.normal(size=(3, 4, 6))
+    logw = np.log(rng.dirichlet(np.ones(6)))
+    for aversion in (0.0, 1.7, math.inf):
+        mean, cov = tilted_moments(np.stack((x, other)), values, logw, aversion)
+        for r in range(4):
+            for k, z in enumerate((x, other)):
+                want = _direct_moments(z[r], z[r], values[r], logw, aversion)
+                assert mean[k, r] == pytest.approx(want[0], abs=1e-14)
+                assert cov[k, r] == pytest.approx(want[1], abs=1e-14)
+        # the same along axis 0 of the transposed arrays
+        mean_t, cov_t = tilted_moments(x.T, values.T, logw[:, None], aversion, other=other.T, axis=0)
+        mean_r, cov_r = tilted_moments(x, values, logw, aversion, other=other)
+        assert np.allclose(mean_t, mean_r, rtol=0.0, atol=1e-14)
+        assert np.allclose(cov_t, cov_r, rtol=0.0, atol=1e-14)
+
+
+@settings(deadline=None, max_examples=100)
+@given(weighted_support(max_len=8), st.just(0.0) | st.floats(0.01, 3.0), st.floats(-1.0, 1.0), st.data())
+def test_tilted_moments_are_the_derivatives_of_ce(support, aversion, y, data):
+    """For v(y) = g - y*s: d ce/dy = -E^a[s] and d2 ce/dy2 = -a*Var^a[s].  Tiny
+    aversions are left out, as in _AVERSION: ce itself loses the payoff there."""
+    _, logw = support
+    g, s = (data.draw(arrays(float, logw.shape, elements=st.floats(-2.0, 2.0))) for _ in range(2))
+    mean, var = tilted_moments(s, g - y * s, logw, aversion)
+    h = 1e-4
+    at = [float(ce(g - (y + k * h) * s, logw, aversion)) for k in (-1, 0, 1)]
+    assert (at[2] - at[0]) / (2 * h) == pytest.approx(-mean, abs=1e-6)
+    assert (at[2] - 2 * at[1] + at[0]) / h**2 == pytest.approx(-aversion * var, abs=1e-3)
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.copy())
+        return fn(x)
+
+    return wrapped, calls
+
+
+def test_newton_root_bisects_to_the_stopping_step_within_the_cap():
+    roots = np.array([-0.7, 0.0, 1e-9, 0.3, 0.9999])
+    # a NaN slope refuses every Newton step: pure bisection
+    fn, calls = _counted(lambda x: (x - roots, np.full_like(x, np.nan)))
+    got, values = newton_root(fn, np.zeros(5) + 0.5, -1.0, 1.0)
+    assert len(calls) < utility._NEWTON_CAP
+    assert np.all(np.abs(got - roots) <= 8 * np.finfo(float).eps)
+    assert np.array_equal(values, got - roots)
+
+
+def test_newton_root_either_orientation_and_zero_start():
+    # decreasing function: fn < 0 at the larger end
+    got, _ = newton_root(lambda x: (np.exp(-x) - 0.5, -np.exp(-x)), 0.0, 3.0, -1.0)
+    assert got == pytest.approx(math.log(2.0), abs=1e-15)
+    # a zero value at the start keeps it, even with a zero slope
+    fn, calls = _counted(lambda x: (np.zeros_like(x), np.zeros_like(x)))
+    got, _ = newton_root(fn, np.array([0.25, -0.5]), -1.0, 1.0)
+    assert got.tolist() == [0.25, -0.5] and len(calls) == 1
+
+
+def test_newton_root_converges_on_a_kink_where_plain_newton_cycles():
+    # -F' of a maximum at a kink: each branch's Newton step lands on the other
+    # branch's side, so unguarded Newton alternates between 0.9 and -0.4 forever
+    kink = 0.2
+    fn, calls = _counted(lambda x: (np.where(x < kink, x - 0.9, x + 0.4), np.ones_like(x)))
+    got, _ = newton_root(fn, -0.4, -1.0, 1.0)
+    assert abs(got - kink) <= 8 * np.finfo(float).eps
+    assert len(calls) < utility._NEWTON_CAP
+
+
+def test_newton_root_bisects_where_newton_crawls():
+    # a root of multiplicity 21: each Newton step removes 1/21 of the distance,
+    # so unguarded Newton needs about 700 steps; halving the steps bounds it
+    fn, calls = _counted(lambda x: (x**21, 21 * x**20))
+    got, _ = newton_root(fn, 0.5, -1.0, 1.0)
+    assert abs(got) <= 1e-13
+    assert len(calls) < utility._NEWTON_CAP
+
+
+@settings(deadline=None, max_examples=50)
+@given(arrays(float, 6, elements=st.floats(-3.0, 3.0)), st.floats(0.1, 5.0))
+def test_newton_root_lockstep_equals_one_entry_at_a_time(targets, curvature):
+    def fn(x, t=targets):
+        return np.sinh(curvature * (x - t)) + x - t, curvature * np.cosh(curvature * (x - t)) + 1.0
+
+    together, _ = newton_root(fn, np.zeros(6), -4.0, 4.0)
+    for k, t in enumerate(targets):
+        alone, _ = newton_root(lambda x: fn(x, t), 0.0, -4.0, 4.0)
+        assert alone == together[k]
+        assert abs(alone - t) <= 1e-14 * max(1.0, abs(t))
