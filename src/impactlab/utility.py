@@ -163,7 +163,7 @@ def tilted_moments(x, values, logw, aversion: float, other=None, axis: int = -1)
     return mean.squeeze(axis), cov
 
 
-_NEWTON_CAP = 128  # steps; bisecting any bracket down to the stopping step takes at most 52
+_NEWTON_CAP = 128  # steps; bisecting any bracket down to the stopping step takes at most 53
 
 
 def newton_root(fn, x, neg, pos):
@@ -175,11 +175,11 @@ def newton_root(fn, x, neg, pos):
     moves the matching end to its point.  A Newton step is taken when it lands
     strictly inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  An entry stops at a zero value, or
-    where its next step would be at most 4 ulps of the bracket's larger end.
+    where its next step would be at most one ulp of the bracket's larger end.
     Returns the points and fn's values there.
     """
     x = np.asarray(x, dtype=float)
-    tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))
+    tol = np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))
     step = prev = np.abs(np.subtract(pos, neg))
     f, slope = fn(x)
     active = f != 0.0

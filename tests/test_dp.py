@@ -359,6 +359,42 @@ def _poly(k):
     return lambda w: k[0] + k[1] * w + k[2] * w**2
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    g=_POLY,
+    s=_POLY,
+    gamma=st.one_of(st.just(0.0), st.floats(0.2, 2.0)),
+    c=st.one_of(st.floats(0.2, 2.0), st.just(math.inf)),
+    seed=st.integers(0, 2**16),
+)
+def test_refine_is_no_worse_than_golden_section_on_random_levels(n, g, s, gamma, c, seed):
+    """Every node of every level, c = inf (a kink where the children tie) included."""
+    scn = make_scenario(n, _poly(s), _poly(g), ZERO, gamma=gamma, c=c, admissible=(-3.0, 3.0), res=0.1)
+    lat, y = scn.lattice, scn.y_grid()
+    coin = np.full(2, -math.log(2.0))
+    owed = np.random.default_rng(seed).normal(size=n + 1)
+    for level in range(n):
+        _, grid_policies = sup_convolution(scn, level, owed[:level + 2], refine=False)
+        values, policies = sup_convolution(scn, level, owed[:level + 2], refine=True)
+        logw = lat.leaf_log_weights_from(level + 1)
+        for m in range(level + 1):
+            j = int(np.flatnonzero(y == grid_policies[m])[0])
+            kids = [lat.leaf_values_from(level + 1, m + k) for k in (0, 1)]
+            g_pair, s_pair = (np.array([fn(w) for w in kids]) for fn in (_poly(g), _poly(s)))
+
+            def objective(yy):
+                pi = ce(g_pair - yy * s_pair, logw, gamma)
+                return float(ce(owed[m:m + 2] - pi, coin, c) + ce(pi, coin, gamma))
+
+            _, val_ref = _golden_max_reference(objective, y[max(j - 1, 0)], y[min(j + 1, y.size - 1)])
+            want = max(val_ref, objective(y[j]))
+            assert abs(values[m] - want) <= 1e-12 * max(1.0, abs(want))
+            # golden section keeps the highest of 72 values with ~1e-15 of roundoff
+            # (ce divides by the aversion), so it may read a few ulps above the maximum
+            assert objective(policies[m]) >= want - 1e-14 * max(1.0, abs(want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 6),
