@@ -11,8 +11,9 @@ once per call, on the nodes of a whole array of states (one row each), and
 v, u, p, q are reductions of those rows along the node axis.  Root-finding
 for the strategy reuses the node values of s, g (and h, for dv/dw), checks
 each bracket at 9 points with one batched residual, and polishes by
-safeguarded Newton, the residual's y-derivative being a tilted covariance of
-the nodes and s.
+safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
+mean of the nodes) and its y-derivative (a tilted covariance of the nodes
+and s).
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -79,15 +80,6 @@ class MarkovPayoffs:
     agents: AgentPair
 
 
-def _terminal_values(fn, points) -> np.ndarray:
-    vals = np.asarray(fn(points), dtype=float)
-    if vals.shape != points.shape:
-        vals = np.broadcast_to(vals, points.shape).astype(float)
-    if not np.isfinite(vals).all():
-        raise QuadratureError("terminal payoff is non-finite at a quadrature node")
-    return vals
-
-
 def _check_t(t: float, terminal_ok: bool):
     if not 0.0 <= t <= 1.0:
         raise ParameterError("t must lie in [0, 1]")
@@ -101,7 +93,18 @@ def _node_values(t: float, w, order: int, *fns):
     points = np.asarray(w, dtype=float)[:, None]
     if t < 1.0:
         points = points + math.sqrt(1.0 - t) * _rules(order)[0]
-    return [_terminal_values(fn, points.ravel()).reshape(points.shape) for fn in fns]
+    flat = points.ravel()
+    finite = np.empty((len(fns), flat.size), dtype=bool)
+    out = []
+    for fn, ok in zip(fns, finite):
+        vals = np.asarray(fn(flat), dtype=float)
+        if vals.shape != flat.shape:  # a constant payoff
+            vals = np.broadcast_to(vals, flat.shape).astype(float)
+        np.isfinite(vals, out=ok)
+        out.append(vals.reshape(points.shape))
+    if not finite.all():  # one check for every payoff
+        raise QuadratureError("terminal payoff is non-finite at a quadrature node")
+    return out
 
 
 def _ce_rows(vals, t: float, aversion: float, order: int):
@@ -211,9 +214,11 @@ def _invert(s, g, gamma, t, z, order, bracket, residual_tol, max_expansions) -> 
         return -_grad_rows(g - np.multiply.outer(y, s), t, gamma, order) - z
 
     def with_slope(y):
-        # d/dy of the residual: the gamma-tilted covariance of the nodes and s
-        _, cov = tilted_moments(nodes, g - np.multiply.outer(y, s), logw, gamma, other=s)
-        return residual(y), cov / spread
+        # one tilt gives the residual (its tilted mean of the nodes, for gamma > 0)
+        # and its y-derivative, the gamma-tilted covariance of the nodes and s
+        mean, cov = tilted_moments(nodes, g - np.multiply.outer(y, s), logw, gamma, other=s)
+        value = residual(y) if gamma == 0.0 else mean / (gamma * spread) - z
+        return value, cov / spread
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:

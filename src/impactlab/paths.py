@@ -4,17 +4,23 @@ Increments are drawn from the exact marginal law of each family (never
 an Euler scheme), so expectations of exponentials of grid sums match
 the cumulant formulas up to Monte Carlo error only.  Reproducibility
 contract: same (model, grid, schedule, seed) gives bit-identical paths;
-batch runs derive one generator per path from (seed, path_index) so the
-result is independent of execution order.
+path k draws from its own PCG64 stream, the one ``path_generator(seed, k)``
+seeds through ``SeedSequence([seed, k])``, so the result is independent of
+execution order and of how the paths are split into batches.
 
 A batch is the Monte Carlo primitive: path k's increments are drawn from
 its own stream into row k of one matrix, one ``cumsum`` along the rows
-gives the levels, and one read-only H' series serves every path.
+gives the levels, and one read-only H' series serves every path.  Building
+a ``SeedSequence`` and a ``PCG64`` per path would cost more than drawing a
+short path, so a batch runs numpy's ``SeedSequence`` hash on every path's
+(seed, k) at once in ``uint32`` arithmetic, and moves one ``Generator``
+from stream to stream by setting its PCG64 state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple
@@ -119,9 +125,144 @@ class PathSample:
             raise ParameterError("inconsistent path array lengths")
 
 
+def _path_number(value, name: str, least: int = 0) -> int:
+    """``value`` as an int >= least: a seed, a path index or a path count."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     """Generator for one path, split from (seed, path_index)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(path_index)]))
+    entropy = [_path_number(seed, "seed"), _path_number(path_index, "path index")]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# numpy's SeedSequence with its default pool of 4 uint32 words, and PCG64's
+# seeding from it, for a whole column of entropy at once; path_generator is
+# the reference that the tests hold them to.  The hash constants do not
+# depend on the input, so they are tabled here per step, as columns as tall
+# as the step's data: on a short batch numpy's dispatch costs more than the
+# arithmetic, and an operand of the data's own shape skips broadcasting.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, indices) -> tuple:
+    """Constants of the hashmixes ``indices`` of a run from ``init``.
+
+    Five (len(indices), 1) uint32 columns: the hash constant each hashmix
+    xors in (init * mult**i mod 2**32), the next one it multiplies by, the
+    shift, and mix's two multipliers.
+    """
+    consts = [init]
+    for _ in range(max(indices) + 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    rows = (
+        [consts[i] for i in indices],
+        [consts[i + 1] for i in indices],
+        *([c] * len(indices) for c in (_XSHIFT, _MIX_L, _MIX_R)),
+    )
+    return tuple(np.array(row, dtype=np.uint32)[:, None] for row in rows)
+
+
+_FILL = _hash_steps(_INIT_A, _MULT_A, range(4))
+# Mixing step s hashes pool word s into each other word d in turn, with
+# hashmix 4 + 3s + (d's place among the others).  The pool is kept rotated so
+# that word s is row 0 and words s+1, s+2, s+3 (mod 4) follow, so the
+# constants are listed in that order.
+_MIXING = [
+    _hash_steps(_INIT_A, _MULT_A, [4 + 3 * s + d - (d > s) for d in ((s + j) % 4 for j in (1, 2, 3))])
+    for s in range(4)
+]
+_OUTPUT = _hash_steps(_INIT_B, _MULT_B, range(8))
+
+
+def _words(n: int) -> list:
+    """The little-endian uint32 words of an int >= 0 (one word for 0), as SeedSequence splits it."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _hashmix(value, steps):
+    """SeedSequence's hashmix: xor in the hash constant, multiply by the next, xorshift."""
+    value = value ^ steps[0]
+    value *= steps[1]
+    value ^= value >> steps[2]
+    return value
+
+
+def _mix(x, y, steps):
+    """SeedSequence's mix of y into x (x is overwritten): L*x - R*y, xorshift."""
+    x *= steps[3]
+    x -= y * steps[4]
+    x ^= x >> steps[2]
+    return x
+
+
+def _seed_sequence_state(entropy: np.ndarray, size: int) -> np.ndarray:
+    """``SeedSequence(words).generate_state(8, np.uint32)`` of each column, as (8, columns).
+
+    Rows 0..size-1 of the uint32 ``entropy`` are the words; when size < 4 it
+    has four rows, the rest zero, which is how the pool is filled then.
+    """
+    pool = _hashmix(entropy[:4], _FILL)
+    for steps in _MIXING:  # so late words affect earlier ones; four rotations restore the order
+        pool = np.concatenate((_mix(pool[1:], _hashmix(pool[0], steps), steps), pool[:1]))
+    for i in range(4, size):  # words past the pool mix into each pool word
+        steps = _hash_steps(_INIT_A, _MULT_A, range(4 * i, 4 * i + 4))
+        pool = _mix(pool, _hashmix(entropy[i], steps), steps)
+    return _hashmix(np.concatenate((pool, pool)), _OUTPUT)
+
+
+def _stream_words(seed: int, first: int, n_paths: int) -> np.ndarray:
+    """Row k - first is ``SeedSequence([seed, k]).generate_state(4, np.uint64)``.
+
+    Paths first..first+n_paths-1, split where a path index carries into a
+    new uint32 word: within a block only the index's lowest word varies.
+    """
+    seed_words = _words(seed)
+    blocks = []
+    k, end = first, first + n_paths
+    while k < end:
+        stop = min(end, (k | _MASK32) + 1)
+        words = seed_words + _words(k)
+        entropy = np.array(words + [0] * (4 - len(words)), dtype=np.uint32)[:, None]
+        entropy = entropy.repeat(stop - k, axis=1)
+        entropy[len(seed_words)] += np.arange(stop - k, dtype=np.uint32)
+        # pairs of words as little-endian uint64, as generate_state joins them
+        state = _seed_sequence_state(entropy, len(words))
+        blocks.append(np.ascontiguousarray(state.T, dtype="<u4").view("<u8"))
+        k = stop
+    return np.concatenate(blocks)
+
+
+def _pcg64_states(words: np.ndarray):
+    """The ``state`` of ``PCG64`` seeded with each row of ``_stream_words``.
+
+    Words 0-1 are its initstate and words 2-3 its initseq, high word first;
+    seeding sets inc = (initseq << 1) | 1 and steps the LCG from 0, adds
+    initstate, and steps again: state = ((inc + initstate) * M + inc) mod 2**128.
+    """
+    for state_hi, state_lo, seq_hi, seq_lo in words.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 def simulate_path(
@@ -168,15 +309,23 @@ def simulate_batch(
     first: int = 0,
 ) -> PathBatch:
     """Paths first..first+n_paths-1 as one ``PathBatch``; its row k - first
-    equals ``simulate_path(model, grid, schedule, seed, k)``."""
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
+    equals ``simulate_path(model, grid, schedule, seed, k)``.
+
+    Row k - first is drawn from the stream of ``path_generator(seed, k)``:
+    every path's ``SeedSequence([seed, k])`` words are hashed at once, and one
+    ``Generator`` is set to each path's PCG64 state before its draws.
+    """
+    seed, first = _path_number(seed, "seed"), _path_number(first, "path index")
+    n_paths = _path_number(n_paths, "n_paths", 1)
     h_prime = schedule.series(grid)
     h_prime.flags.writeable = False
     n = grid.n_steps
     increments = np.empty((n_paths, n))
-    for row, k in zip(increments, range(first, first + n_paths)):
-        row[:] = model.sample_increments(path_generator(seed, k), grid.dt, n)
+    bit_generator = np.random.PCG64(0)  # every path sets its own state
+    rng = np.random.Generator(bit_generator)
+    for row, state in zip(increments, _pcg64_states(_stream_words(seed, first, n_paths))):
+        bit_generator.state = state
+        row[:] = model.sample_increments(rng, grid.dt, n)
     x = np.empty((n_paths, n + 1))
     x[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=x[:, 1:])

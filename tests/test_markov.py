@@ -224,6 +224,20 @@ def test_nonfinite_payoff_raises_quadrature_error():
     with pytest.raises(QuadratureError):
         field_v(pay, 0.0, 0.0)
 
+    # one check covers every payoff of a call: a bad value in the first or the
+    # last one is refused, and a constant payoff broadcasts over the nodes
+    base = quad_model().payoffs()
+    bad_s = MarkovPayoffs(lambda w: np.where(w > 2.0, np.nan, w), base.g_fn, base.h_fn, base.agents)
+    bad_h = MarkovPayoffs(base.s_fn, base.g_fn, lambda w: np.where(w < -2.0, np.inf, 0.0), base.agents)
+    with pytest.raises(QuadratureError):
+        optimal_strategy_markov(bad_s, 0.2, 0.0)
+    with pytest.raises(QuadratureError):
+        _state_fields(bad_h, 0.2, np.array([0.0, 0.5]), 0.1)
+    flat_h = MarkovPayoffs(base.s_fn, base.g_fn, lambda w: 0.25, base.agents)
+    zero_h = MarkovPayoffs(base.s_fn, base.g_fn, lambda w: np.full(np.shape(w), 0.25), base.agents)
+    w = np.array([-0.3, 0.4])
+    assert (_state_fields(flat_h, 0.2, w, 0.1) == _state_fields(zero_h, 0.2, w, 0.1)).all()
+
 
 # ---------------------------------------------------------------------------
 # completeness inversion and the optimal strategy

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impactlab import (
@@ -20,6 +20,7 @@ from impactlab import (
     simulate_batch,
     simulate_path,
 )
+from impactlab.paths import _stream_words, path_generator
 
 
 def test_grid_basics():
@@ -203,3 +204,60 @@ def test_schedule_refuses_shared_and_boundary_indices(n, data, offsets):
     for s in (0.0, 1.0, -edge, 1.0 + edge):
         with pytest.raises(ScheduleError):
             ShockSchedule(shocks=((s, 1.0),))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**130 - 1),
+    first=st.one_of(st.integers(0, 100), st.integers(2**32 - 8, 2**32 + 8), st.integers(0, 2**70)),
+    n_paths=st.integers(1, 12),
+)
+@example(seed=0, first=0, n_paths=1)
+@example(seed=2**32 - 1, first=2**32 - 3, n_paths=6)
+@example(seed=2**32, first=2**32 - 1, n_paths=2)
+@example(seed=2**64, first=2**64 - 2, n_paths=4)
+@example(seed=2**96 + 5, first=2**96 - 1, n_paths=3)
+def test_stream_words_equal_seed_sequence(seed, first, n_paths):
+    words = _stream_words(seed, first, n_paths)
+    assert words.shape == (n_paths, 4)
+    for k, row in enumerate(words, start=first):
+        want = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+        assert row.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("model", [Brownian(0.1, 1.3), GammaProcess(2.0, 3.0), OneSidedStable(1.0, 0.6)])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7, 2**64 + 1])
+@pytest.mark.parametrize("first, n_paths", [(0, 1), (5, 1), (5, 7), (2**32 - 2, 4)])
+def test_batch_rows_draw_the_path_generator_streams(model, seed, first, n_paths):
+    grid = PathGrid(16)
+    batch = simulate_batch(model, grid, ShockSchedule(), seed, n_paths, first=first)
+    for k, row in enumerate(batch.increments, start=first):
+        want = model.sample_increments(path_generator(seed, k), grid.dt, grid.n_steps)
+        assert (row == want).all()
+    if n_paths == 1:
+        solo = simulate_path(model, grid, ShockSchedule(), seed, first)
+        assert (solo.increments == batch.increments[0]).all()
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (1.5, 0), (2.0, 0), (0, 0.5), ("3", 0), (None, 0)])
+def test_invalid_seeds_and_path_indices_are_refused(seed, index):
+    grid, sched, model = PathGrid(4), ShockSchedule(), Brownian(0.0, 1.0)
+    with pytest.raises(ParameterError):
+        path_generator(seed, index)
+    with pytest.raises(ParameterError):
+        simulate_path(model, grid, sched, seed, index)
+    with pytest.raises(ParameterError):
+        simulate_batch(model, grid, sched, seed, 3, first=index)
+
+
+@pytest.mark.parametrize("n_paths", [0, -2, 2.5, None])
+def test_invalid_path_counts_are_refused(n_paths):
+    with pytest.raises(ParameterError):
+        simulate_batch(Brownian(0.0, 1.0), PathGrid(4), ShockSchedule(), 0, n_paths)
+
+
+def test_numpy_integer_seeds_and_indices_are_accepted():
+    grid, sched, model = PathGrid(4), ShockSchedule(), GammaProcess(2.0, 1.0)
+    batch = simulate_batch(model, grid, sched, np.int64(9), 2, first=np.uint32(4))
+    assert batch.first == 4 and type(batch.first) is int
+    assert (batch.x == simulate_batch(model, grid, sched, 9, 2, first=4).x).all()
