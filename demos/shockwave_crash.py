@@ -16,7 +16,7 @@ from impactlab.markov import (
     tanh_field,
     wave_position,
 )
-from impactlab.paths import PathGrid, ShockSchedule, simulate_path
+from impactlab.paths import PathGrid, ShockSchedule, simulate_batch
 from impactlab.utility import AgentPair
 
 
@@ -35,8 +35,8 @@ def main():
     grid = PathGrid(4000)
     driver = Brownian(0.0, 1.0)
     shown = 0
-    for k in range(200):
-        record = shockwave_path(model, simulate_path(driver, grid, ShockSchedule(), 606, k), grid)
+    for k, path in enumerate(simulate_batch(driver, grid, ShockSchedule(), 606, 200)):
+        record = shockwave_path(model, path, grid)
         events = crash_events(model, record)
         if not events:
             continue

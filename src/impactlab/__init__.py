@@ -16,10 +16,6 @@ from .cumulants import (
     GammaProcess,
     LevyModel,
     OneSidedStable,
-    domain_contains,
-    kappa,
-    kappa_double_prime,
-    kappa_prime,
 )
 from .dp import (
     ConvergenceRow,
@@ -36,8 +32,7 @@ from .dp import (
     value_recursion,
 )
 from .efficient import (
-    EfficientBatchRecord,
-    EfficientPathRecord,
+    EfficientRecord,
     LevyScenario,
     allocation_value,
     efficient_batch_record,
@@ -46,7 +41,6 @@ from .efficient import (
     efficient_price,
     eipu,
     optimal_position,
-    optimal_position_series,
     realized_pnl,
     risk_premium,
 )
@@ -65,9 +59,8 @@ from .markov import (
     MarkovPayoffs,
     QuadraticForms,
     QuadraticModel,
-    ShockWaveBatchRecord,
     ShockWaveModel,
-    ShockWavePathRecord,
+    ShockWaveRecord,
     completeness_invert,
     crash_events,
     field_p,

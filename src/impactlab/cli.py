@@ -372,6 +372,21 @@ def _over_budget(field: str, what: str, need: float) -> None:
                                  f"{_DP_MEMORY_BUDGET / 2**30:.3g} GiB budget")
 
 
+# One path of levy-sim or shockwave holds its levels, increments, H' series and
+# record columns, plus the path-independent columns formatted once as strings:
+# about 500 bytes a grid point for levy-sim and 350 for shockwave, as measured
+# with tracemalloc on one-path runs; 600 leaves some room.
+_PATH_BYTES_PER_POINT = 600
+
+
+def _path_grid(args, root: Section, default: int) -> PathGrid:
+    """The path modes' grid, from --grid or the config, refused over the memory budget."""
+    n_steps = _int_setting(args.grid, "--grid", root, "grid", default, 1)
+    _over_budget("grid" if args.grid is None else "--grid", f"a path grid of {n_steps} steps",
+                 _PATH_BYTES_PER_POINT * (n_steps + 1))
+    return PathGrid(n_steps)
+
+
 def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario:
     """``lattice_n`` is the largest lattice the run will build."""
     adm = root.section("admissible")
@@ -543,10 +558,9 @@ def _run_levy_sim(args) -> int:
     loading = root.number("loading")
     seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
     n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
-    n_steps = _int_setting(args.grid, "--grid", root, "grid", 256, 1)
+    grid = _path_grid(args, root, 256)
     out = _out_path(root, args)
 
-    grid = PathGrid(n_steps)
     with _field("loading"):  # H' = -loading puts the aggregate argument at 0
         LevyScenario(model, agents, loading, ShockSchedule(initial_value=-loading), grid)
     for i, level in enumerate(schedule.levels()):
@@ -647,10 +661,9 @@ def _run_shockwave(args) -> int:
     model = _shockwave_model(sec, agents)
     seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
     n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
-    n_steps = _int_setting(args.grid, "--grid", root, "grid", 1000, 1)
+    grid = _path_grid(args, root, 1000)
     out = _out_path(root, args)
 
-    grid = PathGrid(n_steps)
     driver = Brownian(b=0.0, sigma=1.0)
     width = _path_width(n_paths)
     header = ("t", "W", "S_star", "Y_star", "wave_position")

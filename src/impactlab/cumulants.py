@@ -127,7 +127,10 @@ class GammaProcess:
         return self.beta / (self.alpha + u)
 
     def _kappa_double_prime(self, u):
-        return -self.beta / (self.alpha + u) ** 2
+        # d*d, not d**2: a scalar d**2 calls pow, which can differ from the
+        # array square in the last bit
+        d = self.alpha + u
+        return -self.beta / (d * d)
 
     def mean(self) -> float:
         return self.beta / self.alpha
@@ -210,22 +213,3 @@ class OneSidedStable:
 
 LevyModel = Union[Brownian, GammaProcess, OneSidedStable]
 
-
-def kappa(model: LevyModel, u):
-    """Cumulant kappa(u) = -log E[exp(-u * X_1)]; raises DomainError outside U."""
-    return model.kappa(u)
-
-
-def kappa_prime(model: LevyModel, u):
-    """First derivative of kappa at an interior point of U."""
-    return model.kappa_prime(u)
-
-
-def kappa_double_prime(model: LevyModel, u):
-    """Second derivative of kappa; nonpositive everywhere it exists."""
-    return model.kappa_double_prime(u)
-
-
-def domain_contains(model: LevyModel, u) -> bool:
-    """True when u (scalar or array, all entries) lies in the family's domain U."""
-    return model.domain_contains(u)

@@ -10,11 +10,14 @@ along a simulated path, and the time-0 value of the whole allocation.
 All formulas reduce to cumulant evaluations at the composite aversion
 ``abar = c*gamma/(c+gamma)``; ``c = inf`` branches to ``abar = gamma``.
 
-Along simulated paths, every column that depends only on the scenario and
-the H' series (times, H', Y*, risk premium, convexity, the fee leg of the
-P&L) is built once, read-only, and shared; only x, s*, the endowment
-payoff, the P&L and the terminal wealth are computed per path.  The
-per-path functions are one-row cases of the batched ones.
+Each closed-form quantity (Y*, the EIPU, the risk premium, the convexity)
+is one function that broadcasts over h', t and x, and the efficient price
+is the price curve at the inventory -Y*.  Along simulated paths, every
+column that depends only on the scenario and the H' series (times, H', Y*,
+risk premium, convexity, the fee leg of the P&L) is those functions on the
+grid times, built once, read-only, and shared; only x, s*, the endowment
+payoff, the P&L and the terminal wealth are computed per path.  One record
+type holds either a path or a batch: a path is the one-row case.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .cumulants import LevyModel, OneSidedStable
-from .errors import DomainError, NonDifferentiableError, ParameterError
+from .errors import DomainError, ParameterError
 from .paths import PathBatch, PathGrid, PathSample, ShockSchedule
-from .utility import AgentPair
+from .utility import AgentPair, _check_time, levy_price_curve
 
 
 @dataclass(frozen=True)
@@ -51,11 +54,10 @@ class LevyScenario:
         g = self.agents.gamma
         if g > 0.0 and not self.model.domain_contains(g * self.a):
             raise DomainError("gamma * a outside the cumulant domain")
-        abar = self.agents.aggregate_aversion
         for level in self.schedule.levels():
             # gamma*(a - Y*) equals abar*(a + H') identically, so one check
             # covers both the supplier's and the aggregate's arguments.
-            if not self.model.domain_contains(abar * (self.a + level)):
+            if not self.model.domain_contains(self._argument(level)):
                 raise DomainError(
                     f"endowment level {level} pushes the aggregate argument out of domain"
                 )
@@ -63,6 +65,10 @@ class LevyScenario:
     @property
     def abar(self) -> float:
         return self.agents.aggregate_aversion
+
+    def _argument(self, h_prime):
+        """The aggregate cumulant argument abar*(a+h'), equal to gamma*(a - Y*)."""
+        return self.abar * (self.a + h_prime)
 
     @cached_property
     def _drift(self) -> float:
@@ -79,41 +85,34 @@ class LevyScenario:
         return [None]
 
 
-def optimal_position(agents: AgentPair, a: float, h_prime: float) -> float:
-    """Y* = gamma/(c+gamma) * a - c/(c+gamma) * h'; the c = inf limit is -h'."""
+def optimal_position(agents: AgentPair, a: float, h_prime):
+    """Y* = gamma/(c+gamma) * a - c/(c+gamma) * h'; the c = inf limit is -h'.
+
+    Broadcasts over h' (a float or an array, such as the grid series
+    ``schedule.series(grid)[:-1]`` of each interval's H').
+    """
     w = agents.demander_weight
     return (1.0 - w) * a - w * h_prime
 
 
-def optimal_position_series(scenario: LevyScenario) -> np.ndarray:
-    """Y* on each grid interval [t_i, t_{i+1}), from the snapped H' series."""
-    h = scenario.schedule.series(scenario.grid)[:-1]
-    w = scenario.agents.demander_weight
-    return (1.0 - w) * scenario.a - w * h
-
-
-def eipu(scenario: LevyScenario, x_t: float, h_prime_t: float, t: float) -> float:
+def eipu(scenario: LevyScenario, x_t, h_prime_t, t):
     """Expected-impact-adjusted unit value x_t + (1-t) * kappa'(abar*(a+h'))."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
-    u = scenario.abar * (scenario.a + h_prime_t)
-    return x_t + (1.0 - t) * scenario.model.kappa_prime(u)
+    _check_time(t)
+    return x_t + (1.0 - t) * scenario.model.kappa_prime(scenario._argument(h_prime_t))
 
 
-def risk_premium(scenario: LevyScenario, h_prime_t: float, t: float) -> float:
+def risk_premium(scenario: LevyScenario, h_prime_t, t):
     """(1-t) * (kappa'(0) - kappa'(abar*(a+h'))); subtracts from the compensated level."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
-    u = scenario.abar * (scenario.a + h_prime_t)
-    return (1.0 - t) * (scenario.model.kappa_prime(0.0) - scenario.model.kappa_prime(u))
+    _check_time(t)
+    drift = scenario._drift  # first: the stable family raises here whatever h' is
+    return (1.0 - t) * (drift - scenario.model.kappa_prime(scenario._argument(h_prime_t)))
 
 
-def efficient_convexity(scenario: LevyScenario, h_prime_t: float, t: float) -> float:
+def efficient_convexity(scenario: LevyScenario, h_prime_t, t):
     """-gamma * (1-t) * kappa''(abar*(a+h')) >= 0, the local price-curve curvature."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
-    u = scenario.abar * (scenario.a + h_prime_t)
-    return -scenario.agents.gamma * (1.0 - t) * scenario.model.kappa_double_prime(u)
+    _check_time(t)
+    curvature = scenario.model.kappa_double_prime(scenario._argument(h_prime_t))
+    return -scenario.agents.gamma * (1.0 - t) * curvature
 
 
 def efficient_price(
@@ -121,20 +120,13 @@ def efficient_price(
 ) -> float:
     """Price charged for y units when the market sits at the efficient inventory.
 
-    y*x_t + ((1-t)/gamma) * (kappa(ubar) - kappa(ubar - gamma*y)) with
-    ubar = abar*(a+h'); gamma = 0 degenerates to the risk-neutral line.
+    The price curve at inventory -Y*, since gamma*(a - Y*) = abar*(a+h'):
+    y*x_t + ((1-t)/gamma) * (kappa(abar*(a+h')) - kappa(abar*(a+h') - gamma*y));
+    gamma = 0 degenerates to the risk-neutral line.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
-    g = scenario.agents.gamma
-    ubar = scenario.abar * (scenario.a + h_prime_t)
-    if g == 0.0:
-        return y * (x_t + (1.0 - t) * scenario.model.kappa_prime(0.0))
-    if not scenario.model.domain_contains(ubar - g * y):
-        raise DomainError("trade size y leaves the cumulant domain")
-    return y * x_t + (1.0 - t) / g * (
-        scenario.model.kappa(ubar) - scenario.model.kappa(ubar - g * y)
-    )
+    y_star = optimal_position(scenario.agents, scenario.a, h_prime_t)
+    return levy_price_curve(scenario.model, scenario.agents.gamma, scenario.a, -y_star, y,
+                            x_t, t)
 
 
 def _fee_leg(scenario: LevyScenario, y: np.ndarray) -> float:
@@ -176,20 +168,21 @@ def allocation_value(scenario: LevyScenario) -> float:
     h_series = scenario.schedule.series(scenario.grid)[:-1]
     dt = scenario.grid.dt
     if g == 0.0:
-        drift = scenario.model.kappa_prime(0.0)
-        return scenario.schedule.h + drift * float(h_series.sum()) * dt
-    abar = scenario.abar
+        return scenario.schedule.h + scenario._drift * float(h_series.sum()) * dt
     inv_weight = 1.0 / g if math.isinf(agents.c) else (agents.c + g) / (agents.c * g)
-    body = inv_weight * float(np.sum(scenario.model.kappa(abar * (scenario.a + h_series)))) * dt
+    body = inv_weight * float(np.sum(scenario.model.kappa(scenario._argument(h_series)))) * dt
     return scenario.schedule.h + body - scenario.model.kappa(g * scenario.a) / g
 
 
 @dataclass(frozen=True)
-class EfficientPathRecord:
-    """Per-grid-time market state along one path, plus terminal wealth split.
+class EfficientRecord:
+    """Market state at every grid time along a path or a batch, plus the terminal
+    wealth split.
 
-    times, h_prime, y_star, risk_premium and convexity are read-only arrays
-    shared by every path with the same H' series.
+    times, h_prime, y_star, risk_premium and convexity are (n+1) read-only
+    arrays shared by every path with the same H' series.  x and s_star are
+    (n+1) for a ``PathSample`` and (paths, n+1) for a ``PathBatch``; the
+    wealth split is a float for a path and one value per path for a batch.
     """
 
     times: np.ndarray
@@ -199,30 +192,9 @@ class EfficientPathRecord:
     s_star: np.ndarray
     risk_premium: np.ndarray
     convexity: np.ndarray
-    endowment_payoff: float
-    trading_pnl: float
-    terminal_wealth: float
-
-
-@dataclass(frozen=True)
-class EfficientBatchRecord:
-    """``EfficientPathRecord`` for every path of a batch.
-
-    times, h_prime, y_star, risk_premium and convexity are the shared
-    read-only (n+1) columns; x and s_star are (paths, n+1) and the terminal
-    wealth split is one value per path.
-    """
-
-    times: np.ndarray
-    x: np.ndarray
-    h_prime: np.ndarray
-    y_star: np.ndarray
-    s_star: np.ndarray
-    risk_premium: np.ndarray
-    convexity: np.ndarray
-    endowment_payoff: np.ndarray
-    trading_pnl: np.ndarray
-    terminal_wealth: np.ndarray
+    endowment_payoff: float | np.ndarray
+    trading_pnl: float | np.ndarray
+    terminal_wealth: float | np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -239,28 +211,25 @@ def _shared_columns(scenario: LevyScenario, h_prime):
     if entry is not None and entry[0] == key:
         return entry[1]
     times = scenario.grid.times
-    w = scenario.agents.demander_weight
-    y_star = (1.0 - w) * scenario.a - w * h
-    model = scenario.model
-    u = model._check(scenario.abar * (scenario.a + h), strict=True)
-    slope = model._kappa_prime(u)
-    convexity = -scenario.agents.gamma * (1.0 - times) * model._kappa_double_prime(u)
-    if isinstance(model, OneSidedStable):
+    y_star = optimal_position(scenario.agents, scenario.a, h)
+    # -0.0 is the exact additive identity, so this is (1-t)*kappa' bit for bit
+    slope_leg = eipu(scenario, -0.0, h, times)
+    if isinstance(scenario.model, OneSidedStable):  # no compensated level
         premium = np.full_like(h, math.nan)
     else:
-        premium = (1.0 - times) * (scenario._drift - slope)
+        premium = risk_premium(scenario, h, times)
     shared = dict(times=times, h_prime=h.copy(), y_star=y_star, risk_premium=premium,
-                  convexity=convexity)
+                  convexity=efficient_convexity(scenario, h, times))
     value = (
         {name: _read_only(column) for name, column in shared.items()},
-        (1.0 - times) * slope,
+        slope_leg,
         _fee_leg(scenario, y_star[:-1]),
     )
     scenario._columns_memo[0] = (key, value)
     return value
 
 
-def _record(record_type, scenario: LevyScenario, paths):
+def _record(scenario: LevyScenario, paths) -> EfficientRecord:
     """One code path for a ``PathSample`` (1-d rows) and a ``PathBatch`` (matrices)."""
     shared, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
     endowment = scenario.schedule.h + np.vecdot(paths.increments, shared["h_prime"][:-1])
@@ -268,19 +237,19 @@ def _record(record_type, scenario: LevyScenario, paths):
     wealth = endowment + pnl
     if endowment.ndim == 0:
         endowment, pnl, wealth = float(endowment), float(pnl), float(wealth)
-    return record_type(x=paths.x, s_star=paths.x + slope_leg, endowment_payoff=endowment,
-                       trading_pnl=pnl, terminal_wealth=wealth, **shared)
+    return EfficientRecord(x=paths.x, s_star=paths.x + slope_leg, endowment_payoff=endowment,
+                           trading_pnl=pnl, terminal_wealth=wealth, **shared)
 
 
-def efficient_path_record(scenario: LevyScenario, path: PathSample) -> EfficientPathRecord:
+def efficient_path_record(scenario: LevyScenario, path: PathSample) -> EfficientRecord:
     """Evaluate the closed-form market along a simulated path.
 
     The risk premium column is NaN for the stable family, whose compensated
     level does not exist; s_star comes from the direct formula either way.
     """
-    return _record(EfficientPathRecord, scenario, path)
+    return _record(scenario, path)
 
 
-def efficient_batch_record(scenario: LevyScenario, batch: PathBatch) -> EfficientBatchRecord:
+def efficient_batch_record(scenario: LevyScenario, batch: PathBatch) -> EfficientRecord:
     """``efficient_path_record`` for every path of a batch, row k for path first + k."""
-    return _record(EfficientBatchRecord, scenario, batch)
+    return _record(scenario, batch)

@@ -18,6 +18,8 @@ and s).
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
 ``ShockWaveModel`` whose gradient field is an exact tanh traveling wave.
+Along driver paths, ``shockwave_path`` and ``shockwave_batch`` give one
+``ShockWaveRecord`` type, a path being the one-row case of a batch.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     QuadratureError,
 )
 from .paths import PathBatch, PathSample
-from .utility import AgentPair, ce, newton_root, tilted_mean, tilted_moments
+from .utility import AgentPair, _check_time, ce, newton_root, tilted_mean, tilted_moments
 
 DEFAULT_ORDER = 128
 # the largest order whose rule hermegauss computes finitely; it builds an
@@ -81,8 +83,7 @@ class MarkovPayoffs:
 
 
 def _check_t(t: float, terminal_ok: bool):
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
+    _check_time(t)
     if not terminal_ok and t >= 1.0:
         raise ParameterError("gradient fields need t < 1")
 
@@ -444,10 +445,12 @@ def shockwave_price(model: ShockWaveModel, t, w):
 
 
 @dataclass(frozen=True)
-class ShockWavePathRecord:
-    """Wave-market state along one driver path, one row per grid time.
+class ShockWaveRecord:
+    """Wave-market state along a driver path or a batch, one column per grid time.
 
-    times and wave_position do not depend on the path and are read-only.
+    w, s_star and y_star are (n+1) for a ``PathSample`` and (paths, n+1) for a
+    ``PathBatch``; times and wave_position do not depend on the path and are
+    read-only (n+1).
     """
 
     times: np.ndarray
@@ -457,25 +460,13 @@ class ShockWavePathRecord:
     wave_position: np.ndarray
 
 
-@dataclass(frozen=True)
-class ShockWaveBatchRecord:
-    """``ShockWavePathRecord`` for every path of a batch: w, s_star and y_star
-    are (paths, n+1); times and wave_position are shared, read-only (n+1)."""
-
-    times: np.ndarray
-    w: np.ndarray
-    s_star: np.ndarray
-    y_star: np.ndarray
-    wave_position: np.ndarray
-
-
-def _wave_record(record_type, model: ShockWaveModel, w, grid):
+def _wave_record(model: ShockWaveModel, w, grid) -> ShockWaveRecord:
     """One code path for a path's levels (1-d) and a batch's (paths, n+1) matrix."""
     times = grid.times
     times.flags.writeable = False
     position = wave_position(model, times)
     position.flags.writeable = False
-    return record_type(
+    return ShockWaveRecord(
         times=times,
         w=w,
         s_star=shockwave_price(model, times, w),
@@ -484,14 +475,14 @@ def _wave_record(record_type, model: ShockWaveModel, w, grid):
     )
 
 
-def shockwave_path(model: ShockWaveModel, path: PathSample, grid) -> ShockWavePathRecord:
+def shockwave_path(model: ShockWaveModel, path: PathSample, grid) -> ShockWaveRecord:
     """Evaluate the wave market along a standard Brownian driver path."""
-    return _wave_record(ShockWavePathRecord, model, path.x, grid)
+    return _wave_record(model, path.x, grid)
 
 
-def shockwave_batch(model: ShockWaveModel, batch: PathBatch, grid) -> ShockWaveBatchRecord:
+def shockwave_batch(model: ShockWaveModel, batch: PathBatch, grid) -> ShockWaveRecord:
     """``shockwave_path`` for every path of a batch, row k for path first + k."""
-    return _wave_record(ShockWaveBatchRecord, model, batch.x, grid)
+    return _wave_record(model, batch.x, grid)
 
 
 @dataclass(frozen=True)
@@ -506,7 +497,7 @@ class CrashEvent:
         return self.drawdown >= self.bound
 
 
-def crash_events(model: ShockWaveModel, record: ShockWavePathRecord) -> list:
+def crash_events(model: ShockWaveModel, record: ShockWaveRecord) -> list:
     """Upcrossings of the wave front and the realized price drawdown around each.
 
     A crossing happens between grid times t_i, t_{i+1} when

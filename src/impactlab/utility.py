@@ -227,14 +227,20 @@ def aggregated_utility(samples: SampleSet, agents: AgentPair) -> float:
     return certainty_equivalent(samples, agents.aggregate_aversion)
 
 
+def _check_time(t) -> None:
+    """Refuse a time t, or an array of them, with an entry outside [0, 1] (or NaN)."""
+    ok = (0.0 <= t) & (t <= 1.0)  # a bool for a float t, else a numpy bool or array
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise ParameterError("t must lie in [0, 1]")
+
+
 def levy_pi(model: LevyModel, gamma: float, z: float, x_t: float, t: float) -> float:
     """Supplier indifference value at time t of z units of the terminal factor.
 
     Equals z*x_t + ((1-t)/gamma) * kappa(gamma*z); the gamma = 0 branch is
     the analytic limit z*x_t + (1-t)*z*kappa'(0).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
+    _check_time(t)
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ParameterError("gamma must be finite and >= 0")
     if gamma == 0.0:
@@ -259,8 +265,7 @@ def levy_price_curve(
     Convex in y with P_t(z, 0) = 0.  gamma = 0 falls back to the risk-neutral
     line y * (x_t + (1-t)*kappa'(0)).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError("t must lie in [0, 1]")
+    _check_time(t)
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ParameterError("gamma must be finite and >= 0")
     if gamma == 0.0:

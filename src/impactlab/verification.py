@@ -17,7 +17,7 @@ from .cumulants import Brownian, GammaProcess, OneSidedStable
 from .dp import DpScenario, Lattice, conditional_pi, no_rebalance_check, value_recursion
 from .efficient import LevyScenario, allocation_value, optimal_position, realized_pnl
 from .markov import MarkovPayoffs, QuadraticModel, ShockWaveModel
-from .paths import PathGrid, PathSample, ShockSchedule, simulate_path
+from .paths import PathGrid, PathSample, ShockSchedule, simulate_batch, simulate_path
 from .utility import AgentPair, SampleSet, certainty_equivalent, levy_price_curve
 
 
@@ -130,7 +130,7 @@ def check_allocation_identity():
     scenario = LevyScenario(model, agents, 0.8, sched, grid)
     direct = allocation_value(scenario)
     h_series = sched.series(grid)[:-1]
-    y_star = np.array([optimal_position(agents, 0.8, hp) for hp in h_series])
+    y_star = optimal_position(agents, 0.8, h_series)
     dt = grid.dt
     fee = np.sum(
         model.kappa(agents.gamma * (0.8 - y_star)) - model.kappa(agents.gamma * 0.8)
@@ -216,15 +216,14 @@ def check_crash_bound():
     driver = Brownian(0.0, 1.0)
     grid = PathGrid(1000)
     found = 0
-    idx = 0
-    while found < 5 and idx < 100:
-        path = simulate_path(driver, grid, ShockSchedule(), seed=42, path_index=idx)
+    for idx, path in enumerate(simulate_batch(driver, grid, ShockSchedule(), 42, 100)):
         events = crash_events(model, shockwave_path(model, path, grid))
         if events:
             found += 1
             for event in events:
                 assert event.satisfied, (idx, event)
-        idx += 1
+            if found == 5:
+                break
     assert found == 5, "crossing paths not found"
 
 

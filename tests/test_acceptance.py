@@ -43,7 +43,7 @@ from impactlab.markov import (
     shockwave_path,
     tanh_field,
 )
-from impactlab.paths import PathGrid, ShockSchedule, simulate_batch, simulate_path
+from impactlab.paths import PathGrid, ShockSchedule, simulate_batch
 from impactlab.utility import AgentPair, levy_pi
 
 
@@ -214,10 +214,11 @@ def test_criterion_05_quadratic_gaussian_fields():
     denom = 1.0 + abar * model.b_quad * (1.0 - times)
     driver = Brownian(0.0, 1.0)
     qv = np.empty(n_paths)
-    for k in range(n_paths):
-        w_path = simulate_path(driver, grid, ShockSchedule(), seed=506, path_index=k).x
-        s_star = model.mu + model.sigma * (w_path - lin * abar * (1.0 - times)) / denom
-        qv[k] = np.sum(np.diff(s_star) ** 2)
+    for first in range(0, n_paths, 100):  # paths 0..999 of seed 506, 100 at a time
+        w_paths = simulate_batch(driver, grid, ShockSchedule(), seed=506, n_paths=100,
+                                 first=first).x
+        s_star = model.mu + model.sigma * (w_paths - lin * abar * (1.0 - times)) / denom
+        qv[first:first + 100] = np.sum(np.diff(s_star) ** 2, axis=1)
     # sigma^2 (c+gamma)^2 / (c+gamma+c*gamma*b(1-t))^2, averaged over [0, 1]
     target = model.sigma**2 / (1.0 + abar * model.b_quad)
     qv_ok = abs(qv.mean() - target) < 0.02 * target
@@ -256,8 +257,10 @@ def test_criterion_06_shock_wave():
     crossing_paths = 0
     events_checked = 0
     all_satisfied = True
-    for k in range(600):
-        path = simulate_path(driver, grid, ShockSchedule(), seed=606, path_index=k)
+    # paths 0..599 of seed 606, simulated a block of 100 at a time until enough cross
+    blocks = (simulate_batch(driver, grid, ShockSchedule(), seed=606, n_paths=100, first=first)
+              for first in range(0, 600, 100))
+    for path in itertools.chain.from_iterable(blocks):
         events = crash_events(model, shockwave_path(model, path, grid))
         if events:
             crossing_paths += 1

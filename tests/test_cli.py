@@ -806,6 +806,34 @@ def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("by_flag", [False, True])
+@pytest.mark.parametrize("mode", ["levy-sim", "shockwave"])
+def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch, mode,
+                                                         by_flag):
+    def never(*args, **kwargs):
+        raise AssertionError("no path array may be allocated")
+
+    monkeypatch.setattr(cli, "simulate_batch", never)
+    monkeypatch.setattr(cli.ShockSchedule, "series", never)
+    out = tmp_path / "o"
+    data = levy_config(out) if mode == "levy-sim" else shockwave_config(out)
+    steps = 10**10
+    assert cli._PATH_BYTES_PER_POINT * (steps + 1) > cli._DP_MEMORY_BUDGET
+    data["grid"] = 3 if by_flag else steps
+    argv = [mode, "--grid", str(steps)] if by_flag else [mode]
+    assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == ("--grid" if by_flag else "grid") and "GiB" in record["message"]
+    assert not out.exists()
+
+
+def test_path_grid_budget_accepts_millions_of_steps():
+    no_flag = mock.Mock(grid=None)
+    assert cli._path_grid(no_flag, cli.Section({"grid": 2_000_000}), 256).n_steps == 2_000_000
+    with pytest.raises(cli.ConfigError):
+        cli._path_grid(no_flag, cli.Section({"grid": 4_000_000}), 256)
+
+
 # ---------------------------------------------------------------------------
 # verify and plumbing
 

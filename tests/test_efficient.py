@@ -11,6 +11,7 @@ from impactlab import (
     DomainError,
     GammaProcess,
     LevyScenario,
+    NonDifferentiableError,
     OneSidedStable,
     ParameterError,
     PathGrid,
@@ -23,12 +24,12 @@ from impactlab import (
     efficient_price,
     eipu,
     optimal_position,
-    optimal_position_series,
     realized_pnl,
     risk_premium,
     simulate_batch,
     simulate_path,
 )
+from impactlab import verification
 
 
 def brownian_scenario(gamma=1.0, c=1.0, a=1.0, n=16, initial=0.0, shocks=(), h=0.0):
@@ -211,7 +212,7 @@ def test_allocation_value_is_ce_of_optimal_wealth():
     sched = ShockSchedule(initial_value=0.4, shocks=((0.5, -0.9),), h=0.2)
     scn = LevyScenario(model, agents, 0.7, sched, grid)
     h_series = sched.series(grid)[:-1]
-    y_star = optimal_position_series(scn)
+    y_star = optimal_position(agents, scn.a, h_series)
     dt = grid.dt
     fee = float(
         np.sum(model.kappa(agents.gamma * (scn.a - y_star)) - model.kappa(agents.gamma * scn.a))
@@ -260,15 +261,95 @@ def test_path_record_consistency():
     assert rec.terminal_wealth == pytest.approx(rec.endowment_payoff + rec.trading_pnl)
     assert np.all(rec.convexity >= 0.0)
     assert rec.convexity[-1] == 0.0  # t=1
-    w = scn.agents.demander_weight
-    assert np.allclose(rec.y_star, (1 - w) * scn.a - w * rec.h_prime)
-    for i in (0, 10, 31):
-        assert rec.s_star[i] == pytest.approx(
-            eipu(scn, float(rec.x[i]), float(rec.h_prime[i]), float(rec.times[i]))
-        )
-        assert rec.risk_premium[i] == pytest.approx(
-            risk_premium(scn, float(rec.h_prime[i]), float(rec.times[i]))
-        )
+    # every column is its array function on the grid times, exactly
+    assert np.array_equal(rec.times, scn.grid.times)
+    assert np.array_equal(rec.y_star, optimal_position(scn.agents, scn.a, rec.h_prime))
+    assert np.array_equal(rec.s_star, eipu(scn, rec.x, rec.h_prime, rec.times))
+    assert np.array_equal(rec.risk_premium, risk_premium(scn, rec.h_prime, rec.times))
+    assert np.array_equal(rec.convexity, efficient_convexity(scn, rec.h_prime, rec.times))
+
+
+def _family_scenarios():
+    schedule = ShockSchedule(initial_value=0.2, shocks=((0.25, 0.6), (0.75, -0.3)), h=0.1)
+    for model, agents in [
+        (Brownian(0.3, 1.1), AgentPair(0.8, 1.7)),
+        (GammaProcess(3.0, 1.0), AgentPair(1.2, 2.5)),
+        (OneSidedStable(1.2, 0.6), AgentPair(0.7, math.inf)),
+    ]:
+        yield LevyScenario(model, agents, 0.5, schedule, PathGrid(16))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scn", list(_family_scenarios()), ids=["brownian", "gamma", "stable"])
+def test_array_calls_equal_per_element_scalar_calls(scn):
+    rng = np.random.default_rng(77)
+    size = 2000
+    h = rng.uniform(-0.3, 0.8, size)
+    t = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size - 2)))
+    x = rng.normal(size=size)
+    each = [(float(xi), float(hi), float(ti)) for xi, hi, ti in zip(x, h, t)]
+    assert same_bits(optimal_position(scn.agents, scn.a, h),
+                     [optimal_position(scn.agents, scn.a, hi) for _, hi, _ in each])
+    assert same_bits(eipu(scn, x, h, t), [eipu(scn, *e) for e in each])
+    assert same_bits(efficient_convexity(scn, h, t),
+                     [efficient_convexity(scn, hi, ti) for _, hi, ti in each])
+    if isinstance(scn.model, OneSidedStable):
+        with pytest.raises(NonDifferentiableError):
+            risk_premium(scn, h, t)
+    else:
+        assert same_bits(risk_premium(scn, h, t), [risk_premium(scn, hi, ti) for _, hi, ti in each])
+    # broadcasting: a (paths, n+1) x against (n+1) h' and t rows, and a scalar h'
+    rows = x[:150].reshape(10, 15)
+    assert same_bits(eipu(scn, rows, h[:15], t[:15]),
+                     [[eipu(scn, xi, hi, ti) for xi, hi, ti in zip(r, h[:15], t[:15])] for r in rows])
+    assert same_bits(efficient_convexity(scn, 0.3, t), [efficient_convexity(scn, 0.3, ti) for ti in t])
+    with pytest.raises(ParameterError):
+        eipu(scn, x, h, np.where(t > 0.5, 1.5, t))
+    with pytest.raises(ParameterError):
+        efficient_convexity(scn, h, np.full(size, math.nan))
+
+
+@pytest.mark.parametrize("scn", list(_family_scenarios()), ids=["brownian", "gamma", "stable"])
+def test_record_columns_are_the_array_functions_on_the_grid(scn):
+    batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=19, n_paths=4)
+    h, times = scn.schedule.series(scn.grid), scn.grid.times
+    for rec in (efficient_batch_record(scn, batch), efficient_path_record(scn, batch[2])):
+        assert np.array_equal(rec.times, times)
+        assert np.array_equal(rec.h_prime, h)
+        assert np.array_equal(rec.y_star, optimal_position(scn.agents, scn.a, h))
+        assert np.array_equal(rec.s_star, eipu(scn, rec.x, h, times))
+        assert np.array_equal(rec.convexity, efficient_convexity(scn, h, times))
+        if isinstance(scn.model, OneSidedStable):
+            assert np.all(np.isnan(rec.risk_premium))
+        else:
+            assert np.array_equal(rec.risk_premium, risk_premium(scn, h, times))
+
+
+def test_record_s_star_keeps_the_sign_of_zero():
+    """A -0.0 level plus a -0.0 slope leg stays -0.0, as x + (1-t)*kappa' gives."""
+    scn = LevyScenario(Brownian(-0.0, 0.0), AgentPair(1.0, 2.0), 0.5, ShockSchedule(), PathGrid(4))
+    batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=3, n_paths=6)
+    assert np.any(np.signbit(batch.x))  # draws of -0.0 exist at this seed
+    slope = scn.model.kappa_prime(scn._argument(batch.h_prime))
+    want = batch.x + (1.0 - scn.grid.times) * slope
+    assert same_bits(efficient_batch_record(scn, batch).s_star, want)
+    assert same_bits(eipu(scn, batch.x, batch.h_prime, scn.grid.times), want)
+
+
+def test_allocation_identity_check_takes_y_star_in_one_array_call(monkeypatch):
+    calls = []
+
+    def counted(agents, a, h_prime):
+        calls.append(np.shape(h_prime))
+        return optimal_position(agents, a, h_prime)
+
+    monkeypatch.setattr(verification, "optimal_position", counted)
+    verification.check_allocation_identity()
+    assert calls == [(32,)]
 
 
 def test_path_record_stable_premium_is_nan():
@@ -279,5 +360,10 @@ def test_path_record_stable_premium_is_nan():
     path = simulate_path(scn.model, scn.grid, scn.schedule, seed=2)
     rec = efficient_path_record(scn, path)
     assert np.all(np.isnan(rec.risk_premium))
+    # the function itself refuses: kappa'(0) is infinite for the stable family
+    with pytest.raises(NonDifferentiableError):
+        risk_premium(scn, rec.h_prime, rec.times)
+    with pytest.raises(NonDifferentiableError):
+        risk_premium(scn, 0.5, 0.3)
     assert np.all(np.isfinite(rec.s_star))
     assert np.all(np.isfinite(rec.convexity))

@@ -39,7 +39,7 @@ from impactlab.markov import (
     tanh_field,
     wave_position,
 )
-from impactlab.paths import PathGrid, PathSample, ShockSchedule, simulate_path
+from impactlab.paths import PathGrid, PathSample, ShockSchedule, simulate_batch, simulate_path
 from impactlab.cumulants import Brownian
 from impactlab.utility import AgentPair
 
@@ -463,8 +463,7 @@ def test_shockwave_path_record_and_crash_events():
     driver = Brownian(0.0, 1.0)
     schedule = ShockSchedule()
     found = 0
-    for k in range(6):
-        path = simulate_path(driver, grid, schedule, seed=42, path_index=k)
+    for path in simulate_batch(driver, grid, schedule, seed=42, n_paths=6):
         record = shockwave_path(model, path, grid)
         assert record.times.shape == record.w.shape == record.s_star.shape
         assert np.allclose(record.s_star, shockwave_price(model, grid.times, path.x))

@@ -79,12 +79,7 @@ def test_path_shape_invariants():
 def test_brownian_terminal_moments():
     grid = PathGrid(1000)
     model = Brownian(b=0.0, sigma=1.0)
-    terminals = np.array(
-        [
-            simulate_path(model, grid, ShockSchedule(), seed=42, path_index=k).x[-1]
-            for k in range(2000)
-        ]
-    )
+    terminals = simulate_batch(model, grid, ShockSchedule(), seed=42, n_paths=2000).x[:, -1]
     assert abs(terminals.mean()) < 3.0 / math.sqrt(2000)
     assert terminals.var(ddof=1) == pytest.approx(1.0, rel=0.1)
 
@@ -92,12 +87,7 @@ def test_brownian_terminal_moments():
 def test_gamma_terminal_mean():
     grid = PathGrid(100)
     model = GammaProcess(alpha=2.0, beta=3.0)
-    terminals = np.array(
-        [
-            simulate_path(model, grid, ShockSchedule(), seed=7, path_index=k).x[-1]
-            for k in range(2000)
-        ]
-    )
+    terminals = simulate_batch(model, grid, ShockSchedule(), seed=7, n_paths=2000).x[:, -1]
     se = terminals.std(ddof=1) / math.sqrt(2000)
     assert abs(terminals.mean() - 1.5) < 3 * se
 
@@ -121,14 +111,8 @@ def test_martingale_empirical():
     # mean of X~ at interior times stays near its time-0 value
     grid = PathGrid(100)
     model = Brownian(b=1.0, sigma=1.0)
-    tilde = np.array(
-        [
-            martingale_component(
-                model, simulate_path(model, grid, ShockSchedule(), seed=11, path_index=k), grid
-            )
-            for k in range(3000)
-        ]
-    )
+    batch = simulate_batch(model, grid, ShockSchedule(), seed=11, n_paths=3000)
+    tilde = martingale_component(model, batch, grid)  # one row per path
     for t_idx in (25, 50, 75, 100):
         se = tilde[:, t_idx].std(ddof=1) / math.sqrt(3000)
         assert abs(tilde[:, t_idx].mean() - 1.0) < 3 * se
