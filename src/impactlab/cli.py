@@ -17,8 +17,9 @@ the same config and seed are byte-identical.  Every mode writes its files
 into a staging directory whose files move into the output directory only
 after the last one is written, so a failed run adds no file (and removes
 the output directory if it made it and it is still empty).  The path
-modes simulate in blocks of paths and format each path-independent column
-once per run.
+modes simulate in blocks of paths.  They write the text of the
+path-independent columns once per run, into a row template that each path
+file fills with its own columns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -74,7 +75,6 @@ from .markov import (
 )
 from .paths import PathGrid, ShockSchedule, simulate_batch
 from .utility import AgentPair
-from .verification import run_all
 
 SCHEMA_VERSION = 1
 
@@ -373,10 +373,11 @@ def _over_budget(field: str, what: str, need: float) -> None:
 
 
 # One path of levy-sim or shockwave holds its levels, increments, H' series and
-# record columns, plus the path-independent columns formatted once as strings:
-# about 500 bytes a grid point for levy-sim and 350 for shockwave, as measured
-# with tracemalloc on one-path runs; 600 leaves some room.
-_PATH_BYTES_PER_POINT = 600
+# record columns, plus the row template's text of the path-independent columns:
+# about 250 bytes a grid point for levy-sim and 140-180 for shockwave, as
+# measured with tracemalloc on one- and two-path runs; 300 leaves room for the
+# longest values' text.
+_PATH_BYTES_PER_POINT = 300
 
 
 def _path_grid(args, root: Section, default: int) -> PathGrid:
@@ -424,14 +425,12 @@ _BLOCK_ROWS = 4096  # rows per formatted write: the text held stays bounded for 
 
 
 def _prepared(header: Sequence[str], columns):
-    """Columns ready for %-formatting, and the line format; checks their shape."""
+    """Columns ready for %-formatting, and the text format of each block; checks
+    their shape."""
     cols, specs = [], []
     for col in map(np.asarray, columns):
         if col.dtype == np.bool_:
             cols.append(np.where(col, "true", "false"))
-            specs.append("%s")
-        elif col.dtype.kind == "U":
-            cols.append(col)
             specs.append("%s")
         elif np.issubdtype(col.dtype, np.integer):
             cols.append(col)
@@ -441,41 +440,83 @@ def _prepared(header: Sequence[str], columns):
             specs.append("%.17g")
     if len(cols) != len(header) or len({len(c) for c in cols}) > 1:
         raise ValueError("emit_csv needs one equal-length column per header field")
-    return cols, ",".join(specs) + "\n"
+    rows = len(cols[0]) if cols else 0
+    return _block_texts(",".join(specs) + "\n", rows), _row_values(cols, rows)
 
 
-def _write_rows(fh, cols, line: str) -> None:
-    for start in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS):
-        block = [c[start:start + _BLOCK_ROWS].tolist() for c in cols]
-        values = [None] * (len(block) * len(block[0]))
-        for j, col in enumerate(block):
-            values[j::len(block)] = col
-        fh.write(line * len(block[0]) % tuple(values))
+def _block_texts(line: str, rows: int):
+    """The format of each _BLOCK_ROWS block of a ``rows``-row table of lines ``line``."""
+    return (line * min(_BLOCK_ROWS, rows - start) for start in range(0, rows, _BLOCK_ROWS))
 
 
-def emit_csv(path: Path, header: Sequence[str], columns=(), *, blocks=None) -> None:
+def _row_values(cols, rows: int):
+    """The values of each _BLOCK_ROWS block of ``rows``-long columns, row by row."""
+    for start in range(0, rows, _BLOCK_ROWS):
+        values = [None] * (len(cols) * min(_BLOCK_ROWS, rows - start))
+        for j, col in enumerate(cols):
+            values[j::len(cols)] = col[start:start + _BLOCK_ROWS].tolist()
+        yield tuple(values)
+
+
+class _RowTemplate(NamedTuple):
+    """The rows of many files that share some float columns, those columns written."""
+
+    fields: int  # columns in a row
+    slots: int  # per-file columns in a row, each a %.17g slot
+    rows: int
+    blocks: List[str]  # the text of each _BLOCK_ROWS block
+
+
+def _row_template(columns) -> _RowTemplate:
+    """Write once the float columns that every file of a run shares.
+
+    ``columns`` has one entry per header field: a shared float column, or None
+    for a per-file float column, which becomes a %.17g slot.  Each shared value
+    is the text emit_csv writes for it, so a file written through the template
+    has the bytes of one written without it.
+    """
+    shared = [np.asarray(c, dtype=float) + 0.0 for c in columns if c is not None]
+    if not shared or len({len(c) for c in shared}) > 1:
+        raise ValueError("a row template needs equal-length shared columns, at least one")
+    rows = len(shared[0])
+    line = ",".join("%.17g" if c is not None else "%%.17g" for c in columns) + "\n"
+    blocks = [text % values for text, values in zip(_block_texts(line, rows),
+                                                    _row_values(shared, rows))]
+    return _RowTemplate(len(columns), len(columns) - len(shared), rows, blocks)
+
+
+def _filled(header: Sequence[str], columns, template: _RowTemplate):
+    """The per-file columns of ``template`` ready for its slots; checks their shape."""
+    cols = [np.asarray(c, dtype=float) + 0.0 for c in columns]
+    if (len(header) != template.fields or len(cols) != template.slots
+            or any(len(c) != template.rows for c in cols)):
+        raise ValueError("emit_csv needs one column of the template's length per slot")
+    return template.blocks, _row_values(cols, template.rows)
+
+
+def emit_csv(path: Path, header: Sequence[str], columns=(), *, blocks=None,
+             template: Optional[_RowTemplate] = None) -> None:
     """Header + equal-length columns, LF endings, byte-stable.
 
-    Bools are written true/false and integers with %d.  String columns are
-    written as they are (see ``_formatted``).  Everything else is float64
-    written with %.17g after adding +0.0: -0.0 as 0; nan, inf, -inf.
+    Bools are written true/false and integers with %d.  Everything else is
+    float64 written with %.17g after adding +0.0: -0.0 as 0; nan, inf, -inf.
     ``blocks``, an iterable of such column sets, writes their rows one block
     after another under the one header, holding one block at a time.
+    ``template``, from ``_row_template``, holds the text of the columns that
+    many files share; ``columns`` are then the float columns of its slots, in
+    order.
     """
-    tables = (_prepared(header, b) for b in ([columns] if blocks is None else blocks))
+    if template is not None:
+        tables = iter([_filled(header, columns, template)])
+    else:
+        tables = (_prepared(header, b) for b in ([columns] if blocks is None else blocks))
     table = next(tables, None)  # a malformed first table raises before the file is opened
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         while table is not None:
-            _write_rows(fh, *table)
+            for text, values in zip(*table):
+                fh.write(text % values)
             table = next(tables, None)
-
-
-def _formatted(column) -> np.ndarray:
-    """A float column as the strings emit_csv would write for it, to format it once
-    and write it to many files."""
-    values = (np.asarray(column, dtype=float) + 0.0).tolist()
-    return np.array(["%.17g" % v for v in values])
 
 
 @contextlib.contextmanager
@@ -573,17 +614,16 @@ def _run_levy_sim(args) -> int:
     width = _path_width(n_paths)
     alloc = allocation_value(scenario)
     header = ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity")
-    shared, summary = None, []
+    template, summary = None, []
     with _staged(out, args.quiet) as stage:
         for batch in _path_blocks(model, grid, schedule, seed, n_paths):
             record = efficient_batch_record(scenario, batch)
-            if shared is None:
-                shared = [_formatted(c) for c in (record.times, record.h_prime, record.y_star,
-                                                  record.risk_premium, record.convexity)]
-            t, h_prime, y_star, premium, convexity = shared
+            if template is None:
+                template = _row_template((record.times, None, record.h_prime, record.y_star,
+                                          None, record.risk_premium, record.convexity))
             for k, x, s_star in zip(itertools.count(batch.first), record.x, record.s_star):
-                emit_csv(stage / f"levy_path_{k:0{width}d}.csv", header,
-                         (t, x, h_prime, y_star, s_star, premium, convexity))
+                emit_csv(stage / f"levy_path_{k:0{width}d}.csv", header, (x, s_star),
+                         template=template)
             summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
         emit_csv(
             stage / "levy_summary.csv",
@@ -614,7 +654,8 @@ def _run_markov_fields(args) -> int:
     if w_min > w_max:
         raise ConfigError("w.max", "must be >= w.min")
     count = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
-    _over_budget("w.count", f"a w grid of {count} points", 8.0 * count)
+    _over_budget("w.count" if args.grid is None else "--grid", f"a w grid of {count} points",
+                 8.0 * count)
 
     sec = root.section("model")
     kind = sec.string("kind", choices=("quadratic", "shockwave"))
@@ -667,17 +708,16 @@ def _run_shockwave(args) -> int:
     driver = Brownian(b=0.0, sigma=1.0)
     width = _path_width(n_paths)
     header = ("t", "W", "S_star", "Y_star", "wave_position")
-    shared = None
+    template = None
     with _staged(out, args.quiet) as stage:
         for batch in _path_blocks(driver, grid, ShockSchedule(), seed, n_paths):
             record = shockwave_batch(model, batch, grid)
-            if shared is None:
-                shared = [_formatted(record.times), _formatted(record.wave_position)]
-            t, position = shared
+            if template is None:
+                template = _row_template((record.times, None, None, None, record.wave_position))
             rows = zip(itertools.count(batch.first), record.w, record.s_star, record.y_star)
             for k, w, s_star, y_star in rows:
                 emit_csv(stage / f"shockwave_path_{k:0{width}d}.csv", header,
-                         (t, w, s_star, y_star, position))
+                         (w, s_star, y_star), template=template)
     return 0
 
 
@@ -757,6 +797,8 @@ def _run_convergence(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .verification import run_all  # here, not at the top: no other mode compiles it
+
     passed, failed = run_all(quiet=args.quiet)
     return 0 if failed == 0 else 1
 

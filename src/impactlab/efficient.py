@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cumulants import LevyModel, OneSidedStable
+from .cumulants import LevyModel, OneSidedStable, _value
 from .errors import DomainError, ParameterError
 from .paths import PathBatch, PathGrid, PathSample, ShockSchedule
 from .utility import AgentPair, _check_time, levy_price_curve
@@ -112,7 +112,11 @@ def efficient_convexity(scenario: LevyScenario, h_prime_t, t):
     """-gamma * (1-t) * kappa''(abar*(a+h')) >= 0, the local price-curve curvature."""
     _check_time(t)
     curvature = scenario.model.kappa_double_prime(scenario._argument(h_prime_t))
-    return -scenario.agents.gamma * (1.0 - t) * curvature
+    remaining = 1.0 - t
+    with np.errstate(invalid="ignore"):
+        convexity = -scenario.agents.gamma * remaining * curvature
+    # a tiny argument makes the stable family's kappa'' infinite: 0 at t = 1, not 0 * inf
+    return _value(np.where(remaining == 0.0, 0.0, convexity))
 
 
 def efficient_price(

@@ -80,7 +80,7 @@ def old_efficient_path_record(scenario, path):
     slope = np.atleast_1d(scenario.model.kappa_prime(u))
     s_star = path.x + (1.0 - times) * slope
     curv = np.atleast_1d(scenario.model.kappa_double_prime(u))
-    convexity = -scenario.agents.gamma * (1.0 - times) * curv
+    convexity = np.where(times == 1.0, 0.0, -scenario.agents.gamma * (1.0 - times) * curv)
     if isinstance(scenario.model, OneSidedStable):
         premium = np.full_like(s_star, math.nan)
     else:

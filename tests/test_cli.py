@@ -802,7 +802,7 @@ def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys,
     data["w"]["count"] = 3 if by_flag else count
     assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
     record = stderr_record(capsys)
-    assert record["field"] == "w.count" and "GiB" in record["message"]
+    assert record["field"] == ("--grid" if by_flag else "w.count") and "GiB" in record["message"]
     assert not out.exists()
 
 
@@ -830,8 +830,9 @@ def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monke
 def test_path_grid_budget_accepts_millions_of_steps():
     no_flag = mock.Mock(grid=None)
     assert cli._path_grid(no_flag, cli.Section({"grid": 2_000_000}), 256).n_steps == 2_000_000
+    assert cli._path_grid(no_flag, cli.Section({"grid": 7_000_000}), 256).n_steps == 7_000_000
     with pytest.raises(cli.ConfigError):
-        cli._path_grid(no_flag, cli.Section({"grid": 4_000_000}), 256)
+        cli._path_grid(no_flag, cli.Section({"grid": 7_200_000}), 256)
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +901,7 @@ def _reference_csv(header, columns) -> bytes:
 
 
 _SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e300, -1e300]
+_FLOATS = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(_SPECIAL_FLOATS)
 
 
 @st.composite
@@ -908,8 +910,7 @@ def _csv_tables(draw):
     columns = []
     for kind in draw(st.lists(st.sampled_from(["float", "int", "bool"]), min_size=1, max_size=5)):
         if kind == "float":
-            elements = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(_SPECIAL_FLOATS)
-            col = draw(arrays(np.float64, n_rows, elements=elements))
+            col = draw(arrays(np.float64, n_rows, elements=_FLOATS))
         elif kind == "int":
             col = draw(arrays(np.int64, n_rows, elements=st.integers(-(2**63), 2**63 - 1)))
         else:
@@ -926,6 +927,40 @@ def test_emit_csv_matches_row_writer_reference(tmp_path_factory, columns, block_
     with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
         emit_csv(target, header, columns)
     assert target.read_bytes() == _reference_csv(header, columns)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n_rows=st.integers(0, 12), shared=st.lists(st.booleans(), min_size=1, max_size=6),
+       block_rows=st.integers(1, 5), data=st.data())
+def test_row_template_writes_the_bytes_of_emit_csv(tmp_path_factory, n_rows, shared, block_rows,
+                                                   data):
+    """A file through a row template equals emit_csv without it and the row writer."""
+    shared[data.draw(st.integers(0, len(shared) - 1))] = True  # a template shares a column
+    columns = [data.draw(arrays(np.float64, n_rows, elements=_FLOATS)) for _ in shared]
+    header = [f"c{j}" for j in range(len(columns))]
+    folder = tmp_path_factory.mktemp("template")
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        template = cli._row_template([c if s else None for c, s in zip(columns, shared)])
+        emit_csv(folder / "template.csv", header, [c for c, s in zip(columns, shared) if not s],
+                 template=template)
+        emit_csv(folder / "plain.csv", header, columns)
+    want = _reference_csv(header, columns)
+    assert (folder / "plain.csv").read_bytes() == want
+    assert (folder / "template.csv").read_bytes() == want
+
+
+def test_row_template_refuses_columns_that_do_not_fit(tmp_path):
+    template = cli._row_template([[1.0, 2.0], None, [3.0, -0.0]])
+    emit_csv(tmp_path / "ok.csv", ("a", "b", "c"), ([0.5, math.nan],), template=template)
+    assert (tmp_path / "ok.csv").read_text(encoding="utf-8") == "a,b,c\n1,0.5,3\n2,nan,0\n"
+    for header, columns in [(("a", "b", "c"), ([0.5],)), (("a", "b", "c"), ([0.5, 1.0], [1.0, 2.0])),
+                            (("a", "b"), ([0.5, 1.0],))]:
+        with pytest.raises(ValueError):
+            emit_csv(tmp_path / "bad.csv", header, columns, template=template)
+    assert not (tmp_path / "bad.csv").exists()
+    for columns in ([None], [[1.0], None, [1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            cli._row_template(columns)
 
 
 # sha256 of every CSV written by the three runs below, recorded from the
@@ -970,13 +1005,15 @@ def test_csv_bytes_match_recorded_digests(tmp_path, mode):
 
 def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
     """Importing the CLI and running its path modes loads no scipy (no module in
-    the package imports it; see the next test for every mode)."""
+    the package imports it; see the next test for every mode), and no
+    ``impactlab.verification``, which only ``verify`` imports."""
     levy = write_config(tmp_path, levy_config(tmp_path / "levy"), "levy.yaml")
     shock = write_config(tmp_path, shockwave_config(tmp_path / "shock"), "shock.yaml")
     code = "\n".join([
         "import json, sys",
         "import impactlab.cli as cli",
-        "loaded = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "loaded = lambda: sorted(m for m in sys.modules",
+        "                        if m in ('scipy', 'impactlab.verification') or m.startswith('scipy.'))",
         "seen = [loaded()]",
         f"assert cli.main(['levy-sim', '--config', {levy!r}, '--quiet']) == 0",
         "seen.append(loaded())",

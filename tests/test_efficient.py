@@ -367,3 +367,17 @@ def test_path_record_stable_premium_is_nan():
         risk_premium(scn, 0.5, 0.3)
     assert np.all(np.isfinite(rec.s_star))
     assert np.all(np.isfinite(rec.convexity))
+
+
+def test_stable_convexity_is_zero_at_maturity_for_a_tiny_argument():
+    """kappa'' overflows to -inf as abar*(a + h') -> 0: the convexity is 0 at t = 1, not NaN."""
+    scn = LevyScenario(
+        OneSidedStable(1.0, 0.5), AgentPair(0.5, math.inf), 1e-300, ShockSchedule(), PathGrid(4),
+    )
+    with np.errstate(over="ignore"):
+        assert scn.model.kappa_double_prime(scn._argument(0.0)) == -math.inf
+        assert efficient_convexity(scn, 0.0, 1.0) == 0.0
+        column = efficient_convexity(scn, np.zeros(5), scn.grid.times)
+        record = efficient_batch_record(scn, simulate_batch(scn.model, scn.grid, scn.schedule, 5, 3))
+    assert np.all(np.isinf(column[:-1])) and column[-1] == 0.0
+    assert np.array_equal(record.convexity, column)
