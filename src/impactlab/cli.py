@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -42,6 +43,8 @@ import yaml
 from . import __version__
 from .cumulants import Brownian, GammaProcess, OneSidedStable
 from .dp import (
+    _COARSE_INTERVALS,
+    _SCAN_CELLS,
     DpScenario,
     Lattice,
     buy_and_hold_position,
@@ -203,6 +206,18 @@ class Section:
         return out
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, reading YAML 1.2 floats that YAML 1.1 leaves as
+    strings: an exponent without a '.' or without a sign (1e-05, 2.5e3)."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def _load_config(path: Optional[str], mode: str) -> Section:
     if path is None:
         raise ConfigError("config", f"mode {mode!r} requires --config")
@@ -211,7 +226,7 @@ def _load_config(path: Optional[str], mode: str) -> Section:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"invalid YAML: {exc}") from exc
     root = Section(data if data is not None else {}, "")
@@ -388,15 +403,24 @@ def _path_grid(args, root: Section, default: int) -> PathGrid:
     return PathGrid(n_steps)
 
 
-def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int) -> DpScenario:
+def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int,
+                 refine: bool = True) -> DpScenario:
     """``lattice_n`` is the largest lattice the run will build."""
     adm = root.section("admissible")
     adm.require_keys({"lo", "hi"})
     lo, hi = adm.number("lo"), adm.number("hi")
     resolution = root.number("y_resolution", default=1e-3, positive=True)
     points = (hi - lo) / resolution + 1.0  # float: a tiny resolution must not overflow
+    rows = lattice_n + 2
+    if refine:
+        # menus on the scan grid (its intervals, an end and the tie-break point),
+        # the leaf windows of a level (2 (level+1) (n-level) cells), and a
+        # fallback's whole-grid rows and chunks
+        cells = rows * (min(points, _COARSE_INTERVALS + 2.0) + rows / 2) + points + _SCAN_CELLS
+    else:
+        cells = rows * points
     _over_budget("y_resolution", f"the recursion at n={lattice_n} on {points:.4g} grid points",
-                 _DP_BYTES_PER_CELL * (lattice_n + 2) * points)
+                 _DP_BYTES_PER_CELL * cells)
     payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
     lattice = Lattice(lattice_n)
     # DpScenario checks lo < hi, then lo <= 0 <= hi, then 0 < resolution <= hi - lo.
@@ -730,7 +754,7 @@ def _run_dp_value(args) -> int:
     agents = _agents(root)
     lattice_n = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
     refine = root.boolean("refine", default=True)
-    scenario = _dp_scenario(root, agents, lattice_n)
+    scenario = _dp_scenario(root, agents, lattice_n, refine)
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
@@ -784,7 +808,7 @@ def _run_convergence(args) -> int:
     limit = None
     if root.data.get("limit") is not None:
         limit = root.number("limit")
-    scenario = _dp_scenario(root, agents, n_list[-1])
+    scenario = _dp_scenario(root, agents, n_list[-1], refine)
     out = _out_path(root, args)
 
     table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)

@@ -187,7 +187,9 @@ class OneSidedStable:
         return self.r * self.alpha * u ** (self.alpha - 1.0)
 
     def _kappa_double_prime(self, u):
-        return self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
+        # u**(alpha - 2) overflows for a tiny u; its inf, and so -inf here, is the exact limit
+        with np.errstate(over="ignore"):
+            return self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
 
     def mean(self) -> float:
         raise NonDifferentiableError(

@@ -9,24 +9,34 @@ the form Pi_t(G - y*S).  Cash never enters the state: values are stored
 net of cash and the identity V(x, z) = x + V(0, z) is what tests check.
 
 Each level is a few array operations over all its nodes.  The menus
-Pi(G - y*S) on an inventory grid of resolution ``y_resolution`` rise from
-the leaves by the tower property, O(n^2 * grid) in all; the grid argmax
-(ties toward the smallest |y|, then negative y) is polished by lockstep
-safeguarded Newton steps between its neighbors.  The objective's first and
-second y-derivatives are tilted moments of S over the leaves and of the
-children's derivatives over the coin flip (``utility.tilted_moments``), so
-each step costs about one objective evaluation; a zero derivative at the
-grid point keeps it.
+Pi(G - y*S) on a scan grid rise from the leaves by the tower property,
+O(n^2 * grid) in all, and each node takes the grid argmax (ties toward the
+smallest |y|, then negative y).  With refinement off the scan grid is the
+whole inventory grid of resolution ``y_resolution``.  With it on, the scan
+grid is a coarse subset of about 64 intervals (``_scan_grid``), and the
+argmax is polished by lockstep safeguarded Newton steps between its scan
+neighbours, from the vertex of the parabola through the three scan values.
+The objective's first and second y-derivatives are tilted moments of S over
+the leaves and of the children's derivatives over the coin flip
+(``utility.tilted_moments``), so each step costs about one objective
+evaluation.  A first derivative whose two terms cancel to within a few ulps
+is taken as 0, so Newton stops at the roundoff floor instead of stepping on
+noise, and a zero derivative at the start keeps it.  A node whose scan row
+has two or more local maxima, or whose objective is convex at Newton's point,
+falls back to a scan of the whole inventory grid from its leaves and
+Newton between that grid's neighbours; so ``y_resolution`` sets the
+refine-off scan and the refine-on fallback.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
@@ -35,6 +45,9 @@ from .utility import ce, newton_root, tilted_mean, tilted_moments
 _LOG2 = math.log(2.0)
 _COIN = np.full(2, -_LOG2)  # log-weights of one fair coin flip
 _PAIR = _COIN[:, None, None]  # the same, along axis 0 of a (2, nodes, grid) pair array
+_COARSE_INTERVALS = 64  # the refine-on scan grid's intervals over the admissible range
+_SLOPE_FLOOR = 4 * np.finfo(float).eps  # F' this close to its terms' cancellation is 0
+_SCAN_CELLS = 1 << 18  # entries of the largest array a whole-grid fallback scan builds
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,7 @@ class Lattice:
 
 @dataclass(frozen=True)
 class DpScenario:
-    """Lattice, terminal payoff data, admissible inventory interval, scan resolution."""
+    """Lattice, terminal payoff data, admissible inventory interval, inventory grid resolution."""
 
     lattice: Lattice
     payoffs: MarkovPayoffs
@@ -140,18 +153,48 @@ def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
     return menus
 
 
+def _scan_grid(scenario: DpScenario, refine: bool) -> np.ndarray:
+    """The y points the menus are carried on and the grid argmax is taken over.
+
+    Refine off: the whole y grid.  Refine on: every k-th point of it, for
+    k = ceil((N - 1) / 64), with both ends and the point the whole grid's
+    tie-break picks on a flat objective (smallest |y|, then negative y), so
+    that flat objectives and policies on a bound keep the whole grid's
+    answers, and a grid of at most 65 points is its own subset.
+    """
+    y = scenario.y_grid()
+    if not refine:
+        return y
+    keep = np.zeros(y.size, dtype=bool)
+    keep[::-(-(y.size - 1) // _COARSE_INTERVALS)] = True
+    # the first of the smallest |y| is the negative one: y increases
+    keep[-1] = keep[np.argmin(np.abs(y))] = True
+    return y[keep]
+
+
+def _tie_broken_argmax(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Column of each row's maximum; ties go to the smallest |y|, then to negative y."""
+    order = np.lexsort((y >= 0.0, np.abs(y)))
+    ranked = rows[:, order]
+    return order[np.argmax(ranked == ranked.max(axis=1, keepdims=True), axis=1)]
+
+
 def sup_convolution(
     scenario: DpScenario, level: int, continuation: np.ndarray, refine: bool = True,
-    menus: Optional[np.ndarray] = None,
+    menus: Optional[np.ndarray] = None, *, tally: Optional[Counter] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One backward step: from the composed field at level+1 to level.
 
     For each node, maximizes over the post-trade inventory y the sum of the
     demander's one-step CE of (continuation - Pi_child(G - y*S)) and the
     supplier's one-step CE of Pi_child(G - y*S).  ``menus``, when given,
-    holds the children's Pi(G - y*S) on the y grid, one row per node at
-    level+1, and its first level+1 rows are overwritten with this level's;
-    without it the children's rows are built up from the leaves.
+    holds the children's Pi(G - y*S) on the scan grid (the y grid, or with
+    ``refine`` its coarse subset), one row per node at level+1, and its first
+    level+1 rows are overwritten with this level's; without it the children's
+    rows are built up from the leaves.  ``tally``, when given, gets the
+    refinement's ``evaluations`` (calls of the objective or its derivatives
+    from the leaves, each over the nodes it serves) and ``fallback_nodes``
+    added to it.
     """
     lat = scenario.lattice
     if not 0 <= level < lat.n:
@@ -160,71 +203,146 @@ def sup_convolution(
     if continuation.shape != (level + 2,):
         raise ParameterError("continuation must hold one value per node at level+1")
     gamma, c = scenario.agents.gamma, scenario.agents.c
-    y = scenario.y_grid()
+    y = _scan_grid(scenario, refine)
     if menus is None:
         menus = _level_menus(scenario, level + 1, y)
     elif menus.shape != (level + 2, y.size):
-        raise ParameterError("menus must hold one y-grid row per node at level+1")
+        raise ParameterError("menus must hold one scan-grid row per node at level+1")
 
     owed, pairs = _pairs(continuation), _pairs(menus)
     own = ce(pairs, _PAIR, gamma, axis=0)  # this level's menus, also the supplier term
     objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), _PAIR, c, axis=0) + own
     menus[:level + 1] = own
-    # grid argmax per node; ties go to the smallest |y|, then to negative y
-    order = np.lexsort((y >= 0.0, np.abs(y)))
-    ranked = objective[:, order]
-    j = order[np.argmax(ranked == ranked.max(axis=1, keepdims=True), axis=1)]
+    j = _tie_broken_argmax(objective, y)
     if not refine:
         return objective[np.arange(level + 1), j], y[j]
-    return _refine(scenario, level, owed, y, j)
+    return _refine(scenario, level, owed, y, objective, j, Counter() if tally is None else tally)
 
 
-def _refine(scenario, level, owed, y, j):
-    """Safeguarded Newton on the objective's y-derivative inside [y[j-1], y[j+1]],
-    from the grid point y[j], for every node of the level in lockstep, on the
-    objective from the children's leaves; the result replaces y[j] when it does
-    at least as well.  A zero derivative at y[j] keeps it."""
-    gamma, c = scenario.agents.gamma, scenario.agents.c
-    logw = scenario.lattice.leaf_log_weights_from(level + 1)
-    # row mc of a window: the leaves of child (level+1, mc)
-    g, s = (_pairs(sliding_window_view(v, logw.size)) for v in _leaf_payoffs(scenario)[:2])
-    coin = _COIN[:, None]
+class _LeafWindows:
+    """The objective of some nodes of a level from their children's leaves,
+    its negated y-derivatives for Newton, and a count of their calls."""
 
-    def objective(yy):
-        pi = ce(g - yy[:, None] * s, logw, gamma)
-        return ce(owed - pi, coin, c, axis=0) + ce(pi, coin, gamma, axis=0)
+    def __init__(self, scenario: DpScenario, level: int, owed: np.ndarray, nodes):
+        self.gamma, self.c = scenario.agents.gamma, scenario.agents.c
+        self.logw = scenario.lattice.leaf_log_weights_from(level + 1)
+        # entry [k, m, l] is leaf m + k + l: leaf l of child (level+1, m+k) of node m
+        shape = (2, level + 1, self.logw.size)
+        self.g, self.s = (
+            as_strided(v, shape, (v.strides[0],) * 3, writeable=False)[:, nodes]
+            for v in _leaf_payoffs(scenario)[:2]
+        )
+        self.owed = owed[:, nodes]
+        self.calls = 0
+        self.curvature = None  # F'' at the last derivative call
 
-    def negated_derivatives(yy):
+    def objective(self, yy):
+        """F at the points yy, whose last axis runs over the nodes."""
+        self.calls += 1
+        pi = ce(self.g - np.asarray(yy)[..., None, :, None] * self.s, self.logw, self.gamma)
+        coin = _COIN[:, None]
+        return ce(self.owed - pi, coin, self.c, axis=-2) + ce(pi, coin, self.gamma, axis=-2)
+
+    def negated_derivatives(self, yy):
         """-F' and -F'' from pi' = -E^gamma[S] and pi'' = -gamma*Var^gamma[S] per
-        child, and (CE_a f)' = E^a[f'], (CE_a f)'' = E^a[f''] - a*Var^a[f'] per coin flip."""
-        book = g - yy[:, None] * s
-        pi = ce(book, logw, gamma)
-        mean, var = tilted_moments(s, book, logw, gamma)
+        child, and (CE_a f)' = E^a[f'], (CE_a f)'' = E^a[f''] - a*Var^a[f'] per
+        coin flip.  F' is 0 where its two terms cancel to within roundoff, so
+        Newton stops there rather than step on noise."""
+        self.calls += 1
+        gamma, c, coin = self.gamma, self.c, _COIN[:, None]
+        book = self.g - yy[:, None] * self.s
+        pi = ce(book, self.logw, gamma)
+        mean, var = tilted_moments(self.s, book, self.logw, gamma)
         pi_d = np.stack((-mean, -gamma * var))  # pi' and pi'' of each child
-        dem, dem_var = tilted_moments(-pi_d, owed - pi, coin, c, axis=-2)
+        dem, dem_var = tilted_moments(-pi_d, self.owed - pi, coin, c, axis=-2)
         sup, sup_var = tilted_moments(pi_d, pi, coin, gamma, axis=-2)
+        slope = dem[0] + sup[0]
+        floor = _SLOPE_FLOOR * (np.abs(dem[0]) + np.abs(sup[0]))
         # a*Var^a[f'] tends to 0 as a -> inf wherever the minimizing child is unique
         curvature = dem[1] + sup[1] - gamma * sup_var[0] - (0.0 if math.isinf(c) else c) * dem_var[0]
-        return -(dem[0] + sup[0]), -curvature
+        self.curvature = curvature
+        return np.where(np.abs(slope) <= floor, 0.0, -slope), -curvature
 
-    lo, hi = y[np.maximum(j - 1, 0)], y[np.minimum(j + 1, y.size - 1)]
-    best, _ = newton_root(negated_derivatives, y[j], lo, hi)
-    f_best, f_grid = objective(best), objective(y[j])
-    better = f_best >= f_grid
-    return np.where(better, f_best, f_grid), np.where(better, best, y[j])
+    def scan(self, y: np.ndarray) -> np.ndarray:
+        """The objective at every point of y, one row per node, a chunk of y at a
+        time so that no array exceeds about _SCAN_CELLS entries."""
+        width = max(1, _SCAN_CELLS // self.g.size)
+        chunks = [self.objective(y[k:k + width, None]) for k in range(0, y.size, width)]
+        return np.concatenate(chunks).T
+
+    def polish(self, y: np.ndarray, rows: np.ndarray, j: np.ndarray):
+        """Safeguarded Newton on F' inside [y[j-1], y[j+1]], every node in
+        lockstep, from the vertex of the parabola through the grid objective
+        ``rows`` at those three points (y[j] itself at an end of the grid or
+        where the three tie); the result replaces y[j] when it does at least
+        as well.  Returns the values, the points and F'' at Newton's point."""
+        below, above = np.maximum(j - 1, 0), np.minimum(j + 1, y.size - 1)
+        lo, hi = y[below], y[above]
+        nodes = np.arange(j.size)
+        d0, d2 = lo - y[j], hi - y[j]
+        g0, g2 = rows[nodes, below] - rows[nodes, j], rows[nodes, above] - rows[nodes, j]
+        den = 2.0 * (d0 * g2 - d2 * g0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.where(den > 0.0, (d0 * d0 * g2 - d2 * d2 * g0) / den, 0.0)
+        start = np.clip(y[j] + shift, lo, hi)
+        best, _ = newton_root(self.negated_derivatives, start, lo, hi)
+        curvature = self.curvature  # newton_root's last call is at the point it returns
+        f_best, f_grid = self.objective(np.stack((best, y[j])))
+        better = f_best >= f_grid
+        return np.where(better, f_best, f_grid), np.where(better, best, y[j]), curvature
+
+
+def _peaks(rows: np.ndarray) -> np.ndarray:
+    """Local maxima per row, ends included: the places where the row stops
+    rising, counting a rise into the first point and none out of the last."""
+    rise = np.ones((rows.shape[0], rows.shape[1] + 1), dtype=bool)
+    rise[:, -1] = False
+    np.greater(rows[:, 1:], rows[:, :-1], out=rise[:, 1:-1])
+    return np.count_nonzero(rise[:, :-1] & ~rise[:, 1:], axis=1)
+
+
+def _refine(scenario, level, owed, y, rows, j, tally):
+    """Newton from the scan-grid argmax y[j] between its scan-grid neighbours, on
+    the objective from the children's leaves.  A node whose scan row has two
+    or more local maxima, or whose objective is convex at Newton's point
+    (F'' > 0), is scanned again on the whole y grid from its leaves and
+    polished between that grid's neighbours instead.  F'' = 0 exactly is left
+    out: it comes from an objective flat or linear in y, whose best scan point
+    (the tie-break winner or an end) is already the whole grid's."""
+    windows = _LeafWindows(scenario, level, owed, slice(None))
+    values, policies, curvature = windows.polish(y, rows, j)
+    tally["evaluations"] += windows.calls
+    fallback = np.flatnonzero((_peaks(rows) >= 2) | (curvature > 0.0))
+    tally["fallback_nodes"] += fallback.size
+    if fallback.size:
+        full = scenario.y_grid()
+        group = max(1, _SCAN_CELLS // full.size)  # nodes whose whole-grid rows are held at once
+        for k in range(0, fallback.size, group):
+            nodes = fallback[k:k + group]
+            windows = _LeafWindows(scenario, level, owed, nodes)
+            scanned = windows.scan(full)
+            values[nodes], policies[nodes], _ = windows.polish(
+                full, scanned, _tie_broken_argmax(scanned, full)
+            )
+            tally["evaluations"] += windows.calls
+    return values, policies
 
 
 @dataclass(frozen=True)
 class DpValue:
     """Composed-field recursion output: root value net of Pi_0(G), the field
-    F_k per level, per-node policies, the root supplier value Pi_0(G), and
-    how many nodes have their policy on an end of the admissible interval."""
+    F_k per level, per-node policies, the root supplier value Pi_0(G), how
+    many nodes have their policy on an end of the admissible interval, and
+    the refinement's work: calls of the objective or its derivatives from the
+    leaves, and nodes scanned again on the whole y grid."""
 
     value: float
     fields: List[np.ndarray]
     policies: List[np.ndarray]
     pi0_g: float
     bound_hits: int
+    refine_evaluations: int
+    fallback_nodes: int
 
 
 def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
@@ -234,17 +352,20 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     value is F_0(root) - Pi_0(G).  One menu array is carried up the levels.
     """
     g, _, h = _leaf_payoffs(scenario)
-    fields, policies = [g + h], []
-    menus = _level_menus(scenario, scenario.lattice.n, scenario.y_grid())
+    fields, policies, tally = [g + h], [], Counter()
+    menus = _level_menus(scenario, scenario.lattice.n, _scan_grid(scenario, refine))
     for level in range(scenario.lattice.n - 1, -1, -1):
-        current, pol = sup_convolution(scenario, level, fields[-1], refine, menus[:level + 2])
+        current, pol = sup_convolution(
+            scenario, level, fields[-1], refine, menus[:level + 2], tally=tally
+        )
         fields.append(current)
         policies.append(pol)
     pi0_g = conditional_pi(scenario, 0, 0, scenario.payoffs.g_fn)
     lo, hi = scenario.admissible
     tol = 1e-12 * (hi - lo)  # refinement stops a few 1e-15 widths short of a binding end
     hits = sum(int(np.count_nonzero((p <= lo + tol) | (p >= hi - tol))) for p in policies)
-    return DpValue(float(current[0]) - pi0_g, fields[::-1], policies[::-1], pi0_g, hits)
+    return DpValue(float(current[0]) - pi0_g, fields[::-1], policies[::-1], pi0_g, hits,
+                   tally["evaluations"], tally["fallback_nodes"])
 
 
 @dataclass(frozen=True)

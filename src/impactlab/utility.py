@@ -176,7 +176,7 @@ def newton_root(fn, x, neg, pos):
     strictly inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  An entry stops at a zero value, or
     where its next step would be at most one ulp of the bracket's larger end.
-    Returns the points and fn's values there.
+    Returns the points and fn's values there; fn's last call is at those points.
     """
     x = np.asarray(x, dtype=float)
     tol = np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))

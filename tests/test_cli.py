@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -140,6 +141,45 @@ def test_levy_sim_accepts_infinite_c(tmp_path):
     # c = inf pins the position at -h' along the whole grid
     assert all(float(r[3]) == -float(r[2]) for r in rows)
     assert any(float(r[2]) == 0.25 for r in rows)
+
+
+def test_exponent_floats_without_a_point_are_numbers(tmp_path):
+    # YAML 1.1 reads 1e-05 as a string; json.dumps writes small floats that way
+    runs = {}
+    for text in ("1e-05", "1.0e-05"):
+        out = tmp_path / text
+        cfg = tmp_path / f"{text}.yaml"
+        data = levy_config(out, loading=0.5)
+        cfg.write_text(yaml.safe_dump(data).replace("loading: 0.5", f"loading: {text}"),
+                       encoding="utf-8")
+        assert main(["levy-sim", "--config", str(cfg), "--quiet"]) == 0
+        runs[text] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["1e-05"] == runs["1.0e-05"]
+
+
+@pytest.mark.parametrize("text", ['"1e-05"', "1e-05x", "e5", "1e"])
+def test_strings_that_resemble_exponent_floats_are_refused(tmp_path, capsys, text):
+    cfg = tmp_path / "scenario.yaml"
+    data = levy_config(tmp_path / "o", loading=0.5)
+    cfg.write_text(yaml.safe_dump(data).replace("loading: 0.5", f"loading: {text}"),
+                   encoding="utf-8")
+    assert main(["levy-sim", "--config", str(cfg)]) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == "loading" and "must be a number" in record["message"]
+
+
+def test_stable_levy_sim_with_a_tiny_argument_warns_nothing(tmp_path):
+    # kappa'' overflows to its exact limit -inf at abar*(a + h') = 1e-300 / 2
+    out = tmp_path / "o"
+    data = levy_config(out, agents={"gamma": 0.5, "c": "inf"}, loading=1.0e-300, grid=4,
+                       paths=1, model={"family": "stable", "r": 1.0, "alpha": 0.5},
+                       schedule={"initial_value": 0.0, "h": 0.0, "shocks": []})
+    cfg = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
+    _, rows = read_csv(out / "levy_path_000.csv")
+    assert [r[6] for r in rows] == ["inf"] * 4 + ["0"]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +625,8 @@ def test_convergence_n_list_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["dp-value", "convergence"])
 def test_dp_memory_estimate_refuses_before_any_output(tmp_path, capsys, monkeypatch, mode):
-    # n = 64 on 2e6 grid points would hold ~10 GB; refused while validating
+    # n = 64 on 2e6 grid points would hold ~10 GB with refinement off, which
+    # scans the whole grid; refused while validating
     def never(*args, **kwargs):
         raise AssertionError("the recursion must not start")
 
@@ -593,7 +634,7 @@ def test_dp_memory_estimate_refuses_before_any_output(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "convergence_study", never)
     out = tmp_path / "o"
     data = convergence_config(out) if mode == "convergence" else dp_config(out)
-    data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6)
+    data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6, refine=False)
     if mode == "convergence":
         data["n_list"] = [2, 64]
     else:
@@ -615,6 +656,19 @@ def test_dp_memory_estimate_accepts_documented_sizes():
         scenario = cli._dp_scenario(cli.Section(data), agents, n)
         assert scenario.lattice.n == n and scenario.y_grid().size == round((hi - lo) / res) + 1
     assert cli._DP_BYTES_PER_CELL * (64 + 2) * 2_000_001 > cli._DP_MEMORY_BUDGET
+
+
+def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on():
+    # refinement carries the menus on at most 66 scan points, so n = 64 on 2e6
+    # grid points fits; the leaf windows still refuse a lattice of 10^4 levels
+    agents = AgentPair(1.0, 1.0)
+    data = dp_config(".", admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6)
+    scenario = cli._dp_scenario(cli.Section(data), agents, 64, refine=True)
+    assert scenario.y_grid().size == 2_000_001
+    for n, refine in ((64, False), (10_000, True)):
+        with pytest.raises(cli.ConfigError) as refused:
+            cli._dp_scenario(cli.Section(data), agents, n, refine=refine)
+        assert refused.value.field == "y_resolution" and "GiB" in str(refused.value)
 
 
 def _readme_config(mode):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -393,6 +394,117 @@ def test_refine_is_no_worse_than_golden_section_on_random_levels(n, g, s, gamma,
             # golden section keeps the highest of 72 values with ~1e-15 of roundoff
             # (ce divides by the aversion), so it may read a few ulps above the maximum
             assert objective(policies[m]) >= want - 1e-14 * max(1.0, abs(want))
+
+
+def _node_objective(scn, level, m, owed):
+    """The objective of node (level, m) at one y, from its children's leaves."""
+    lat, gamma, c = scn.lattice, scn.agents.gamma, scn.agents.c
+    logw = lat.leaf_log_weights_from(level + 1)
+    kids = [lat.leaf_values_from(level + 1, m + k) for k in (0, 1)]
+    g_pair, s_pair = (np.array([fn(w) for w in kids]) for fn in (scn.payoffs.g_fn, scn.payoffs.s_fn))
+    coin = np.full(2, -math.log(2.0))
+
+    def objective(yy):
+        pi = ce(g_pair - yy * s_pair, logw, gamma)
+        return float(ce(owed[m:m + 2] - pi, coin, c) + ce(pi, coin, gamma))
+
+    return objective
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    g=_POLY,
+    s=_POLY,
+    gamma=st.one_of(st.just(0.0), st.floats(0.2, 2.0)),
+    c=st.one_of(st.floats(0.2, 2.0), st.just(math.inf)),
+    admissible=st.sampled_from([(-3.0, 3.0), (-1.3, 2.9)]),
+    points=st.sampled_from([1001, 1601, 2001]),
+    seed=st.integers(0, 2**16),
+)
+def test_coarse_scan_matches_golden_section_around_the_full_grid_argmax(
+    n, g, s, gamma, c, admissible, points, seed
+):
+    """Refinement scans about 64 intervals of these grids, not every point."""
+    lo, hi = admissible
+    scn = make_scenario(n, _poly(s), _poly(g), ZERO, gamma=gamma, c=c, admissible=admissible,
+                        res=(hi - lo) / (points - 1))
+    y = scn.y_grid()
+    assert y.size == points
+    owed = np.random.default_rng(seed).normal(size=n + 1)
+    for level in range(n):
+        _, grid_policies = sup_convolution(scn, level, owed[:level + 2], refine=False)
+        values, _ = sup_convolution(scn, level, owed[:level + 2], refine=True)
+        for m in range(level + 1):
+            j = int(np.flatnonzero(y == grid_policies[m])[0])
+            objective = _node_objective(scn, level, m, owed)
+            _, val_ref = _golden_max_reference(objective, y[max(j - 1, 0)], y[min(j + 1, y.size - 1)])
+            want = max(val_ref, objective(y[j]))
+            assert abs(values[m] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_fallback_finds_the_higher_of_two_peaks():
+    # the higher peak is narrow: sampled every 94th point of 6001 it reads lower
+    # than the broad one near y = -1.69, so the scan's argmax sits on the lower peak
+    scn = make_scenario(3, lambda w: 0.2 - 0.9 * w + w**2, lambda w: -0.8 - 0.5 * w, ZERO,
+                        gamma=4.0, c=1.0, admissible=(-3.0, 3.0), res=1e-3)
+    y, owed = scn.y_grid(), np.array([2.2, 1.7])
+    objective = _node_objective(scn, 0, 0, owed)
+    row = np.array([objective(v) for v in y])
+    full = int(np.argmax(row))
+    coarse = np.arange(0, y.size, math.ceil((y.size - 1) / 64))
+    low = int(coarse[np.argmax(row[coarse])])
+    assert y[full] == pytest.approx(0.523) and y[low] == pytest.approx(-1.684)
+    _, high_ref = _golden_max_reference(objective, y[full - 1], y[full + 1])
+    _, low_ref = _golden_max_reference(objective, y[low - 94], y[low + 94])
+    assert high_ref > low_ref + 1e-3
+
+    tally = Counter()
+    values, policies = sup_convolution(scn, 0, owed, refine=True, tally=tally)
+    assert tally["fallback_nodes"] == 1
+    assert abs(values[0] - high_ref) <= 1e-12
+    assert policies[0] == pytest.approx(0.52316, abs=1e-5)
+
+
+def test_refine_keeps_the_full_grid_tie_break_when_zero_is_off_the_stride():
+    # S = 0 is flat in y; on [-0.37, 1] at 1e-3 the scan keeps every 22nd of 1371
+    # points, and 0 (index 370) is not one of them: the scan adds it
+    scn = make_scenario(4, ZERO, lambda w: 0.3 * w**2, IDENT, admissible=(-0.37, 1.0), res=1e-3)
+    y = scn.y_grid()
+    assert y.size == 1371 and 370 % math.ceil(1370 / 64) != 0
+    grid = value_recursion(scn, refine=False)
+    refined = value_recursion(scn, refine=True)
+    for pol, ref in zip(refined.policies, grid.policies):
+        assert np.all(pol == y[370]) and np.array_equal(pol, ref)
+    assert refined.bound_hits == 0 and refined.fallback_nodes == 0
+
+
+def test_refine_keeps_a_binding_upper_end_off_the_stride():
+    # H = -S wants y = 1/2 at every node; on [-1, 0.2] at 1e-3 the scan keeps
+    # every 19th of 1201 points, and the end 0.2 (index 1200) is not one of them
+    scn = make_scenario(3, IDENT, ZERO, lambda w: -w, admissible=(-1.0, 0.2), res=1e-3)
+    y = scn.y_grid()
+    assert y.size == 1201 and 1200 % math.ceil(1200 / 64) != 0
+    result = value_recursion(scn, refine=True)
+    assert result.bound_hits == 6
+    assert all(np.all(pol == 0.2) for pol in result.policies)
+
+
+def test_refinement_evaluations_stop_at_the_roundoff_floor():
+    # lockstep Newton from the whole grid's argmax without the roundoff stop
+    # takes 127 derivative evaluations here, plus 2 objective evaluations a
+    # level: one or two nodes keep stepping on roundoff after the rest converge
+    model = QuadraticModel(
+        g_load=0.3, mu=0.1, sigma=1.1, a_lin=0.6, b_quad=0.4, agents=AgentPair(1.0, 1.0)
+    )
+    scn = DpScenario(Lattice(16), model.payoffs(), (-1.0, 1.0), 1e-3)
+    assert scn.y_grid().size == 2001
+    result = value_recursion(scn)
+    assert result.fallback_nodes == 0
+    # at least Newton's start and the final values at each level; Newton from
+    # the scan point rather than the parabola's vertex takes about 64
+    assert 2 * 16 <= result.refine_evaluations <= 56
+    assert value_recursion(scn, refine=False).refine_evaluations == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -457,6 +457,7 @@ def test_newton_root_bisects_to_the_stopping_step_within_the_cap():
     assert len(calls) < utility._NEWTON_CAP
     assert np.all(np.abs(got - roots) <= 8 * np.finfo(float).eps)
     assert np.array_equal(values, got - roots)
+    assert np.array_equal(calls[-1], got)  # fn's last call is at the returned points
 
 
 def test_newton_root_either_orientation_and_zero_start():
@@ -477,6 +478,7 @@ def test_newton_root_converges_on_a_kink_where_plain_newton_cycles():
     got, _ = newton_root(fn, -0.4, -1.0, 1.0)
     assert abs(got - kink) <= 8 * np.finfo(float).eps
     assert len(calls) < utility._NEWTON_CAP
+    assert calls[-1] == got
 
 
 def test_newton_root_bisects_where_newton_crawls():
