@@ -43,8 +43,6 @@ import yaml
 from . import __version__
 from .cumulants import Brownian, GammaProcess, OneSidedStable
 from .dp import (
-    _COARSE_INTERVALS,
-    _SCAN_CELLS,
     DpScenario,
     Lattice,
     buy_and_hold_position,
@@ -403,26 +401,21 @@ def _path_grid(args, root: Section, default: int) -> PathGrid:
     return PathGrid(n_steps)
 
 
-def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int,
-                 refine: bool = True) -> DpScenario:
-    """``lattice_n`` is the largest lattice the run will build."""
+def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool = True,
+                 lattice_field: str = "lattice_n") -> DpScenario:
+    """``lattice_n`` is the largest lattice the run will build, set by ``lattice_field``.
+    A recursion over the memory budget even on the coarsest grid (two points)
+    names that field, since no resolution helps; otherwise ``y_resolution``."""
     adm = root.section("admissible")
     adm.require_keys({"lo", "hi"})
     lo, hi = adm.number("lo"), adm.number("hi")
     resolution = root.number("y_resolution", default=1e-3, positive=True)
     points = (hi - lo) / resolution + 1.0  # float: a tiny resolution must not overflow
-    rows = lattice_n + 2
-    if refine:
-        # menus on the scan grid (its intervals, an end and the tie-break point),
-        # the leaf windows of a level (2 (level+1) (n-level) cells), and a
-        # fallback's whole-grid rows and chunks
-        cells = rows * (min(points, _COARSE_INTERVALS + 2.0) + rows / 2) + points + _SCAN_CELLS
-    else:
-        cells = rows * points
-    _over_budget("y_resolution", f"the recursion at n={lattice_n} on {points:.4g} grid points",
-                 _DP_BYTES_PER_CELL * cells)
-    payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
     lattice = Lattice(lattice_n)
+    for field, grid in ((lattice_field, 2.0), ("y_resolution", points)):
+        _over_budget(field, f"the recursion at n={lattice_n} on {grid:.4g} grid points",
+                     _DP_BYTES_PER_CELL * lattice.working_cells(grid, refine))
+    payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
     # DpScenario checks lo < hi, then lo <= 0 <= hi, then 0 < resolution <= hi - lo.
     # Each build below can break one rule only: [0, hi - lo] holds 0 whenever it
     # is an interval, and a resolution of hi - lo always fits.
@@ -754,7 +747,8 @@ def _run_dp_value(args) -> int:
     agents = _agents(root)
     lattice_n = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
     refine = root.boolean("refine", default=True)
-    scenario = _dp_scenario(root, agents, lattice_n, refine)
+    scenario = _dp_scenario(root, agents, lattice_n, refine,
+                            "lattice_n" if args.grid is None else "--grid")
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
@@ -808,7 +802,7 @@ def _run_convergence(args) -> int:
     limit = None
     if root.data.get("limit") is not None:
         limit = root.number("limit")
-    scenario = _dp_scenario(root, agents, n_list[-1], refine)
+    scenario = _dp_scenario(root, agents, n_list[-1], refine, f"n_list[{len(n_list) - 1}]")
     out = _out_path(root, args)
 
     table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
@@ -827,22 +821,28 @@ def _run_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-_RUNNERS = {
-    "levy-sim": _run_levy_sim,
-    "markov-fields": _run_markov_fields,
-    "shockwave": _run_shockwave,
-    "dp-value": _run_dp_value,
-    "convergence": _run_convergence,
-    "verify": _run_verify,
+_FLAGS = {
+    "--config": dict(help="YAML scenario config (schema_version: 1)"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--out": dict(help="override the output directory"),
+    "--paths": dict(type=int, help="override the path count"),
+    "--grid": dict(type=int, help="override the grid/lattice size"),
+    "--quiet": dict(action="store_true", help="suppress progress lines"),
 }
 
-_MODE_HELP = {
-    "levy-sim": "simulate factor paths and the closed-form efficient market along them",
-    "markov-fields": "tabulate the quadrature value/price fields on a (t, w) grid",
-    "shockwave": "emit traveling-wave market paths (t, W, S_star, Y_star, wave_position)",
-    "dp-value": "run the lattice value recursion for one scenario",
-    "convergence": "lattice-vs-closed-form convergence table over several n",
-    "verify": "run the built-in invariant suite",
+# each mode: its runner, the flags it reads (argparse refuses any other) and its help
+_MODES = {
+    "levy-sim": (_run_levy_sim, tuple(_FLAGS),
+                 "simulate factor paths and the closed-form efficient market along them"),
+    "markov-fields": (_run_markov_fields, ("--config", "--out", "--grid", "--quiet"),
+                      "tabulate the quadrature value/price fields on a (t, w) grid"),
+    "shockwave": (_run_shockwave, tuple(_FLAGS),
+                  "emit traveling-wave market paths (t, W, S_star, Y_star, wave_position)"),
+    "dp-value": (_run_dp_value, ("--config", "--out", "--grid", "--quiet"),
+                 "run the lattice value recursion for one scenario"),
+    "convergence": (_run_convergence, ("--config", "--out", "--quiet"),
+                    "lattice-vs-closed-form convergence table over several n"),
+    "verify": (_run_verify, ("--quiet",), "run the built-in invariant suite"),
 }
 
 
@@ -853,14 +853,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, help_text in _MODE_HELP.items():
+    for mode, (_, flags, help_text) in _MODES.items():
         p = sub.add_parser(mode, help=help_text)
-        p.add_argument("--config", help="YAML scenario config (schema_version: 1)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--paths", type=int, help="override the path count")
-        p.add_argument("--grid", type=int, help="override the grid/lattice size")
-        p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -874,7 +870,7 @@ def _error_record(exc: Exception) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.mode](args)
+        return _MODES[args.mode][0](args)
     except (ConfigError, *_RUN_ERRORS) as exc:
         json.dump(_error_record(exc), sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

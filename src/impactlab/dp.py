@@ -1,11 +1,14 @@
 """Discrete-time dynamic programming on a recombining binomial lattice.
 
 The factor takes +-1/sqrt(n) steps with probability 1/2 over n periods,
-so level j holds j+1 nodes at values (2m - j)/sqrt(n).  The demander's
-value function is computed in composed form: one sup-convolution per
-period applied to the aggregate terminal payoff, which only ever needs
-one-step conditional certainty equivalents plus conditional prices of
-the form Pi_t(G - y*S).  Cash never enters the state: values are stored
+so level j holds j+1 nodes at values (2m - j)/sqrt(n).  ``Lattice`` owns
+this binomial step: the coin's log-weights, each node's (down, up) children,
+the leaves each child reaches, and the node and cell counts behind the
+recursion's working set, which the command line's memory check reads.  The
+demander's value function is computed in composed form: one sup-convolution
+per period applied to the aggregate terminal payoff, which only ever needs
+one-step conditional certainty equivalents plus conditional prices of the
+form Pi_t(G - y*S).  Cash never enters the state: values are stored
 net of cash and the identity V(x, z) = x + V(0, z) is what tests check.
 
 Each level is a few array operations over all its nodes.  The menus
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +45,6 @@ from .errors import ParameterError, PreconditionError
 from .markov import MarkovPayoffs, field_p, field_v
 from .utility import ce, newton_root, tilted_mean, tilted_moments
 
-_LOG2 = math.log(2.0)
-_COIN = np.full(2, -_LOG2)  # log-weights of one fair coin flip
-_PAIR = _COIN[:, None, None]  # the same, along axis 0 of a (2, nodes, grid) pair array
 _COARSE_INTERVALS = 64  # the refine-on scan grid's intervals over the admissible range
 _SLOPE_FLOOR = 4 * np.finfo(float).eps  # F' this close to its terms' cancellation is 0
 _SCAN_CELLS = 1 << 18  # entries of the largest array a whole-grid fallback scan builds
@@ -52,13 +52,18 @@ _SCAN_CELLS = 1 << 18  # entries of the largest array a whole-grid fallback scan
 
 @dataclass(frozen=True)
 class Lattice:
-    """Recombining +-1/sqrt(n) walk over n periods of length 1/n."""
+    """Recombining +-1/sqrt(n) walk over n periods of length 1/n, and the one
+    owner of its binomial step (the module docstring lists what that holds)."""
 
     n: int
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError("lattice period count must be an integer >= 1")
+
+    def nodes(self, level: int) -> int:
+        """How many nodes ``level`` holds."""
+        return level + 1
 
     def node_value(self, level: int, m: int) -> float:
         if not 0 <= level <= self.n or not 0 <= m <= level:
@@ -74,9 +79,7 @@ class Lattice:
         """Terminal factor levels reachable from node (level, m)."""
         if not 0 <= level <= self.n or not 0 <= m <= level:
             raise ParameterError("node index outside the lattice")
-        remaining = self.n - level
-        ups = np.arange(remaining + 1)
-        return (2 * (m + ups) - self.n) / math.sqrt(self.n)
+        return (2 * (m + np.arange(self.n - level + 1)) - self.n) / math.sqrt(self.n)
 
     def leaf_log_weights_from(self, level: int) -> np.ndarray:
         """Log binomial weights of the leaves from any node at this level (exact binomials)."""
@@ -85,7 +88,31 @@ class Lattice:
         for k in range(remaining + 1):
             logs.append(math.log(binom))
             binom = binom * (remaining - k) // (k + 1)
-        return np.array(logs) - remaining * _LOG2
+        return np.array(logs) - remaining * math.log(2.0)
+
+    def coin(self, ndim: int = 1) -> np.ndarray:
+        """Log-weights of one step's (down, up) children, along the first of ``ndim`` axes."""
+        return np.full((2,) + (1,) * (ndim - 1), -math.log(2.0))
+
+    def children(self, rows: np.ndarray) -> np.ndarray:
+        """(down child, up child) rows of every node one level up, stacked on axis 0."""
+        return np.stack((rows[:-1], rows[1:]))
+
+    def child_leaves(self, leaves: np.ndarray, level: int) -> np.ndarray:
+        """A read-only (children, nodes, leaves) view of the n+1 ``leaves``: entry
+        [k, m, l] is leaf m + k + l, leaf l of child (level+1, m+k) of node m."""
+        shape = (2, self.nodes(level), self.n - level)
+        return as_strided(leaves, shape, (leaves.strides[0],) * 3, writeable=False)
+
+    def working_cells(self, points: float, refine: bool) -> float:
+        """About how many floats the value recursion holds at once on a y grid
+        of ``points``: a row per leaf and one more, of menus on the whole grid
+        with refine off; with it on, of menus on the scan grid, plus a level's
+        leaf windows (2 (level+1) (n-level) cells) and a fallback's rows."""
+        rows = self.nodes(self.n) + 1
+        if not refine:
+            return rows * points
+        return rows * (min(points, _COARSE_INTERVALS + 2.0) + rows / 2) + points + _SCAN_CELLS
 
 
 @dataclass(frozen=True)
@@ -131,25 +158,21 @@ def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callab
     return conditional_ce(scenario, level, m, terminal_fn, scenario.agents.gamma)
 
 
-def _leaf_payoffs(scenario: DpScenario):
-    """G, S and H on the n+1 leaves; node (level, m) reaches leaves m..m+n-level."""
-    leaves = scenario.lattice.level_values(scenario.lattice.n)
+def _leaf_payoffs(scenario: DpScenario, level: int = 0, m: int = 0):
+    """G, S and H on the leaves below node (level, m), by default all n+1 of them."""
+    leaves = scenario.lattice.leaf_values_from(level, m)
     pay = scenario.payoffs
     return [np.asarray(fn(leaves), dtype=float) for fn in (pay.g_fn, pay.s_fn, pay.h_fn)]
-
-
-def _pairs(rows: np.ndarray) -> np.ndarray:
-    """(down child, up child) rows of every node one level up, stacked on axis 0."""
-    return np.stack((rows[:-1], rows[1:]))
 
 
 def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
     """Pi(G - y*S) on the y grid, one row per node of ``level``: G - y*S at the
     leaves, then one coin-flip CE of the children's rows per level up."""
+    lat = scenario.lattice
     g, s, _ = _leaf_payoffs(scenario)
-    menus = g[:, None] - s[:, None] * y
-    for _ in range(scenario.lattice.n - level):
-        menus = ce(_pairs(menus), _PAIR, scenario.agents.gamma, axis=0)
+    menus, coin = g[:, None] - s[:, None] * y, lat.coin(3)
+    for _ in range(lat.n - level):
+        menus = ce(lat.children(menus), coin, scenario.agents.gamma, axis=0)
     return menus
 
 
@@ -199,39 +222,38 @@ def sup_convolution(
     lat = scenario.lattice
     if not 0 <= level < lat.n:
         raise ParameterError("sup_convolution level must lie in [0, n)")
+    next_nodes = lat.nodes(level + 1)
     continuation = np.asarray(continuation, dtype=float)
-    if continuation.shape != (level + 2,):
+    if continuation.shape != (next_nodes,):
         raise ParameterError("continuation must hold one value per node at level+1")
-    gamma, c = scenario.agents.gamma, scenario.agents.c
+    gamma, c, coin = scenario.agents.gamma, scenario.agents.c, lat.coin(3)
     y = _scan_grid(scenario, refine)
     if menus is None:
         menus = _level_menus(scenario, level + 1, y)
-    elif menus.shape != (level + 2, y.size):
+    elif menus.shape != (next_nodes, y.size):
         raise ParameterError("menus must hold one scan-grid row per node at level+1")
 
-    owed, pairs = _pairs(continuation), _pairs(menus)
-    own = ce(pairs, _PAIR, gamma, axis=0)  # this level's menus, also the supplier term
-    objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), _PAIR, c, axis=0) + own
-    menus[:level + 1] = own
+    owed, pairs = lat.children(continuation), lat.children(menus)
+    own = ce(pairs, coin, gamma, axis=0)  # this level's menus, also the supplier term
+    objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), coin, c, axis=0) + own
+    menus[:len(own)] = own
     j = _tie_broken_argmax(objective, y)
     if not refine:
-        return objective[np.arange(level + 1), j], y[j]
+        return objective[np.arange(j.size), j], y[j]
     return _refine(scenario, level, owed, y, objective, j, Counter() if tally is None else tally)
 
 
 class _LeafWindows:
     """The objective of some nodes of a level from their children's leaves,
-    its negated y-derivatives for Newton, and a count of their calls."""
+    its negated y-derivatives for Newton, and a count of their calls.
+    ``leaves`` holds G and S as the lattice's (children, nodes, leaves) views."""
 
-    def __init__(self, scenario: DpScenario, level: int, owed: np.ndarray, nodes):
+    def __init__(self, scenario: DpScenario, level: int, owed: np.ndarray, leaves, nodes):
+        lat = scenario.lattice
         self.gamma, self.c = scenario.agents.gamma, scenario.agents.c
-        self.logw = scenario.lattice.leaf_log_weights_from(level + 1)
-        # entry [k, m, l] is leaf m + k + l: leaf l of child (level+1, m+k) of node m
-        shape = (2, level + 1, self.logw.size)
-        self.g, self.s = (
-            as_strided(v, shape, (v.strides[0],) * 3, writeable=False)[:, nodes]
-            for v in _leaf_payoffs(scenario)[:2]
-        )
+        self.logw = lat.leaf_log_weights_from(level + 1)
+        self.coin = lat.coin(2)  # along the children axis, which the nodes axis follows
+        self.g, self.s = (v[:, nodes] for v in leaves)
         self.owed = owed[:, nodes]
         self.calls = 0
         self.curvature = None  # F'' at the last derivative call
@@ -240,7 +262,7 @@ class _LeafWindows:
         """F at the points yy, whose last axis runs over the nodes."""
         self.calls += 1
         pi = ce(self.g - np.asarray(yy)[..., None, :, None] * self.s, self.logw, self.gamma)
-        coin = _COIN[:, None]
+        coin = self.coin
         return ce(self.owed - pi, coin, self.c, axis=-2) + ce(pi, coin, self.gamma, axis=-2)
 
     def negated_derivatives(self, yy):
@@ -249,7 +271,7 @@ class _LeafWindows:
         coin flip.  F' is 0 where its two terms cancel to within roundoff, so
         Newton stops there rather than step on noise."""
         self.calls += 1
-        gamma, c, coin = self.gamma, self.c, _COIN[:, None]
+        gamma, c, coin = self.gamma, self.c, self.coin
         book = self.g - yy[:, None] * self.s
         pi = ce(book, self.logw, gamma)
         mean, var = tilted_moments(self.s, book, self.logw, gamma)
@@ -309,7 +331,8 @@ def _refine(scenario, level, owed, y, rows, j, tally):
     polished between that grid's neighbours instead.  F'' = 0 exactly is left
     out: it comes from an objective flat or linear in y, whose best scan point
     (the tie-break winner or an end) is already the whole grid's."""
-    windows = _LeafWindows(scenario, level, owed, slice(None))
+    leaves = [scenario.lattice.child_leaves(v, level) for v in _leaf_payoffs(scenario)[:2]]
+    windows = _LeafWindows(scenario, level, owed, leaves, slice(None))
     values, policies, curvature = windows.polish(y, rows, j)
     tally["evaluations"] += windows.calls
     fallback = np.flatnonzero((_peaks(rows) >= 2) | (curvature > 0.0))
@@ -319,7 +342,7 @@ def _refine(scenario, level, owed, y, rows, j, tally):
         group = max(1, _SCAN_CELLS // full.size)  # nodes whose whole-grid rows are held at once
         for k in range(0, fallback.size, group):
             nodes = fallback[k:k + group]
-            windows = _LeafWindows(scenario, level, owed, nodes)
+            windows = _LeafWindows(scenario, level, owed, leaves, nodes)
             scanned = windows.scan(full)
             values[nodes], policies[nodes], _ = windows.polish(
                 full, scanned, _tie_broken_argmax(scanned, full)
@@ -351,16 +374,17 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     F_n = (g+h)(leaves); F_k = one sup-convolution of F_{k+1}; the demander
     value is F_0(root) - Pi_0(G).  One menu array is carried up the levels.
     """
+    lat = scenario.lattice
     g, _, h = _leaf_payoffs(scenario)
     fields, policies, tally = [g + h], [], Counter()
-    menus = _level_menus(scenario, scenario.lattice.n, _scan_grid(scenario, refine))
-    for level in range(scenario.lattice.n - 1, -1, -1):
+    menus = _level_menus(scenario, lat.n, _scan_grid(scenario, refine))
+    for level in range(lat.n - 1, -1, -1):
         current, pol = sup_convolution(
-            scenario, level, fields[-1], refine, menus[:level + 2], tally=tally
+            scenario, level, fields[-1], refine, menus[:lat.nodes(level + 1)], tally=tally
         )
         fields.append(current)
         policies.append(pol)
-    pi0_g = conditional_pi(scenario, 0, 0, scenario.payoffs.g_fn)
+    pi0_g = float(ce(g, lat.leaf_log_weights_from(0), scenario.agents.gamma))
     lo, hi = scenario.admissible
     tol = 1e-12 * (hi - lo)  # refinement stops a few 1e-15 widths short of a binding end
     hits = sum(int(np.count_nonzero((p <= lo + tol) | (p >= hi - tol))) for p in policies)
@@ -412,33 +436,20 @@ def no_rebalance_check(
     y_star = buy_and_hold_position(scenario)
     if result is None:
         result = value_recursion(scenario, refine=refine)
-    max_dev = max(
-        float(np.max(np.abs(pol - y_star))) for pol in result.policies
-    )
-    abar = scenario.agents.aggregate_aversion
-    aggregate_ce = conditional_ce(
-        scenario, 0, 0, lambda w: np.asarray(scenario.payoffs.g_fn(w), dtype=float)
-        + np.asarray(scenario.payoffs.h_fn(w), dtype=float), abar
-    )
+    max_dev = max(float(np.max(np.abs(pol - y_star))) for pol in result.policies)
+    # the recursion's leaf field is G + H
+    aggregate_ce = ce(result.fields[-1], scenario.lattice.leaf_log_weights_from(0),
+                      scenario.agents.aggregate_aversion)
     gap = result.value - (aggregate_ce - result.pi0_g)
-    return NoRebalanceReport(
-        y_star=y_star,
-        is_buy_and_hold=bool(max_dev <= scenario.y_resolution),
-        value_gap=float(gap),
-        max_policy_deviation=float(max_dev),
-    )
+    return NoRebalanceReport(y_star=y_star, is_buy_and_hold=bool(max_dev <= scenario.y_resolution),
+                             value_gap=float(gap), max_policy_deviation=max_dev)
 
 
 def emm_eipu(scenario: DpScenario, level: int, m: int) -> float:
     """Efficient price at a node: E[S exp(-abar*(G+H))] / E[exp(-abar*(G+H))]."""
-    lat = scenario.lattice
-    leaves = lat.leaf_values_from(level, m)
-    logw = lat.leaf_log_weights_from(level)
-    g_vals = np.asarray(scenario.payoffs.g_fn(leaves), dtype=float)
-    s_vals = np.asarray(scenario.payoffs.s_fn(leaves), dtype=float)
-    h_vals = np.asarray(scenario.payoffs.h_fn(leaves), dtype=float)
-    abar = scenario.agents.aggregate_aversion
-    return tilted_mean(s_vals, g_vals + h_vals, logw, abar)
+    g, s, h = _leaf_payoffs(scenario, level, m)
+    logw = scenario.lattice.leaf_log_weights_from(level)
+    return tilted_mean(s, g + h, logw, scenario.agents.aggregate_aversion)
 
 
 @dataclass(frozen=True)
@@ -467,13 +478,7 @@ def convergence_study(
         )
     rows = []
     for n in n_list:
-        sub = DpScenario(
-            lattice=Lattice(int(n)),
-            payoffs=scenario.payoffs,
-            admissible=scenario.admissible,
-            y_resolution=scenario.y_resolution,
-        )
-        result = value_recursion(sub, refine=refine)
+        result = value_recursion(replace(scenario, lattice=Lattice(int(n))), refine=refine)
         error = abs(result.value - limit)
         if not math.isfinite(error):
             raise PreconditionError(f"non-finite convergence error at n={n}")

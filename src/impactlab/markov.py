@@ -45,7 +45,7 @@ DEFAULT_ORDER = 128
 # the largest order whose rule hermegauss computes finitely; it builds an
 # order x order matrix first, so a larger order is refused before the call
 MAX_ORDER = 371
-_RESIDUAL_TOL = 1e-10  # completeness_invert's defaults, shared with optimal_strategy_markov
+_RESIDUAL_TOL = 1e-10  # the inversion's stopping residual, and how often it doubles the bracket
 _MAX_EXPANSIONS = 30
 _STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays bound the memory
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -191,22 +191,20 @@ def completeness_invert(
     z: float,
     order: int = DEFAULT_ORDER,
     bracket: Tuple[float, float] = (-50.0, 50.0),
-    residual_tol: float = _RESIDUAL_TOL,
-    max_expansions: int = _MAX_EXPANSIONS,
 ) -> float:
     """Solve -dp/dw(t, w, y) = z for the replicating inventory y.
 
     With s and g evaluated at the nodes once, doubles the bracket about its
-    midpoint until the residual changes sign, checks the map is monotone at 9
-    points of it (ends included, one batched residual), then polishes by
-    safeguarded Newton inside the probe interval where the sign changes, to
-    |residual| <= residual_tol."""
+    midpoint until the residual changes sign (at most _MAX_EXPANSIONS times),
+    checks the map is monotone at 9 points of it (ends included, one batched
+    residual), then polishes by safeguarded Newton inside the probe interval
+    where the sign changes, to |residual| <= _RESIDUAL_TOL."""
     _check_t(t, terminal_ok=False)
     s, g = (vals[0] for vals in _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn))
-    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket, residual_tol, max_expansions)
+    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
 
 
-def _invert(s, g, gamma, t, z, order, bracket, residual_tol, max_expansions) -> float:
+def _invert(s, g, gamma, t, z, order, bracket) -> float:
     """``completeness_invert`` on the node values s and g of one state."""
     nodes, logw = _rules(order)
     spread = math.sqrt(1.0 - t)
@@ -228,7 +226,7 @@ def _invert(s, g, gamma, t, z, order, bracket, residual_tol, max_expansions) -> 
     probe_vals = residual(probes)
     expansions = 0
     while probe_vals[0] * probe_vals[-1] > 0.0:
-        if expansions >= max_expansions:
+        if expansions >= _MAX_EXPANSIONS:
             raise NoRootError(
                 f"no sign change in [{lo}, {hi}] after {expansions} expansions"
             )
@@ -250,7 +248,7 @@ def _invert(s, g, gamma, t, z, order, bracket, residual_tol, max_expansions) -> 
     # Newton starts where the chord through the probe interval's ends crosses zero
     start = a if ra == rb else a - ra * (b - a) / (rb - ra)
     root, left = newton_root(with_slope, start, *((a, b) if ra <= rb else (b, a)))
-    if abs(left) > residual_tol:
+    if abs(left) > _RESIDUAL_TOL:
         raise NoRootError(f"Newton polish left residual {float(left):.3e}")
     return float(root)
 
@@ -269,9 +267,7 @@ def optimal_strategy_markov(
     agents = payoffs.agents
     s, g, h = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
     target = -agents.demander_weight * float(_grad_rows(g + h, t, agents.aggregate_aversion, order)[0])
-    return _invert(
-        s[0], g[0], agents.gamma, t, target, order, bracket, _RESIDUAL_TOL, _MAX_EXPANSIONS
-    )
+    return _invert(s[0], g[0], agents.gamma, t, target, order, bracket)
 
 
 # ---------------------------------------------------------------------------

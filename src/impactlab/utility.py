@@ -186,10 +186,12 @@ def newton_root(fn, x, neg, pos):
     for _ in range(_NEWTON_CAP):
         neg = np.where(f < 0.0, x, neg)
         pos = np.where(f > 0.0, x, pos)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a tiny slope overflows the step, and the step the bracket test: an
+        # infinite product reads as outside the bracket, which it is
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx = f / slope
-        new = x - dx
-        take = ((new - neg) * (new - pos) < 0.0) & (np.abs(dx) <= 0.5 * prev)
+            new = x - dx
+            take = ((new - neg) * (new - pos) < 0.0) & (np.abs(dx) <= 0.5 * prev)
         new = np.where(take, new, 0.5 * (neg + pos))
         prev, step = step, np.abs(new - x)
         active &= step > tol

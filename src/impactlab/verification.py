@@ -325,7 +325,7 @@ ALL_CHECKS: List[Tuple[str, Callable[[], None]]] = [
 ]
 
 
-def run_all(quiet: bool = False, report=print) -> Tuple[int, int]:
+def run_all(quiet: bool = False) -> Tuple[int, int]:
     """Run every check; returns (passed, failed) counts."""
     passed = failed = 0
     for name, check in ALL_CHECKS:
@@ -333,10 +333,10 @@ def run_all(quiet: bool = False, report=print) -> Tuple[int, int]:
             check()
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             failed += 1
-            report(f"FAIL {name}: {exc!r}")
+            print(f"FAIL {name}: {exc!r}")
         else:
             passed += 1
             if not quiet:
-                report(f"PASS {name}")
-    report(f"{passed} passed, {failed} failed")
+                print(f"PASS {name}")
+    print(f"{passed} passed, {failed} failed")
     return passed, failed

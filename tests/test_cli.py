@@ -658,17 +658,36 @@ def test_dp_memory_estimate_accepts_documented_sizes():
     assert cli._DP_BYTES_PER_CELL * (64 + 2) * 2_000_001 > cli._DP_MEMORY_BUDGET
 
 
-def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on():
+def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on(tmp_path, capsys, monkeypatch):
     # refinement carries the menus on at most 66 scan points, so n = 64 on 2e6
     # grid points fits; the leaf windows still refuse a lattice of 10^4 levels
     agents = AgentPair(1.0, 1.0)
     data = dp_config(".", admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6)
     scenario = cli._dp_scenario(cli.Section(data), agents, 64, refine=True)
     assert scenario.y_grid().size == 2_000_001
-    for n, refine in ((64, False), (10_000, True)):
+    # the grid is what is too fine at n = 64 with refinement off; at n = 10^4 the
+    # leaf windows alone exceed the budget on any grid, so the lattice is named
+    for n, refine, field in ((64, False, "y_resolution"), (10_000, True, "lattice_n")):
         with pytest.raises(cli.ConfigError) as refused:
             cli._dp_scenario(cli.Section(data), agents, n, refine=refine)
-        assert refused.value.field == "y_resolution" and "GiB" in str(refused.value)
+        assert refused.value.field == field and "GiB" in str(refused.value)
+
+    # on the command line, the field that set the largest lattice is named
+    def never(*args, **kwargs):
+        raise AssertionError("the recursion must not start")
+
+    monkeypatch.setattr(cli, "value_recursion", never)
+    monkeypatch.setattr(cli, "convergence_study", never)
+    out = tmp_path / "o"
+    for argv, field, lattice in ((["dp-value"], "lattice_n", {"lattice_n": 10_000}),
+                                 (["dp-value", "--grid", "10000"], "--grid", {"lattice_n": 4}),
+                                 (["convergence"], "n_list[2]", {"n_list": [2, 4, 10_000]})):
+        data = convergence_config(out) if argv[0] == "convergence" else dp_config(out)
+        data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1.0, refine=True, **lattice)
+        assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+        record = stderr_record(capsys)
+        assert record["field"] == field and "2 grid points" in record["message"]
+        assert not out.exists()
 
 
 def _readme_config(mode):
@@ -895,6 +914,16 @@ def test_path_grid_budget_accepts_millions_of_steps():
 
 def test_verify_exits_zero(capsys):
     assert main(["verify", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dp-value", "--seed", "5"], ["convergence", "--grid", "8"], ["verify", "--config", "x"],
+])
+def test_modes_refuse_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Certainty equivalents, agent pairs, and the Levy indifference prices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,19 @@ def test_newton_root_bisects_where_newton_crawls():
     got, _ = newton_root(fn, 0.5, -1.0, 1.0)
     assert abs(got) <= 1e-13
     assert len(calls) < utility._NEWTON_CAP
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: (x - 0.3, np.full_like(x, 1e-320)),  # the step f/slope overflows
+    lambda x: (np.where(x < 0.3, -1.0, 1.0), np.full_like(x, 1e-300)),  # the bracket test does
+], ids=["divide", "multiply"])
+def test_newton_root_refuses_an_overflowing_step_without_a_warning(fn):
+    # a tiny slope sends the Newton step far outside the bracket: refused, the
+    # bracket bisects down to one ulp of its larger end, and nothing is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = newton_root(fn, np.array([0.0]), np.array([-3.0]), np.array([3.0]))
+    assert abs(got[0] - 0.3) <= np.spacing(3.0)
 
 
 @settings(deadline=None, max_examples=50)

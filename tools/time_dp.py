@@ -1,4 +1,4 @@
-"""In-process timings of the refine-on lattice recursion, as medians.
+"""In-process timings of the lattice recursion, refine on and off, as medians.
 
 Run from the repository root:
 
@@ -9,13 +9,15 @@ For each seed of the benchmark's ``lattice`` workload (``bench/workloads.py``)
 it times the workload's refine-on calls: ``no_rebalance_check`` on the
 library pass's Black-Scholes scenario, and the ``convergence`` invocation's
 recursions (quadratic model, each n of its ``n_list``, without the
-quadrature limit).  Then one larger recursion: the quadratic model with
-g_load 0.3, mu 0.1, sigma 1.1, a_lin 0.6, b_quad 0.4, gamma = c = 1, on
-[-2, 2] at resolution 1e-3 (4001 points).  Each line gives the median wall
-time, the refinement's evaluation and fallback counts where the recursion
-reports them, and the root value with all its digits, so two checkouts'
-outputs can be compared.  It imports ``src/impactlab`` from the checkout
-it sits in.
+quadrature limit).  Then its refine-off calls: the library pass's six small
+polynomial lattices, and the ``dp-value`` invocation's recursion (its
+Black-Scholes scenario at n = 20 on [-1, 1] at resolution 1e-3).  Then one
+larger recursion: the quadratic model with g_load 0.3, mu 0.1, sigma 1.1,
+a_lin 0.6, b_quad 0.4, gamma = c = 1, on [-2, 2] at resolution 1e-3 (4001
+points).  Each line gives the median wall time, the refinement's evaluation
+and fallback counts where the recursion reports them, and the root values
+with all their digits, so two checkouts' outputs can be compared.  It
+imports ``src/impactlab`` from the checkout it sits in.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from impactlab import (  # noqa: E402
-    AgentPair, DpScenario, Lattice, QuadraticModel, no_rebalance_check, value_recursion,
+    AgentPair, DpScenario, Lattice, MarkovPayoffs, QuadraticModel, no_rebalance_check,
+    value_recursion,
 )
+from checks import black_scholes_payoffs  # noqa: E402
 from workloads import QUADRATIC_KEYS, Lattice as LatticeWorkload  # noqa: E402
 
 
@@ -86,6 +90,21 @@ def main(argv=None):
                                           args.repeats)
         report(f"seed {seed} convergence recursions n={work.N_LIST}", seconds, results,
                results[-1].value)
+
+        small = work.small_scenarios
+        seconds, results = median_seconds(
+            lambda: [value_recursion(s, refine=False) for s in small], args.repeats)
+        report(f"seed {seed} refine off small lattices n={[s.lattice.n for s in small]}",
+               seconds, results, [r.value for r in results])
+
+        s, g, h = black_scholes_payoffs(work.bs)
+        payoffs = MarkovPayoffs(s_fn=s, g_fn=g, h_fn=h,
+                                agents=AgentPair(work.bs["gamma"], work.bs["c"]))
+        dp_value = DpScenario(Lattice(work.DP_N), payoffs, work.ADMISSIBLE, work.RESOLUTION)
+        seconds, result = median_seconds(lambda: value_recursion(dp_value, refine=False),
+                                         args.repeats)
+        report(f"seed {seed} refine off dp-value n={work.DP_N} on "
+               f"{dp_value.y_grid().size} points", seconds, [result], result.value)
 
     model = QuadraticModel(g_load=0.3, mu=0.1, sigma=1.1, a_lin=0.6, b_quad=0.4,
                            agents=AgentPair(1.0, 1.0))
