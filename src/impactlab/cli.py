@@ -35,7 +35,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -78,18 +78,6 @@ from .paths import PathGrid, ShockSchedule, simulate_batch
 from .utility import AgentPair
 
 SCHEMA_VERSION = 1
-
-_RUN_ERRORS = (  # a run that passed validation and then fails exits 3
-    ParameterError,
-    DomainError,
-    ScheduleError,
-    QuadratureError,
-    NoRootError,
-    PreconditionError,
-    NonDifferentiableError,
-    OverflowError,
-    OSError,
-)
 
 _REQUIRED = object()
 
@@ -178,30 +166,34 @@ class Section:
             raise ConfigError(self.path(name), "must be a boolean")
         return bool(raw)
 
-    def number_list(self, name: str, default=_REQUIRED) -> List[float]:
+    def list_of(self, name: str, item: Callable, plural: str, default=_REQUIRED) -> list:
+        """The list at ``name``, each entry read by ``item`` (``_finite_number`` or
+        ``_integer``), whose ValueError is reported at the entry's index."""
         raw = self._fetch(name, default)
         if not isinstance(raw, (list, tuple)):
-            raise ConfigError(self.path(name), "must be a list of numbers")
+            raise ConfigError(self.path(name), f"must be a list of {plural}")
         out = []
-        for i, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{self.path(name)}[{i}]", "must be a number")
-            value = float(item)
-            if not math.isfinite(value):
-                raise ConfigError(f"{self.path(name)}[{i}]", "must be finite")
-            out.append(value)
+        for i, entry in enumerate(raw):
+            try:
+                out.append(item(entry))
+            except ValueError as exc:
+                raise ConfigError(f"{self.path(name)}[{i}]", str(exc)) from None
         return out
 
-    def integer_list(self, name: str, default=_REQUIRED) -> List[int]:
-        raw = self._fetch(name, default)
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(self.path(name), "must be a list of integers")
-        out = []
-        for i, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"{self.path(name)}[{i}]", "must be an integer")
-            out.append(int(item))
-        return out
+
+def _finite_number(entry) -> float:
+    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        raise ValueError("must be a number")
+    value = float(entry)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _integer(entry) -> int:
+    if isinstance(entry, bool) or not isinstance(entry, int):
+        raise ValueError("must be an integer")
+    return int(entry)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -242,6 +234,8 @@ def _load_config(path: Optional[str], mode: str) -> Section:
 
 
 _LIBRARY_ERRORS = (ParameterError, DomainError, ScheduleError, PreconditionError, QuadratureError)
+# a run that passed validation and then fails exits 3
+_RUN_ERRORS = (*_LIBRARY_ERRORS, NoRootError, NonDifferentiableError, OverflowError, OSError)
 
 
 @contextlib.contextmanager
@@ -659,7 +653,7 @@ def _run_markov_fields(args) -> int:
     agents = _agents(root)
     order = _quad_order(root)
     inventory = root.number("inventory", default=0.0)
-    times = root.number_list("times")
+    times = root.list_of("times", _finite_number, "numbers")
     if not times:
         raise ConfigError("times", "must not be empty")
     for i, t in enumerate(times):
@@ -789,7 +783,7 @@ def _run_convergence(args) -> int:
          "admissible", "y_resolution", "refine", "order", "limit"}
     )
     agents = _agents(root)
-    n_list = root.integer_list("n_list")
+    n_list = root.list_of("n_list", _integer, "integers")
     if not n_list:
         raise ConfigError("n_list", "must not be empty")
     for i, n in enumerate(n_list):

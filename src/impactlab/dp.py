@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError
-from .markov import MarkovPayoffs, field_p, field_v
+from .markov import MarkovPayoffs, _payoff_rows, field_p, field_v
 from .utility import ce, newton_root, tilted_mean, tilted_moments
 
 _COARSE_INTERVALS = 64  # the refine-on scan grid's intervals over the admissible range
@@ -147,10 +147,8 @@ def conditional_ce(
     scenario: DpScenario, level: int, m: int, terminal_fn: Callable, aversion: float
 ) -> float:
     """Certainty equivalent of terminal_fn(W_1) over the leaves below (level, m)."""
-    leaves = scenario.lattice.leaf_values_from(level, m)
-    logw = scenario.lattice.leaf_log_weights_from(level)
-    vals = np.asarray(terminal_fn(leaves), dtype=float)
-    return float(ce(vals, logw, aversion))
+    vals = _leaf_payoffs(scenario, level, m, (terminal_fn,))[0]
+    return float(ce(vals, scenario.lattice.leaf_log_weights_from(level), aversion))
 
 
 def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callable) -> float:
@@ -158,11 +156,14 @@ def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callab
     return conditional_ce(scenario, level, m, terminal_fn, scenario.agents.gamma)
 
 
-def _leaf_payoffs(scenario: DpScenario, level: int = 0, m: int = 0):
-    """G, S and H on the leaves below node (level, m), by default all n+1 of them."""
-    leaves = scenario.lattice.leaf_values_from(level, m)
+def _leaf_payoffs(scenario: DpScenario, level: int = 0, m: int = 0, fns=None) -> np.ndarray:
+    """G, S and H (or each of ``fns``) on the leaves below node (level, m), by
+    default all n+1 of them, one float row each; PreconditionError if a value
+    is non-finite."""
     pay = scenario.payoffs
-    return [np.asarray(fn(leaves), dtype=float) for fn in (pay.g_fn, pay.s_fn, pay.h_fn)]
+    leaves = scenario.lattice.leaf_values_from(level, m)
+    fns = fns or (pay.g_fn, pay.s_fn, pay.h_fn)
+    return _payoff_rows(leaves, fns, PreconditionError, "a lattice leaf")
 
 
 def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:

@@ -88,24 +88,25 @@ def _check_t(t: float, terminal_ok: bool):
         raise ParameterError("gradient fields need t < 1")
 
 
+def _payoff_rows(points: np.ndarray, fns, error, where: str) -> np.ndarray:
+    """Each callable on the 1-d ``points``, from one call, as a float row of their
+    shape (a constant is broadcast); a non-finite value raises ``error`` naming ``where``."""
+    out = np.empty((len(fns), points.size))
+    for fn, row in zip(fns, out):
+        row[...] = fn(points)
+    if not np.isfinite(out).all():  # one check for every payoff
+        raise error(f"terminal payoff is non-finite at {where}")
+    return out
+
+
 def _node_values(t: float, w, order: int, *fns):
     """Each callable at the quadrature points, from one call on the raveled 1-d points:
     a row per w of the 1-d ``w``, a column per node w + sqrt(1-t)*z_k (w at t = 1)."""
     points = np.asarray(w, dtype=float)[:, None]
     if t < 1.0:
         points = points + math.sqrt(1.0 - t) * _rules(order)[0]
-    flat = points.ravel()
-    finite = np.empty((len(fns), flat.size), dtype=bool)
-    out = []
-    for fn, ok in zip(fns, finite):
-        vals = np.asarray(fn(flat), dtype=float)
-        if vals.shape != flat.shape:  # a constant payoff
-            vals = np.broadcast_to(vals, flat.shape).astype(float)
-        np.isfinite(vals, out=ok)
-        out.append(vals.reshape(points.shape))
-    if not finite.all():  # one check for every payoff
-        raise QuadratureError("terminal payoff is non-finite at a quadrature node")
-    return out
+    vals = _payoff_rows(points.ravel(), fns, QuadratureError, "a quadrature node")
+    return vals.reshape((len(fns),) + points.shape)
 
 
 def _ce_rows(vals, t: float, aversion: float, order: int):

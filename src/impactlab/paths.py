@@ -14,7 +14,9 @@ gives the levels, and one read-only H' series serves every path.  Building
 a ``SeedSequence`` and a ``PCG64`` per path would cost more than drawing a
 short path, so a batch runs numpy's ``SeedSequence`` hash on every path's
 (seed, k) at once in ``uint32`` arithmetic, and moves one ``Generator``
-from stream to stream by setting its PCG64 state.
+from stream to stream by setting its PCG64 state.  The hash is numpy's,
+transcribed step by step: its cost is a fixed number of numpy calls per
+batch, so a one-path batch (``simulate_path``) pays it whole.
 """
 
 from __future__ import annotations
@@ -142,48 +144,15 @@ def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-# numpy's SeedSequence with its default pool of 4 uint32 words, and PCG64's
-# seeding from it, for a whole column of entropy at once; path_generator is
-# the reference that the tests hold them to.  The hash constants do not
-# depend on the input, so they are tabled here per step, as columns as tall
-# as the step's data: on a short batch numpy's dispatch costs more than the
-# arithmetic, and an operand of the data's own shape skips broadcasting.
+# numpy's SeedSequence with its default pool of 4 uint32 words for many paths at
+# once: hashmix, mix, SeedSequence.mix_entropy and SeedSequence.generate_state of
+# numpy/random/bit_generator.pyx line for line, each step acting on one uint32 row
+# of the (words, paths) entropy.  The tests compare it with path_generator.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_steps(init: int, mult: int, indices) -> tuple:
-    """Constants of the hashmixes ``indices`` of a run from ``init``.
-
-    Five (len(indices), 1) uint32 columns: the hash constant each hashmix
-    xors in (init * mult**i mod 2**32), the next one it multiplies by, the
-    shift, and mix's two multipliers.
-    """
-    consts = [init]
-    for _ in range(max(indices) + 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    rows = (
-        [consts[i] for i in indices],
-        [consts[i + 1] for i in indices],
-        *([c] * len(indices) for c in (_XSHIFT, _MIX_L, _MIX_R)),
-    )
-    return tuple(np.array(row, dtype=np.uint32)[:, None] for row in rows)
-
-
-_FILL = _hash_steps(_INIT_A, _MULT_A, range(4))
-# Mixing step s hashes pool word s into each other word d in turn, with
-# hashmix 4 + 3s + (d's place among the others).  The pool is kept rotated so
-# that word s is row 0 and words s+1, s+2, s+3 (mod 4) follow, so the
-# constants are listed in that order.
-_MIXING = [
-    _hash_steps(_INIT_A, _MULT_A, [4 + 3 * s + d - (d > s) for d in ((s + j) % 4 for j in (1, 2, 3))])
-    for s in range(4)
-]
-_OUTPUT = _hash_steps(_INIT_B, _MULT_B, range(8))
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def _words(n: int) -> list:
@@ -194,35 +163,39 @@ def _words(n: int) -> list:
     return out
 
 
-def _hashmix(value, steps):
-    """SeedSequence's hashmix: xor in the hash constant, multiply by the next, xorshift."""
-    value = value ^ steps[0]
-    value *= steps[1]
-    value ^= value >> steps[2]
-    return value
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """hashmix of a uint32 row, and the hash constant it leaves, which numpy carries by pointer."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value *= hash_const
+    return value ^ value >> _XSHIFT, hash_const
 
 
-def _mix(x, y, steps):
-    """SeedSequence's mix of y into x (x is overwritten): L*x - R*y, xorshift."""
-    x *= steps[3]
-    x -= y * steps[4]
-    x ^= x >> steps[2]
-    return x
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
 
 
 def _seed_sequence_state(entropy: np.ndarray, size: int) -> np.ndarray:
-    """``SeedSequence(words).generate_state(8, np.uint32)`` of each column, as (8, columns).
-
-    Rows 0..size-1 of the uint32 ``entropy`` are the words; when size < 4 it
-    has four rows, the rest zero, which is how the pool is filled then.
-    """
-    pool = _hashmix(entropy[:4], _FILL)
-    for steps in _MIXING:  # so late words affect earlier ones; four rotations restore the order
-        pool = np.concatenate((_mix(pool[1:], _hashmix(pool[0], steps), steps), pool[:1]))
-    for i in range(4, size):  # words past the pool mix into each pool word
-        steps = _hash_steps(_INIT_A, _MULT_A, range(4 * i, 4 * i + 4))
-        pool = _mix(pool, _hashmix(entropy[i], steps), steps)
-    return _hashmix(np.concatenate((pool, pool)), _OUTPUT)
+    """``SeedSequence(words).generate_state(8, np.uint32)`` of each column, as (8, columns):
+    rows 0..size-1 of the uint32 ``entropy`` are the words; when size < 4 it has four
+    rows, the rest zero, which is how the pool is filled then."""
+    mixer, hash_const = [None] * 4, _INIT_A
+    for i in range(4):
+        mixer[i], hash_const = _hashmix(entropy[i], hash_const)
+    for i_src in range(4):  # so late words affect earlier ones
+        for i_dst in range(4):
+            if i_src != i_dst:
+                value, hash_const = _hashmix(mixer[i_src], hash_const)
+                mixer[i_dst] = _mix(mixer[i_dst], value)
+    for i_src in range(4, size):  # words past the pool mix into each pool word
+        for i_dst in range(4):
+            value, hash_const = _hashmix(entropy[i_src], hash_const)
+            mixer[i_dst] = _mix(mixer[i_dst], value)
+    state, hash_const = mixer * 2, _INIT_B  # numpy cycles through the pool
+    for i_dst in range(8):
+        state[i_dst], hash_const = _hashmix(state[i_dst], hash_const, _MULT_B)
+    return np.array(state)
 
 
 def _stream_words(seed: int, first: int, n_paths: int) -> np.ndarray:

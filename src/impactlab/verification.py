@@ -17,7 +17,7 @@ from .cumulants import Brownian, GammaProcess, OneSidedStable
 from .dp import DpScenario, Lattice, conditional_pi, no_rebalance_check, value_recursion
 from .efficient import LevyScenario, allocation_value, optimal_position, realized_pnl
 from .markov import MarkovPayoffs, QuadraticModel, ShockWaveModel
-from .paths import PathGrid, PathSample, ShockSchedule, simulate_batch, simulate_path
+from .paths import PathGrid, PathSample, ShockSchedule, path_generator, simulate_batch, simulate_path
 from .utility import AgentPair, SampleSet, certainty_equivalent, levy_price_curve
 
 
@@ -304,6 +304,16 @@ def check_path_determinism():
     assert not np.array_equal(a.x, c.x)
 
 
+def check_batch_seeding():
+    # the batch's copy of SeedSequence against the installed numpy's: the seed
+    # spans three words, and the path index carries into its second word
+    model, grid, seed, first = GammaProcess(alpha=2.0, beta=1.0), PathGrid(16), 2**64 + 7, 2**32 - 2
+    batch = simulate_batch(model, grid, ShockSchedule(), seed, 4, first=first)
+    for k, row in enumerate(batch.increments, start=first):
+        want = model.sample_increments(path_generator(seed, k), grid.dt, grid.n_steps)
+        assert (row == want).all(), f"path {k} of seed {seed} left numpy's stream"
+
+
 ALL_CHECKS: List[Tuple[str, Callable[[], None]]] = [
     ("cumulant-derivatives-vs-fd", check_cumulant_derivatives),
     ("cumulant-concavity", check_cumulant_shape),
@@ -322,6 +332,7 @@ ALL_CHECKS: List[Tuple[str, Callable[[], None]]] = [
     ("price-tower-and-split", check_price_consistency),
     ("dp-buy-and-hold", check_buy_and_hold),
     ("path-determinism", check_path_determinism),
+    ("batch-seeding-vs-numpy", check_batch_seeding),
 ]
 
 

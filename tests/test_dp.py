@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from impactlab.dp import (
     DpScenario,
     Lattice,
     _level_menus,
+    buy_and_hold_position,
     conditional_ce,
     conditional_pi,
     convergence_study,
@@ -22,7 +24,7 @@ from impactlab.dp import (
     sup_convolution,
     value_recursion,
 )
-from impactlab.errors import ParameterError, PreconditionError
+from impactlab.errors import ParameterError, PreconditionError, QuadratureError
 from impactlab.markov import (
     MarkovPayoffs,
     QuadraticModel,
@@ -157,6 +159,56 @@ def test_conditional_ce_overflow():
     scn = make_scenario(2, IDENT, ZERO, IDENT, gamma=10.0)
     with pytest.raises(OverflowError):
         conditional_pi(scn, 0, 0, lambda w: np.full_like(w, -1e308))
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_a_constant_payoff_gives_the_bits_of_the_full_array(refine):
+    # the Markov fields broadcast a payoff that returns one number; the lattice does too
+    agents = AgentPair(gamma=1.0, c=1.5)
+    const, full = (
+        DpScenario(Lattice(4), MarkovPayoffs(IDENT, g, IDENT, agents), (-2.0, 2.0), 1e-2)
+        for g in (lambda w: 0.0, lambda w: np.full_like(w, 0.0))
+    )
+    a, b = value_recursion(const, refine), value_recursion(full, refine)
+    assert (a.value, a.pi0_g, a.bound_hits) == (b.value, b.pi0_g, b.bound_hits)
+    assert all((x == y).all() for x, y in zip(a.fields + a.policies, b.fields + b.policies))
+    for scn in (const, full):
+        assert buy_and_hold_position(scn) == -0.6  # -y*S = (c / (c + gamma)) * H
+    assert no_rebalance_check(const, refine) == no_rebalance_check(full, refine)
+    continuation = full.payoffs.h_fn(full.lattice.level_values(1))
+    for x, y in zip(sup_convolution(const, 0, continuation, refine),
+                    sup_convolution(full, 0, continuation, refine)):
+        assert (x == y).all()
+    assert emm_eipu(const, 1, 0) == emm_eipu(full, 1, 0)
+    assert conditional_pi(const, 1, 1, lambda w: 0.7) == conditional_pi(full, 1, 1, lambda w: np.full_like(w, 0.7))
+
+
+@pytest.mark.parametrize("bad", ["g_fn", "s_fn", "h_fn"])
+def test_a_non_finite_leaf_payoff_is_refused_before_any_ce(bad):
+    # NaN at the leaf w = 1 of Lattice(4) in one payoff; the recursion used to
+    # report an OverflowError and emm_eipu returned nan
+    nan_at_one = lambda w: np.where(w == 1.0, np.nan, 0.5 * w)
+    base = make_payoffs(IDENT, lambda w: 0.2 * w, IDENT)
+    scn = DpScenario(Lattice(4), replace(base, **{bad: nan_at_one}), (-2.0, 2.0), 1e-2)
+    assert 1.0 in scn.lattice.level_values(4)
+    calls = [
+        lambda: value_recursion(scn, refine=True),
+        lambda: value_recursion(scn, refine=False),
+        lambda: sup_convolution(scn, 3, np.zeros(5)),
+        lambda: conditional_pi(scn, 0, 0, nan_at_one),
+        lambda: conditional_ce(scn, 2, 2, nan_at_one, 0.0),
+        lambda: emm_eipu(scn, 0, 0),
+        lambda: buy_and_hold_position(scn),
+        lambda: no_rebalance_check(scn),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="^terminal payoff is non-finite at a lattice leaf$"):
+            call()
+    # the leaves below node (3, 0) are -2 and 0: the bad leaf is not among them
+    assert math.isfinite(conditional_pi(scn, 3, 0, nan_at_one))
+    # the Markov layer refuses the same payoff as a quadrature failure
+    with pytest.raises(QuadratureError, match="^terminal payoff is non-finite at a quadrature node$"):
+        field_v(MarkovPayoffs(IDENT, nan_at_one, IDENT, base.agents), 1.0, 1.0)
 
 
 def test_conditional_pi_tower_property():
