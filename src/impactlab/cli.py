@@ -131,7 +131,7 @@ class Section:
             raw = math.inf
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(self.path(name), "must be a number")
-        value = float(raw)
+        value = _to_float(raw)
         if math.isnan(value):
             raise ConfigError(self.path(name), "must not be NaN")
         if math.isinf(value) and not allow_inf:
@@ -181,10 +181,19 @@ class Section:
         return out
 
 
+def _to_float(number) -> float:
+    """float(number), with an int too large for a float read as the infinity of
+    its sign, as a float literal such as 1e400 already is."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def _finite_number(entry) -> float:
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise ValueError("must be a number")
-    value = float(entry)
+    value = _to_float(entry)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value

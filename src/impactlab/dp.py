@@ -166,11 +166,12 @@ def _leaf_payoffs(scenario: DpScenario, level: int = 0, m: int = 0, fns=None) ->
     return _payoff_rows(leaves, fns, PreconditionError, "a lattice leaf")
 
 
-def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
+def _level_menus(scenario: DpScenario, level: int, y: np.ndarray, leaves) -> np.ndarray:
     """Pi(G - y*S) on the y grid, one row per node of ``level``: G - y*S at the
-    leaves, then one coin-flip CE of the children's rows per level up."""
+    leaves (``leaves`` is ``_leaf_payoffs(scenario)``), then one coin-flip CE
+    of the children's rows per level up."""
     lat = scenario.lattice
-    g, s, _ = _leaf_payoffs(scenario)
+    g, s, _ = leaves
     menus, coin = g[:, None] - s[:, None] * y, lat.coin(3)
     for _ in range(lat.n - level):
         menus = ce(lat.children(menus), coin, scenario.agents.gamma, axis=0)
@@ -227,13 +228,22 @@ def sup_convolution(
     continuation = np.asarray(continuation, dtype=float)
     if continuation.shape != (next_nodes,):
         raise ParameterError("continuation must hold one value per node at level+1")
-    gamma, c, coin = scenario.agents.gamma, scenario.agents.c, lat.coin(3)
     y = _scan_grid(scenario, refine)
-    if menus is None:
-        menus = _level_menus(scenario, level + 1, y)
-    elif menus.shape != (next_nodes, y.size):
+    if menus is not None and menus.shape != (next_nodes, y.size):
         raise ParameterError("menus must hold one scan-grid row per node at level+1")
+    leaves = _leaf_payoffs(scenario) if refine or menus is None else None
+    if menus is None:
+        menus = _level_menus(scenario, level + 1, y, leaves)
+    return _sup_step(scenario, level, continuation, y, menus, leaves, refine,
+                     Counter() if tally is None else tally)
 
+
+def _sup_step(scenario, level, continuation, y, menus, leaves, refine, tally):
+    """``sup_convolution`` on checked inputs: the scan grid ``y``, the children's
+    ``menus`` on it (overwritten), and the leaf rows ``_leaf_payoffs(scenario)``,
+    which only refinement reads."""
+    lat = scenario.lattice
+    gamma, c, coin = scenario.agents.gamma, scenario.agents.c, lat.coin(3)
     owed, pairs = lat.children(continuation), lat.children(menus)
     own = ce(pairs, coin, gamma, axis=0)  # this level's menus, also the supplier term
     objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), coin, c, axis=0) + own
@@ -241,7 +251,7 @@ def sup_convolution(
     j = _tie_broken_argmax(objective, y)
     if not refine:
         return objective[np.arange(j.size), j], y[j]
-    return _refine(scenario, level, owed, y, objective, j, Counter() if tally is None else tally)
+    return _refine(scenario, level, owed, leaves, y, objective, j, tally)
 
 
 class _LeafWindows:
@@ -274,8 +284,7 @@ class _LeafWindows:
         self.calls += 1
         gamma, c, coin = self.gamma, self.c, self.coin
         book = self.g - yy[:, None] * self.s
-        pi = ce(book, self.logw, gamma)
-        mean, var = tilted_moments(self.s, book, self.logw, gamma)
+        mean, var, pi = tilted_moments(self.s, book, self.logw, gamma, with_ce=True)
         pi_d = np.stack((-mean, -gamma * var))  # pi' and pi'' of each child
         dem, dem_var = tilted_moments(-pi_d, self.owed - pi, coin, c, axis=-2)
         sup, sup_var = tilted_moments(pi_d, pi, coin, gamma, axis=-2)
@@ -324,15 +333,16 @@ def _peaks(rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(rise[:, :-1] & ~rise[:, 1:], axis=1)
 
 
-def _refine(scenario, level, owed, y, rows, j, tally):
+def _refine(scenario, level, owed, leaf_rows, y, rows, j, tally):
     """Newton from the scan-grid argmax y[j] between its scan-grid neighbours, on
-    the objective from the children's leaves.  A node whose scan row has two
+    the objective from the children's leaves (G and S are the first two of
+    ``leaf_rows``).  A node whose scan row has two
     or more local maxima, or whose objective is convex at Newton's point
     (F'' > 0), is scanned again on the whole y grid from its leaves and
     polished between that grid's neighbours instead.  F'' = 0 exactly is left
     out: it comes from an objective flat or linear in y, whose best scan point
     (the tie-break winner or an end) is already the whole grid's."""
-    leaves = [scenario.lattice.child_leaves(v, level) for v in _leaf_payoffs(scenario)[:2]]
+    leaves = [scenario.lattice.child_leaves(v, level) for v in leaf_rows[:2]]
     windows = _LeafWindows(scenario, level, owed, leaves, slice(None))
     values, policies, curvature = windows.polish(y, rows, j)
     tally["evaluations"] += windows.calls
@@ -373,16 +383,18 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     """Backward induction as a composition of one-step sup-convolutions.
 
     F_n = (g+h)(leaves); F_k = one sup-convolution of F_{k+1}; the demander
-    value is F_0(root) - Pi_0(G).  One menu array is carried up the levels.
+    value is F_0(root) - Pi_0(G).  One menu array is carried up the levels, and
+    the payoffs and the scan grid are evaluated once.
     """
     lat = scenario.lattice
-    g, _, h = _leaf_payoffs(scenario)
+    leaves = _leaf_payoffs(scenario)
+    g, _, h = leaves
+    y = _scan_grid(scenario, refine)
     fields, policies, tally = [g + h], [], Counter()
-    menus = _level_menus(scenario, lat.n, _scan_grid(scenario, refine))
+    menus = _level_menus(scenario, lat.n, y, leaves)
     for level in range(lat.n - 1, -1, -1):
-        current, pol = sup_convolution(
-            scenario, level, fields[-1], refine, menus[:lat.nodes(level + 1)], tally=tally
-        )
+        current, pol = _sup_step(scenario, level, fields[-1], y, menus[:lat.nodes(level + 1)],
+                                 leaves, refine, tally)
         fields.append(current)
         policies.append(pol)
     pi0_g = float(ce(g, lat.leaf_log_weights_from(0), scenario.agents.gamma))

@@ -13,7 +13,11 @@ for the strategy reuses the node values of s, g (and h, for dv/dw), checks
 each bracket at 9 points with one batched residual, and polishes by
 safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
 mean of the nodes) and its y-derivative (a tilted covariance of the nodes
-and s).
+and s).  A root is one state's scalar problem, and most of its cost is the
+fixed cost of each numpy call, so a bracket's probe grid is built once and
+cached, the bracket bookkeeping runs on Python floats and Newton on numpy
+scalars, all rounding as float64 arrays do: about 205 us a root on the
+benchmark's ``fields`` pass (``tools/time_fields.py``, busy 2-vCPU VM).
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -205,6 +209,16 @@ def completeness_invert(
     return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
 
 
+@lru_cache(maxsize=64)
+def _probe_grid(lo: float, hi: float) -> np.ndarray:
+    """The 9 probes of the bracket [lo, hi], ends included, read-only: roots
+    share their brackets.  A zero end may get the grid of the other signed
+    zero; a probe's sign of zero changes neither its residual nor the chord."""
+    probes = np.linspace(lo, hi, 9)
+    probes.flags.writeable = False
+    return probes
+
+
 def _invert(s, g, gamma, t, z, order, bracket) -> float:
     """``completeness_invert`` on the node values s and g of one state."""
     nodes, logw = _rules(order)
@@ -223,29 +237,35 @@ def _invert(s, g, gamma, t, z, order, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError("bracket must satisfy lo < hi")
-    probes = np.linspace(lo, hi, 9)
-    probe_vals = residual(probes)
+    # the bracket bookkeeping runs on Python floats, which round as float64
+    # arrays do: numpy's bits without numpy's fixed cost per call
+    probes = _probe_grid(lo, hi)
+    vals = residual(probes).tolist()
     expansions = 0
-    while probe_vals[0] * probe_vals[-1] > 0.0:
+    while vals[0] * vals[-1] > 0.0:
         if expansions >= _MAX_EXPANSIONS:
             raise NoRootError(
                 f"no sign change in [{lo}, {hi}] after {expansions} expansions"
             )
         mid, width = 0.5 * (lo + hi), hi - lo
         lo, hi = mid - width, mid + width
-        probes = np.linspace(lo, hi, 9)
-        probe_vals = residual(probes)
+        probes = _probe_grid(lo, hi)
+        vals = residual(probes).tolist()
         expansions += 1
-    diffs = np.diff(probe_vals)
+    diffs = [b - a for a, b in zip(vals, vals[1:])]
     # deep exponential tilts flatten numerically at the bracket ends, so only a
-    # genuine direction reversal (not a flat stretch) disqualifies the map
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(probe_vals))))
-    if (diffs > tol).any() and (diffs < -tol).any():
+    # genuine direction reversal (not a flat stretch) disqualifies the map; a
+    # NaN residual leaves the scale at 1, as numpy's NaN-propagating max did
+    scale = 1.0 if any(v != v for v in vals) else max(1.0, *map(abs, vals))
+    tol = 1e-12 * scale
+    if any(d > tol for d in diffs) and any(d < -tol for d in diffs):
         raise PreconditionError(
             "y -> -dp/dw is not monotone on the searched bracket"
         )
-    k = int(np.flatnonzero(probe_vals[:-1] * probe_vals[1:] <= 0.0)[0])
-    (a, b), (ra, rb) = probes[k:k + 2].tolist(), probe_vals[k:k + 2].tolist()
+    k = next((i for i in range(8) if vals[i] * vals[i + 1] <= 0.0), None)
+    if k is None:  # a NaN residual at an end stops the expansions with no sign change
+        raise NoRootError(f"no sign change among the probes of [{lo}, {hi}]")
+    (a, b), (ra, rb) = probes[k:k + 2].tolist(), vals[k:k + 2]
     # Newton starts where the chord through the probe interval's ends crosses zero
     start = a if ra == rb else a - ra * (b - a) / (rb - ra)
     root, left = newton_root(with_slope, start, *((a, b) if ra <= rb else (b, a)))

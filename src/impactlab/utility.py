@@ -23,6 +23,7 @@ them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -115,6 +116,14 @@ def ce(values, logw, aversion: float, axis: int = -1):
         top = np.maximum.reduce(exponent, axis, keepdims=True)
         exponent -= top
         total = np.add.reduce(np.exp(exponent, exponent), axis)
+    return _ce_from_normaliser(total, top, aversion, axis)
+
+
+def _ce_from_normaliser(total, top, aversion: float, axis: int):
+    """-(1/a) log sum_i exp(logw_i - a v_i), from the sum ``total`` of the tilt
+    exp(logw - a*v - top) along ``axis`` and its shift ``top`` (axis kept), for
+    a finite a > 0; OverflowError if the result is non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
         out = -(np.log(total) + top.squeeze(axis)) / aversion
     if not np.isfinite(out).all():
         raise OverflowError("certainty equivalent is non-finite even after shifting")
@@ -134,7 +143,9 @@ def tilted_mean(x, values, logw, aversion: float):
     return np.vecdot(tilt, x) / np.add.reduce(tilt, -1)
 
 
-def tilted_moments(x, values, logw, aversion: float, other=None, axis: int = -1):
+def tilted_moments(
+    x, values, logw, aversion: float, other=None, axis: int = -1, with_ce: bool = False
+):
     """Tilted mean E^a[x] and covariance Cov^a[x, other] along ``axis``, under
     the weights exp(logw - a*values) normalized to sum to one.
 
@@ -142,28 +153,47 @@ def tilted_moments(x, values, logw, aversion: float, other=None, axis: int = -1)
     broadcast against ``values``; leading axes of their own give several
     moments under one tilt.  a = 0 leaves the weights as they are, and
     a = inf keeps only the supported minimizers of ``values`` (the tilt
-    ``ce``'s minimum is the limit of).
+    ``ce``'s minimum is the limit of).  ``with_ce`` appends
+    ``ce(values, logw, aversion, axis)``, bit for bit, which for a finite
+    a > 0 comes from the same tilt's normaliser.
     """
-    if aversion == 0.0:
-        exponent = np.broadcast_to(logw, np.broadcast_shapes(np.shape(logw), np.shape(values)))
-    elif math.isinf(aversion):
-        lowest = np.minimum.reduce(
-            np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
-        )
-        exponent = np.where(values == lowest, logw, -np.inf)
+    # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
+    quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
+    with quiet:
+        if aversion == 0.0:
+            exponent = np.broadcast_to(logw, np.broadcast_shapes(np.shape(logw), np.shape(values)))
+        elif math.isinf(aversion):
+            lowest = np.minimum.reduce(
+                np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
+            )
+            exponent = np.where(values == lowest, logw, -np.inf)
+        else:
+            exponent = logw - aversion * values
+        top = np.maximum.reduce(exponent, axis, keepdims=True)
+        tilt = np.exp(exponent - top)
+        total = np.add.reduce(tilt, axis, keepdims=True)
+        tilt /= total
+        mean = np.add.reduce(tilt * x, axis, keepdims=True)
+        spread = x - mean
+        if other is not None:
+            other = other - np.add.reduce(tilt * other, axis, keepdims=True)
+        cov = np.add.reduce(tilt * spread * (spread if other is None else other), axis)
+    if not with_ce:
+        return mean.squeeze(axis), cov
+    if aversion == 0.0 or math.isinf(aversion):  # the tilt does not weigh the values
+        certainty = ce(values, logw, aversion, axis)
     else:
-        exponent = logw - aversion * values
-    tilt = np.exp(exponent - np.maximum.reduce(exponent, axis, keepdims=True))
-    tilt /= np.add.reduce(tilt, axis, keepdims=True)
-    mean = np.add.reduce(tilt * x, axis, keepdims=True)
-    spread = x - mean
-    if other is not None:
-        other = other - np.add.reduce(tilt * other, axis, keepdims=True)
-    cov = np.add.reduce(tilt * spread * (spread if other is None else other), axis)
-    return mean.squeeze(axis), cov
+        certainty = _ce_from_normaliser(total.squeeze(axis), top, aversion, axis)
+    return mean.squeeze(axis), cov, certainty
 
 
 _NEWTON_CAP = 128  # steps; bisecting any bracket down to the stopping step takes at most 53
+_EPS = float(np.finfo(float).eps)
+
+
+def _choose(cond, a, b):
+    """np.where for one entry."""
+    return a if cond else b
 
 
 def newton_root(fn, x, neg, pos):
@@ -177,27 +207,35 @@ def newton_root(fn, x, neg, pos):
     otherwise the bracket is bisected.  An entry stops at a zero value, or
     where its next step would be at most one ulp of the bracket's larger end.
     Returns the points and fn's values there; fn's last call is at those points.
+    When x, neg and pos are all scalars, the one entry runs on numpy scalars,
+    and fn gets one: they round as 0-d arrays do, without a 0-d array's fixed
+    cost per numpy call, which is most of a scalar root's Newton time.
     """
     x = np.asarray(x, dtype=float)
-    tol = np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))
+    if x.ndim == np.ndim(neg) == np.ndim(pos) == 0:
+        x, neg, pos = x[()], np.float64(neg), np.float64(pos)
+        where, any_ = _choose, bool
+    else:
+        where, any_ = np.where, np.any
+    tol = _EPS * np.maximum(np.abs(neg), np.abs(pos))
     step = prev = np.abs(np.subtract(pos, neg))
     f, slope = fn(x)
     active = f != 0.0
     for _ in range(_NEWTON_CAP):
-        neg = np.where(f < 0.0, x, neg)
-        pos = np.where(f > 0.0, x, pos)
+        neg = where(f < 0.0, x, neg)
+        pos = where(f > 0.0, x, pos)
         # a tiny slope overflows the step, and the step the bracket test: an
         # infinite product reads as outside the bracket, which it is
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx = f / slope
             new = x - dx
-            take = ((new - neg) * (new - pos) < 0.0) & (np.abs(dx) <= 0.5 * prev)
-        new = np.where(take, new, 0.5 * (neg + pos))
-        prev, step = step, np.abs(new - x)
+            take = ((new - neg) * (new - pos) < 0.0) & (abs(dx) <= 0.5 * prev)
+        new = where(take, new, 0.5 * (neg + pos))
+        prev, step = step, abs(new - x)
         active &= step > tol
-        if not active.any():
+        if not any_(active):
             break
-        x = np.where(active, new, x)
+        x = where(active, new, x)
         f, slope = fn(x)
         active &= f != 0.0
     return x, f

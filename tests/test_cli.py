@@ -168,6 +168,37 @@ def test_strings_that_resemble_exponent_floats_are_refused(tmp_path, capsys, tex
     assert record["field"] == "loading" and "must be a number" in record["message"]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_number_too_large_for_a_float_is_refused_as_not_finite(tmp_path, capsys, sign):
+    # float() of these ints raises OverflowError, which used to exit 3 naming no field
+    huge = sign * 10**330
+    cfg = write_config(tmp_path, levy_config(tmp_path / "o", loading=huge))
+    assert main(["levy-sim", "--config", cfg]) == 2
+    assert stderr_record(capsys) == {
+        "error": "ConfigError", "field": "loading", "message": "loading: must be finite"
+    }
+    data = markov_config(tmp_path / "m")
+    data["times"] = [huge, 0.5]
+    cfg = write_config(tmp_path, data)
+    assert main(["markov-fields", "--config", cfg]) == 2
+    assert stderr_record(capsys) == {
+        "error": "ConfigError", "field": "times[0]", "message": "times[0]: must be finite"
+    }
+
+
+def test_a_demander_aversion_too_large_for_a_float_reads_as_inf(tmp_path, capsys):
+    runs = {}
+    for c in ("inf", 10**400):
+        out = tmp_path / str(len(runs))
+        cfg = write_config(tmp_path, levy_config(out, agents={"gamma": 1.0, "c": c}))
+        assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
+        runs[c] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["inf"] == runs[10**400]
+    cfg = write_config(tmp_path, levy_config(tmp_path / "n", agents={"gamma": 1.0, "c": -10**400}))
+    assert main(["levy-sim", "--config", cfg]) == 2
+    assert stderr_record(capsys)["message"] == "agents.c: must be > 0"
+
+
 def test_stable_levy_sim_with_a_tiny_argument_warns_nothing(tmp_path):
     # kappa'' overflows to its exact limit -inf at abar*(a + h') = 1e-300 / 2
     out = tmp_path / "o"

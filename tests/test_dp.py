@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from impactlab.dp import (
     DpScenario,
     Lattice,
+    _leaf_payoffs,
     _level_menus,
     buy_and_hold_position,
     conditional_ce,
@@ -211,6 +212,39 @@ def test_a_non_finite_leaf_payoff_is_refused_before_any_ce(bad):
         field_v(MarkovPayoffs(IDENT, nan_at_one, IDENT, base.agents), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("refine", [True, False])
+def test_value_recursion_calls_each_payoff_once(refine):
+    # the two-peak scenario below: refine on scans two nodes again on the whole grid
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(w):
+            calls[name] += 1
+            return fn(w)
+
+        return wrapped
+
+    scn = make_scenario(3, lambda w: 0.2 - 0.9 * w + w**2, lambda w: -0.8 - 0.5 * w,
+                        lambda w: 0.3 * w, gamma=4.0, c=1.0, admissible=(-3.0, 3.0), res=1e-3)
+    pay = scn.payoffs
+    result = value_recursion(replace(scn, payoffs=replace(
+        pay, s_fn=counted("s", pay.s_fn), g_fn=counted("g", pay.g_fn), h_fn=counted("h", pay.h_fn)
+    )), refine)
+    assert calls == {"s": 1, "g": 1, "h": 1}
+    assert result.fallback_nodes == (2 if refine else 0)
+    # the public step, which evaluates the payoffs and the scan grid itself
+    fields, policies, tally = [result.fields[-1]], [], Counter()
+    for level in range(2, -1, -1):
+        values, pol = sup_convolution(scn, level, fields[-1], refine, tally=tally)
+        fields.append(values)
+        policies.append(pol)
+    assert all((a == b).all() for a, b in zip(result.fields + result.policies,
+                                              fields[::-1] + policies[::-1]))
+    assert (result.refine_evaluations, result.fallback_nodes) == (
+        tally["evaluations"], tally["fallback_nodes"])
+    assert value_recursion(scn, refine).value == result.value
+
+
 def test_conditional_pi_tower_property():
     # Pi at a node equals the one-step gamma-CE of Pi at its children
     scn = make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=1.3, c=0.7)
@@ -325,9 +359,9 @@ def test_sup_convolution_menus_contract():
     scn = make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=1.3, c=0.7)
     y = scn.y_grid()
     owed = np.linspace(-0.2, 0.3, 4)
-    menus = _level_menus(scn, 3, y)
+    menus = _level_menus(scn, 3, y, _leaf_payoffs(scn))
     values, policies = sup_convolution(scn, 2, owed, refine=False, menus=menus)
-    assert np.array_equal(menus[:3], _level_menus(scn, 2, y))
+    assert np.array_equal(menus[:3], _level_menus(scn, 2, y, _leaf_payoffs(scn)))
     alone = sup_convolution(scn, 2, owed, refine=False)
     assert np.array_equal(alone[0], values) and np.array_equal(alone[1], policies)
     with pytest.raises(ParameterError):
@@ -513,7 +547,7 @@ def test_fallback_finds_the_higher_of_two_peaks():
 
     tally = Counter()
     values, policies = sup_convolution(scn, 0, owed, refine=True, tally=tally)
-    assert tally["fallback_nodes"] == 1
+    assert tally == {"evaluations": 11, "fallback_nodes": 1}
     assert abs(values[0] - high_ref) <= 1e-12
     assert policies[0] == pytest.approx(0.52316, abs=1e-5)
 
@@ -529,6 +563,7 @@ def test_refine_keeps_the_full_grid_tie_break_when_zero_is_off_the_stride():
     for pol, ref in zip(refined.policies, grid.policies):
         assert np.all(pol == y[370]) and np.array_equal(pol, ref)
     assert refined.bound_hits == 0 and refined.fallback_nodes == 0
+    assert refined.refine_evaluations == 8
 
 
 def test_refine_keeps_a_binding_upper_end_off_the_stride():
@@ -540,6 +575,7 @@ def test_refine_keeps_a_binding_upper_end_off_the_stride():
     result = value_recursion(scn, refine=True)
     assert result.bound_hits == 6
     assert all(np.all(pol == 0.2) for pol in result.policies)
+    assert (result.refine_evaluations, result.fallback_nodes) == (6, 0)
 
 
 def test_refinement_evaluations_stop_at_the_roundoff_floor():
@@ -556,6 +592,7 @@ def test_refinement_evaluations_stop_at_the_roundoff_floor():
     # at least Newton's start and the final values at each level; Newton from
     # the scan point rather than the parabola's vertex takes about 64
     assert 2 * 16 <= result.refine_evaluations <= 56
+    assert result.refine_evaluations == 50  # the count before the leaf tilt was shared
     assert value_recursion(scn, refine=False).refine_evaluations == 0
 
 
@@ -571,7 +608,7 @@ def test_tower_menus_match_leaf_enumeration(n, g, s, gamma, ys):
     scn = make_scenario(n, _poly(s), _poly(g), ZERO, gamma=gamma)
     y = np.array(ys)
     for level in range(n + 1):
-        menus = _level_menus(scn, level, y)
+        menus = _level_menus(scn, level, y, _leaf_payoffs(scn))
         for m in range(level + 1):
             for k, yy in enumerate(y):
                 ref = conditional_pi(scn, level, m, lambda w: _poly(g)(w) - yy * _poly(s)(w))

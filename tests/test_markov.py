@@ -2,6 +2,7 @@
 
 import collections
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,11 @@ from impactlab.errors import (
     QuadratureError,
 )
 from impactlab.markov import (
+    _MAX_EXPANSIONS,
+    _RESIDUAL_TOL,
     MarkovPayoffs,
+    _grad_rows,
+    _node_values,
     _rules,
     _state_fields,
     QuadraticModel,
@@ -41,7 +46,7 @@ from impactlab.markov import (
 )
 from impactlab.paths import PathGrid, PathSample, ShockSchedule, simulate_batch, simulate_path
 from impactlab.cumulants import Brownian
-from impactlab.utility import AgentPair
+from impactlab.utility import _NEWTON_CAP, AgentPair, tilted_moments
 
 
 def quad_model(gamma=1.0, c=2.0, g_load=0.4, mu=0.1, sigma=1.3, a_lin=0.7, b_quad=0.5, h_const=0.2):
@@ -578,7 +583,7 @@ def test_infinite_demander_hedges_perfectly():
 @st.composite
 def field_models(draw):
     """A quadratic model (gamma may be 0) or a shock-wave model."""
-    c = draw(st.floats(0.2, 3.0))
+    c = draw(st.floats(0.2, 3.0) | st.just(math.inf))
     if draw(st.booleans()):
         return quad_model(
             gamma=draw(st.just(0.0) | st.floats(0.1, 2.0)),
@@ -745,3 +750,220 @@ def test_completeness_invert_expands_a_bracket_with_an_end_at_zero():
         got = optimal_strategy_markov(pay, 0.5, 0.3, bracket=bracket)
         assert got == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-0.1619, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the inversion against its form before the float bookkeeping, bit for bit
+
+
+def _invert_with_numpy_bookkeeping(s, g, gamma, t, z, order, bracket) -> float:
+    """``markov._invert`` verbatim from before the probe grid was cached and the
+    bracket bookkeeping moved to Python floats, calling the ``newton_root`` of
+    that time: the reference whose roots and exceptions the current inversion
+    must reproduce exactly."""
+    nodes, logw = _rules(order)
+    spread = math.sqrt(1.0 - t)
+
+    def residual(y):
+        return -_grad_rows(g - np.multiply.outer(y, s), t, gamma, order) - z
+
+    def with_slope(y):
+        # one tilt gives the residual (its tilted mean of the nodes, for gamma > 0)
+        # and its y-derivative, the gamma-tilted covariance of the nodes and s
+        mean, cov = tilted_moments(nodes, g - np.multiply.outer(y, s), logw, gamma, other=s)
+        value = residual(y) if gamma == 0.0 else mean / (gamma * spread) - z
+        return value, cov / spread
+
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ParameterError("bracket must satisfy lo < hi")
+    probes = np.linspace(lo, hi, 9)
+    probe_vals = residual(probes)
+    expansions = 0
+    while probe_vals[0] * probe_vals[-1] > 0.0:
+        if expansions >= _MAX_EXPANSIONS:
+            raise NoRootError(
+                f"no sign change in [{lo}, {hi}] after {expansions} expansions"
+            )
+        mid, width = 0.5 * (lo + hi), hi - lo
+        lo, hi = mid - width, mid + width
+        probes = np.linspace(lo, hi, 9)
+        probe_vals = residual(probes)
+        expansions += 1
+    diffs = np.diff(probe_vals)
+    # deep exponential tilts flatten numerically at the bracket ends, so only a
+    # genuine direction reversal (not a flat stretch) disqualifies the map
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(probe_vals))))
+    if (diffs > tol).any() and (diffs < -tol).any():
+        raise PreconditionError(
+            "y -> -dp/dw is not monotone on the searched bracket"
+        )
+    k = int(np.flatnonzero(probe_vals[:-1] * probe_vals[1:] <= 0.0)[0])
+    (a, b), (ra, rb) = probes[k:k + 2].tolist(), probe_vals[k:k + 2].tolist()
+    # Newton starts where the chord through the probe interval's ends crosses zero
+    start = a if ra == rb else a - ra * (b - a) / (rb - ra)
+    root, left = _newton_root_on_arrays(with_slope, start, *((a, b) if ra <= rb else (b, a)))
+    if abs(left) > _RESIDUAL_TOL:
+        raise NoRootError(f"Newton polish left residual {float(left):.3e}")
+    return float(root)
+
+
+def _newton_root_on_arrays(fn, x, neg, pos):
+    """``utility.newton_root`` verbatim from before a single entry ran on numpy
+    scalars: every entry on numpy arrays."""
+    x = np.asarray(x, dtype=float)
+    tol = np.finfo(float).eps * np.maximum(np.abs(neg), np.abs(pos))
+    step = prev = np.abs(np.subtract(pos, neg))
+    f, slope = fn(x)
+    active = f != 0.0
+    for _ in range(_NEWTON_CAP):
+        neg = np.where(f < 0.0, x, neg)
+        pos = np.where(f > 0.0, x, pos)
+        # a tiny slope overflows the step, and the step the bracket test: an
+        # infinite product reads as outside the bracket, which it is
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx = f / slope
+            new = x - dx
+            take = ((new - neg) * (new - pos) < 0.0) & (np.abs(dx) <= 0.5 * prev)
+        new = np.where(take, new, 0.5 * (neg + pos))
+        prev, step = step, np.abs(new - x)
+        active &= step > tol
+        if not active.any():
+            break
+        x = np.where(active, new, x)
+        f, slope = fn(x)
+        active &= f != 0.0
+    return x, f
+
+
+_COEFFS = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@st.composite
+def invert_payoffs(draw):
+    """Payoffs of ``field_models`` (gamma may be 0, c may be inf), or quadratic
+    polynomials s, g, h, whose residual maps may fail to be monotone or to
+    change sign."""
+    if draw(st.booleans()):
+        return draw(field_models()).payoffs()
+    s, g, h = (draw(_COEFFS) for _ in range(3))
+    return MarkovPayoffs(
+        s_fn=lambda w: s[0] + s[1] * w + s[2] * w**2,
+        g_fn=lambda w: g[0] + g[1] * w + g[2] * w**2,
+        h_fn=lambda w: h[0] + h[1] * w + h[2] * w**2,
+        agents=AgentPair(gamma=draw(st.just(0.0) | st.floats(0.1, 3.0)),
+                         c=draw(st.floats(0.2, 3.0) | st.just(math.inf))),
+    )
+
+
+# the default; signed zeros; lo >= hi; narrow ones that must expand
+_BRACKETS = st.sampled_from(
+    [(-50.0, 50.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, 0.5), (1.0, 1.0), (0.5, -0.5)]
+) | st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+def _outcome(call):
+    """The root's exact bits, or the exception's type and message."""
+    try:
+        return call().hex()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+def _both_inversions(pay, t, w, z, bracket):
+    """(current, reference) outcome pairs for completeness_invert at z and for
+    optimal_strategy_markov."""
+    s, g, h = (v[0] for v in _node_values(t, [w], 128, pay.s_fn, pay.g_fn, pay.h_fn))
+    agents = pay.agents
+    target = -agents.demander_weight * float(
+        _grad_rows(g + h, t, agents.aggregate_aversion, 128)
+    )
+    return [
+        (_outcome(lambda: completeness_invert(pay, t, w, z, bracket=bracket)),
+         _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, agents.gamma, t, z, 128, bracket))),
+        (_outcome(lambda: optimal_strategy_markov(pay, t, w, bracket=bracket)),
+         _outcome(lambda: _invert_with_numpy_bookkeeping(
+             s, g, agents.gamma, t, target, 128, bracket))),
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    invert_payoffs(),
+    st.floats(0.0, 0.95),
+    st.floats(-1.5, 1.5),
+    st.floats(-3.0, 3.0) | st.floats(-1e3, 1e3),
+    _BRACKETS,
+)
+def test_inversion_equals_its_numpy_bookkeeping_form(pay, t, w, z, bracket):
+    for got, want in _both_inversions(pay, t, w, z, bracket):
+        assert got == want
+
+
+def test_inversion_refusals_equal_the_numpy_bookkeeping_form():
+    quad = quad_model(gamma=1.0).payoffs()
+    flat = replace(quad, s_fn=lambda w: np.zeros_like(w))
+    bent = MarkovPayoffs(
+        s_fn=lambda w: 0.55 + 0.64 * w - 0.2 * w**2,
+        g_fn=lambda w: -0.41 - 0.45 * w - 0.28 * w**2,
+        h_fn=lambda w: 0.0 * w,
+        agents=AgentPair(gamma=1.77, c=1.0),
+    )
+    cases = [
+        (quad, 0.3, 0.2, 0.5, (1.0, 1.0), ParameterError, "bracket must satisfy lo < hi"),
+        (flat, 0.3, 0.2, 0.5, (-50.0, 50.0), NoRootError,
+         f"after {_MAX_EXPANSIONS} expansions"),
+        (bent, 0.34, 0.41, 1.05, (0.35, 0.74), PreconditionError, "is not monotone"),
+    ]
+    for pay, t, w, z, bracket, error, message in cases:
+        (got, want), _ = _both_inversions(pay, t, w, z, bracket)
+        assert got == want
+        assert got[0] is error and message in got[1]
+    # a NaN residual has no sign change to find; the numpy form indexed an empty array
+    got, want = _both_inversions(quad, 0.3, 0.2, math.nan, (-50.0, 50.0))[0]
+    assert got == (NoRootError, "no sign change among the probes of [-50.0, 50.0]")
+    assert want[0] is IndexError
+
+
+# the library pass of the benchmark's fields workload: optimal_strategy_markov at
+# 16 times and 41 levels on a quadratic and a shock-wave model, with the
+# parameters that workload draws for a seed
+_FIELDS_TIMES = [k / 16 for k in range(16)]
+_FIELDS_W = np.linspace(-1.5, 1.5, 41).tolist()
+
+
+def _fields_workload_payoffs(seed):
+    import random
+
+    rng = random.Random(f"fields:{seed}")
+    quad = {k: rng.uniform(lo, hi) for k, lo, hi in (
+        ("gamma", 0.8, 1.2), ("c", 0.8, 1.2), ("g_load", 0.1, 0.3), ("mu", -0.1, 0.1),
+        ("sigma", 0.8, 1.2), ("a_lin", 0.3, 0.6), ("b_quad", 0.1, 0.4), ("h_const", -0.2, 0.2),
+    )}
+    rng.uniform(-0.5, 0.5)  # the table's inventory
+    wave = {k: rng.uniform(lo, hi) for k, lo, hi in (
+        ("gamma", 1.5, 3.0), ("c", 1.5, 3.0), ("mu", -0.2, 0.2), ("sigma", 0.8, 1.2),
+        ("w_c", -1.0, -0.3),
+    )}
+    return [
+        QuadraticModel(agents=AgentPair(quad.pop("gamma"), quad.pop("c")), **quad).payoffs(),
+        ShockWaveModel(agents=AgentPair(wave.pop("gamma"), wave.pop("c")), **wave).payoffs(),
+    ]
+
+
+@pytest.mark.parametrize("seed, evaluations", [(1, 1804), (2, 1983), (3, 1799)])
+def test_fields_workload_roots_take_a_pinned_number_of_newton_evaluations(seed, evaluations):
+    # counted before the probe grid was cached and the bookkeeping moved to floats;
+    # each Newton evaluation takes one tilt of the nodes through tilted_moments
+    calls = collections.Counter()
+
+    def counted(*args, **kwargs):
+        calls["tilts"] += 1
+        return tilted_moments(*args, **kwargs)
+
+    models = _fields_workload_payoffs(seed)
+    with mock.patch.object(markov, "tilted_moments", counted):
+        roots = [optimal_strategy_markov(pay, t, w)
+                 for pay in models for t in _FIELDS_TIMES for w in _FIELDS_W]
+    assert len(roots) == 1312
+    assert calls["tilts"] == evaluations

@@ -408,6 +408,39 @@ def test_tilted_moments_match_direct_formulas(support, aversion, data):
     assert var >= 0.0
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 4),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from([0.0, math.inf]) | _AVERSION,
+    st.data(),
+)
+def test_tilted_moments_give_the_bits_of_ce(rows, k, transpose, aversion, data):
+    """``with_ce`` appends ce's own bits (from the moments' tilt for a finite
+    aversion) and leaves the moments as they are; 0 rows is one 1-d support."""
+    shape = (rows, k) if rows else (k,)
+    values, x = (data.draw(arrays(float, shape, elements=_VALUES)) for _ in range(2))
+    logw, axis = _log_weights(data.draw, k), -1
+    if transpose and rows:
+        values, x, logw, axis = values.T, x.T, logw[:, None], 0
+    mean, cov, got = tilted_moments(x, values, logw, aversion, axis=axis, with_ce=True)
+    want = np.asarray(ce(values, logw, aversion, axis))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    mean_alone, cov_alone = tilted_moments(x, values, logw, aversion, axis=axis)
+    assert mean.tobytes() == mean_alone.tobytes() and cov.tobytes() == cov_alone.tobytes()
+
+
+def test_tilted_moments_refuse_an_overflowing_ce_as_ce_does():
+    values, logw = np.array([-1e308, 0.0]), np.log([0.5, 0.5])
+    for call in (lambda: ce(values, logw, 10.0),
+                 lambda: tilted_moments(values, values, logw, 10.0, with_ce=True)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="non-finite even after shifting"):
+                call()
+
+
 def test_tilted_moments_rows_axes_and_stacked_moments():
     rng = np.random.default_rng(8)
     values, x, other = rng.normal(size=(3, 4, 6))
