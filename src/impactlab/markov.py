@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -42,8 +42,10 @@ from .errors import (
     PreconditionError,
     QuadratureError,
 )
-from .paths import PathBatch, PathSample
 from .utility import AgentPair, _check_time, ce, newton_root, tilted_mean, tilted_moments
+
+if TYPE_CHECKING:  # annotations only: importing paths here would load it with markov
+    from .paths import PathBatch, PathSample
 
 DEFAULT_ORDER = 128
 # the largest order whose rule hermegauss computes finitely; it builds an

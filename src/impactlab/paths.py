@@ -304,10 +304,3 @@ def simulate_batch(
     np.cumsum(increments, axis=1, out=x[:, 1:])
     return PathBatch(x=x, increments=increments, h_prime=h_prime, first=first)
 
-
-def martingale_component(model: LevyModel, path: PathSample, grid: PathGrid) -> np.ndarray:
-    """Compensated series x_t + (1-t) * E[X_1] at every grid time.
-
-    Raises NonDifferentiableError for the stable family (no finite mean).
-    """
-    return path.x + (1.0 - grid.times) * model.mean()

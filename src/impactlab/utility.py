@@ -26,12 +26,14 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .cumulants import LevyModel
 from .errors import DomainError, ParameterError
+
+if TYPE_CHECKING:  # annotations only: importing cumulants here would load it with utility
+    from .cumulants import LevyModel
 
 _WEIGHT_TOL = 1e-12
 
@@ -251,20 +253,6 @@ def certainty_equivalent(samples: SampleSet, aversion: float) -> float:
     with np.errstate(divide="ignore"):
         logw = np.log(samples.weights)
     return float(ce(samples.values, logw, aversion))
-
-
-def cash_invariance_check(samples: SampleSet, aversion: float, shift: float) -> float:
-    """Residual ce(F + shift) - ce(F) - shift; zero up to roundoff by construction."""
-    return (
-        certainty_equivalent(samples.shifted(shift), aversion)
-        - certainty_equivalent(samples, aversion)
-        - shift
-    )
-
-
-def aggregated_utility(samples: SampleSet, agents: AgentPair) -> float:
-    """Certainty equivalent at the composite aversion c*gamma/(c+gamma)."""
-    return certainty_equivalent(samples, agents.aggregate_aversion)
 
 
 def _check_time(t) -> None:

