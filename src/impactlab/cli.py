@@ -19,7 +19,8 @@ after the last one is written, so a failed run adds no file (and removes
 the output directory if it made it and it is still empty).  The path
 modes simulate in blocks of paths.  They write the text of the
 path-independent columns once per run, into a row template that each path
-file fills with its own columns.
+file fills with its own columns.  ``_emit_path_files`` writes a block's path
+files from up to one process per CPU; their bytes do not depend on that count.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -564,6 +566,53 @@ def _staged(out: Path, quiet: bool):
         _note(quiet, f"wrote {out / name}")
 
 
+def _emit_path_files(files, header: Sequence[str], template: _RowTemplate) -> None:
+    """emit_csv each (path, per-file columns) of ``files`` in contiguous shares: this
+    process writes the first, a forked writer each other one.  Every writer is reaped
+    before this returns or raises; a failed one raises OSError."""
+    values = sum(np.size(c) for _, columns in files for c in columns)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # 2**14 values, about 15 ms of %.17g, are worth a writer process
+    writers = max(1, min(cpus, len(files), values >> 14))
+    cuts = [len(files) * i // writers for i in range(writers + 1)]
+    shares = [files[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def write(share):
+        for path, columns in share:
+            emit_csv(path, header, columns, template=template)
+
+    children, failure = [], ""  # (pid, read end of its error pipe) of each writer
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():  # Python 3.12+ warns of fork() beside
+                    warnings.simplefilter("ignore", DeprecationWarning)  # numpy's BLAS
+                    pid = os.fork()  # threads, which no writer calls
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # a writer ends here, never returning into the caller's frames,
+                try:  # so their cleanup, atexit handlers and buffered output run once
+                    write(share)
+                    os._exit(0)
+                except BaseException as exc:
+                    os.write(write_end, f"{type(exc).__name__}: {exc}".encode()[:4096])
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, read_end))
+        write(shares[0])
+    finally:
+        for pid, read_end in children:
+            if os.waitpid(pid, 0)[1] and not failure:
+                failure = os.read(read_end, 4096).decode(errors="replace") or "no message"
+            os.close(read_end)
+    if failure:
+        raise OSError(f"a path-file writer failed: {failure}")
+
+
 _PATH_BLOCK_VALUES = 1 << 16  # path levels per simulated block: memory stays bounded
 
 
@@ -641,9 +690,9 @@ def _run_levy_sim(args) -> int:
             if template is None:
                 template = _row_template((record.times, None, record.h_prime, record.y_star,
                                           None, record.risk_premium, record.convexity))
-            for k, x, s_star in zip(itertools.count(batch.first), record.x, record.s_star):
-                emit_csv(stage / f"levy_path_{k:0{width}d}.csv", header, (x, s_star),
-                         template=template)
+            _emit_path_files([(stage / f"levy_path_{k:0{width}d}.csv", (x, s_star))
+                              for k, x, s_star in zip(itertools.count(batch.first), record.x,
+                                                      record.s_star)], header, template)
             summary.append((record.endowment_payoff, record.trading_pnl, record.terminal_wealth))
         emit_csv(
             stage / "levy_summary.csv",
@@ -735,9 +784,8 @@ def _run_shockwave(args) -> int:
             if template is None:
                 template = _row_template((record.times, None, None, None, record.wave_position))
             rows = zip(itertools.count(batch.first), record.w, record.s_star, record.y_star)
-            for k, w, s_star, y_star in rows:
-                emit_csv(stage / f"shockwave_path_{k:0{width}d}.csv", header,
-                         (w, s_star, y_star), template=template)
+            _emit_path_files([(stage / f"shockwave_path_{k:0{width}d}.csv", (w, s_star, y_star))
+                              for k, w, s_star, y_star in rows], header, template)
     return 0
 
 

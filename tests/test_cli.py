@@ -415,29 +415,79 @@ def test_shockwave_rejects_foreign_kind(tmp_path, capsys):
 # all-or-nothing output and bounded memory
 
 
-@pytest.mark.parametrize("fail_at", [0, 3])
+def split_config(mode, out):
+    """40 paths of 1,000 steps: one block, split between up to 3 writers."""
+    if mode == "levy-sim":
+        return levy_config(out, paths=40, grid=1000)
+    return dict(shockwave_config(out), paths=40, grid=1000)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("fail_at", [0, 3, "child", "parent"])
 @pytest.mark.parametrize("mode", ["levy-sim", "shockwave"])
 def test_path_modes_write_all_or_nothing(tmp_path, monkeypatch, capsys, mode, fail_at):
+    """A failure at the fail_at-th file of a one-writer run, or, in a run split
+    between two writers, at a file of the forked writer's share (path 30) or
+    of this process's share (path 5, while the other writer runs)."""
     out = tmp_path / "o"
-    data = levy_config(out, paths=5) if mode == "levy-sim" else dict(shockwave_config(out), paths=5)
+    if isinstance(fail_at, int):
+        data = levy_config(out, paths=5) if mode == "levy-sim" else shockwave_config(out)
+        data["paths"] = 5
+    else:
+        use_cpus(monkeypatch, 2)
+        data = split_config(mode, out)
     cfg = write_config(tmp_path, data)
     real, calls = cli.emit_csv, []
+    target = {"child": "_030.csv", "parent": "_005.csv"}.get(fail_at)
 
     def failing(path, *args, **kwargs):
-        calls.append(path)
-        if len(calls) == fail_at + 1:
-            raise OSError(f"injected failure at path {fail_at}")
+        calls.append(path)  # in this process only: a forked writer appends to its copy
+        if (path.name.endswith(target) if target else len(calls) == fail_at + 1):
+            raise OSError(f"injected failure at {path.name}")
         return real(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "emit_csv", failing)
-    assert main([mode, "--config", cfg]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([mode, "--config", cfg]) == 3
     captured = capsys.readouterr()
     assert "injected" in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert len(captured.err.strip().splitlines()) == 1  # the record, and no warning
     assert "wrote" not in captured.out
     assert not out.exists()  # no CSV, no staging directory, and no directory made
+    with pytest.raises(ChildProcessError):  # every writer was reaped
+        os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(cli, "emit_csv", real)
     assert main([mode, "--config", cfg, "--quiet"]) == 0
-    assert len(list(out.iterdir())) == (6 if mode == "levy-sim" else 5)
+    assert len(list(out.iterdir())) == data["paths"] + (mode == "levy-sim")
+
+
+@pytest.mark.parametrize("mode", ["levy-sim", "shockwave"])
+def test_path_file_bytes_do_not_depend_on_the_writer_count(tmp_path, monkeypatch, mode):
+    real_fork, forks, digests = os.fork, [], {}
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"o{cpus}"
+        assert main([mode, "--config", write_config(tmp_path, split_config(mode, out)),
+                     "--quiet"]) == 0
+        digests[cpus] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in out.iterdir()}
+    assert len(forks) == 0 + 1 + 2  # one writer, then two, then three
+    assert len(digests[1]) == 40 + (mode == "levy-sim")
+    assert digests[2] == digests[1] and digests[3] == digests[1]
+    forks.clear()  # 3 paths x 64 steps: too few values for a second writer
+    small = write_config(tmp_path, _recorded_run_config(mode, tmp_path / "small"))
+    assert main([mode, "--config", small, "--quiet"]) == 0
+    assert forks == []
 
 
 def test_markov_fields_failure_mid_table_writes_nothing(tmp_path, monkeypatch, capsys):

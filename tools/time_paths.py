@@ -12,24 +12,40 @@ and one ``simulate_path``.  The 4,000-path hash and batch match the size of
 the library pass of the benchmark's ``montecarlo`` workload; 65 paths of
 1,000 steps fill one block of its command-line runs.  Each line gives the
 median wall time and a sha256 digest of what the call returned (the words
-or the increments), so that two checkouts' outputs can be compared.  It
-imports ``src/impactlab`` from the checkout it sits in.
+or the increments), so that two checkouts' outputs can be compared.
+
+The last two lines run ``levy-sim`` and ``shockwave`` in process, through
+``impactlab.cli.main``, at the command-line configs of ``montecarlo``
+(``bench/workloads.py``, workload seed ``--seed``).  Each times one path-file
+writer, with the CPU set patched to one CPU, against a writer a CPU, in
+turn.  It gives both medians of the wall time and of the CPU time (user and
+system, of this process and of the writers it reaped), and a sha256 digest
+of the written files' names and bytes; the tool fails if the two runs'
+files differ.  It imports
+``src/impactlab`` from the checkout it sits in.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "bench"))
 
 from impactlab import Brownian, GammaProcess, PathGrid, ShockSchedule  # noqa: E402
+from impactlab.cli import main as cli_main  # noqa: E402
 from impactlab.paths import _stream_words, simulate_batch, simulate_path  # noqa: E402
+from workloads import MonteCarlo  # noqa: E402
 
 
 def median_seconds(fn, repeats):
@@ -46,6 +62,46 @@ def median_seconds(fn, repeats):
 def report(label, seconds, array):
     digest = hashlib.sha256(array.tobytes()).hexdigest()[:16]
     print(f"{label}: median {seconds * 1e6:.0f} us; sha256 {digest}")
+
+
+def files_digest(out):
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def time_writers(op, repeats, scratch):
+    """Median wall and CPU times of in-process runs of ``op`` with one CPU and with
+    this process's own CPU set, ``repeats`` each after a warm pair, run in turn so
+    that a drift in the box's speed reaches both; and each one's files' digest."""
+    config = scratch / f"{op.mode}.json"
+    config.write_text(json.dumps(op.config), encoding="utf-8")
+    out, real = scratch / "out", os.sched_getaffinity
+    times, cpu_times, digests = {1: [], None: []}, {1: [], None: []}, {}
+
+    def run(cpus):
+        shutil.rmtree(out, ignore_errors=True)
+        os.sched_getaffinity = real if cpus is None else (lambda pid: {0})
+        try:
+            start, cpu_start = time.perf_counter(), sum(os.times()[:4])
+            if cli_main([op.mode, "--config", str(config), "--out", str(out), "--quiet"]) != 0:
+                raise SystemExit(f"{op.mode} failed")
+            times[cpus].append(time.perf_counter() - start)
+            cpu_times[cpus].append(sum(os.times()[:4]) - cpu_start)
+        finally:
+            os.sched_getaffinity = real
+        digests[cpus] = files_digest(out)
+
+    try:
+        for _ in range(repeats + 1):
+            run(1)
+            run(None)
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
+    medians = {key: {cpus: statistics.median(t[1:]) for cpus, t in runs.items()}
+               for key, runs in (("wall", times), ("cpu", cpu_times))}
+    return medians, digests
 
 
 def main(argv=None):
@@ -72,6 +128,18 @@ def main(argv=None):
     seconds, path = median_seconds(
         lambda: simulate_path(GammaProcess(2.0, 3.0), grid, schedule, seed, 7), repeats)
     report("simulate_path GammaProcess 16 steps", seconds, path.increments)
+
+    cpus = len(os.sched_getaffinity(0))
+    with tempfile.TemporaryDirectory(prefix="time_paths-") as scratch:
+        for op in MonteCarlo(seed).cli_ops():
+            medians, digests = time_writers(op, repeats, Path(scratch))
+            if digests[1] != digests[None]:
+                raise SystemExit(f"{op.mode}: the files differ between 1 and {cpus} writers")
+            wall, cpu = medians["wall"], medians["cpu"]
+            print(f"{op.mode} {op.config['paths']} x {op.config['grid']}: median "
+                  f"{wall[1] * 1e3:.0f} ms (CPU {cpu[1] * 1e3:.0f} ms) with 1 writer, "
+                  f"{wall[None] * 1e3:.0f} ms (CPU {cpu[None] * 1e3:.0f} ms) with up to {cpus}; "
+                  f"sha256 {digests[1]}")
     return 0
 
 
