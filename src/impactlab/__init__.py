@@ -36,7 +36,7 @@ _LAYERS = {
         "optimal_position", "realized_pnl", "risk_premium"
     ),
     "errors": (
-        "ConfigError", "DomainError", "NoRootError", "NonDifferentiableError",
+        "ArgumentError", "ConfigError", "DomainError", "NoRootError", "NonDifferentiableError",
         "ParameterError", "PreconditionError", "QuadratureError", "ScheduleError"
     ),
     "markov": (

@@ -2,14 +2,14 @@
 
 Subcommands mirror the scenario modes: ``levy-sim``, ``markov-fields``,
 ``shockwave``, ``dp-value``, ``convergence``, ``verify``.  Every config
-carries ``schema_version: 1``.  Validation builds the library objects a run
-needs; a malformed field, or a library rule it breaks (a ParameterError,
-DomainError, ScheduleError, PreconditionError or QuadratureError raised while
-they are built), is reported as a ConfigError naming the offending dotted
-path, before any computation starts and before the output directory is made,
-and exits with status 2.  Computation-stage errors exit 3 with a
-machine-readable JSON record on stderr; ``verify`` exits 1 when any
-invariant fails.
+carries ``schema_version: 1``.  Validation checks each field's type and
+shape, then builds each library object the run needs, once.  A malformed
+field, or a rule a library object refuses (an ArgumentError, whose
+``argument`` ``_refusals`` maps to its config field), is reported as a
+ConfigError naming the offending dotted path, before any computation
+starts and before the output directory is made, and exits with status 2.
+Computation-stage errors exit 3 with a machine-readable JSON record on
+stderr; ``verify`` exits 1 when any invariant fails.
 
 CSV output uses a header row, '.' decimal separator, 17 significant digits
 for reals (%.17g, -0.0 written as 0), and LF line endings, so reruns with
@@ -54,16 +54,7 @@ from .dp import (
     value_recursion,
 )
 from .efficient import LevyScenario, allocation_value, efficient_batch_record
-from .errors import (
-    ConfigError,
-    DomainError,
-    NoRootError,
-    NonDifferentiableError,
-    ParameterError,
-    PreconditionError,
-    QuadratureError,
-    ScheduleError,
-)
+from .errors import ArgumentError, ConfigError, NoRootError
 from .markov import (
     _STATE_BLOCK,
     MarkovPayoffs,
@@ -120,37 +111,11 @@ class Section:
             raise ConfigError(self.path(name), "required field is missing")
         return default
 
-    def number(
-        self,
-        name: str,
-        default=_REQUIRED,
-        positive: bool = False,
-        nonzero: bool = False,
-        allow_inf: bool = False,
-    ) -> float:
-        raw = self._fetch(name, default)
-        if isinstance(raw, str) and allow_inf and raw.lower() in ("inf", "infinity"):
-            raw = math.inf
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(self.path(name), "must be a number")
-        value = _to_float(raw)
-        if math.isnan(value):
-            raise ConfigError(self.path(name), "must not be NaN")
-        if math.isinf(value) and not allow_inf:
-            raise ConfigError(self.path(name), "must be finite")
-        if positive and not value > 0.0:
-            raise ConfigError(self.path(name), "must be > 0")
-        if nonzero and value == 0.0:
-            raise ConfigError(self.path(name), "must be nonzero")
-        return value
+    def number(self, name: str, default=_REQUIRED, **rules) -> float:
+        return _number(self._fetch(name, default), self.path(name), **rules)
 
     def integer(self, name: str, default=_REQUIRED, minimum: Optional[int] = None) -> int:
-        raw = self._fetch(name, default)
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(self.path(name), "must be an integer")
-        if minimum is not None and raw < minimum:
-            raise ConfigError(self.path(name), f"must be >= {minimum}")
-        return int(raw)
+        return _integer(self._fetch(name, default), self.path(name), minimum)
 
     def string(self, name: str, default=_REQUIRED, choices=None) -> str:
         raw = self._fetch(name, default)
@@ -168,43 +133,42 @@ class Section:
             raise ConfigError(self.path(name), "must be a boolean")
         return bool(raw)
 
-    def list_of(self, name: str, item: Callable, plural: str, default=_REQUIRED) -> list:
-        """The list at ``name``, each entry read by ``item`` (``_finite_number`` or
-        ``_integer``), whose ValueError is reported at the entry's index."""
+    def list_of(self, name: str, read: Callable, plural: str, default=_REQUIRED) -> list:
+        """The list at ``name``, each entry read by ``read`` (``_number`` or ``_integer``)
+        at its own path."""
         raw = self._fetch(name, default)
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(self.path(name), f"must be a list of {plural}")
-        out = []
-        for i, entry in enumerate(raw):
-            try:
-                out.append(item(entry))
-            except ValueError as exc:
-                raise ConfigError(f"{self.path(name)}[{i}]", str(exc)) from None
-        return out
+        return [read(entry, f"{self.path(name)}[{i}]") for i, entry in enumerate(raw)]
 
 
-def _to_float(number) -> float:
-    """float(number), with an int too large for a float read as the infinity of
-    its sign, as a float literal such as 1e400 already is."""
+def _number(raw, path: str, positive: bool = False, allow_inf: bool = False) -> float:
+    """``raw`` as a float, refused at ``path`` unless it is a finite number (or an
+    infinity, or the string inf or infinity, with ``allow_inf``), > 0 if ``positive``."""
+    if isinstance(raw, str) and allow_inf and raw.lower() in ("inf", "infinity"):
+        raw = math.inf
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(path, "must be a number")
     try:
-        return float(number)
-    except OverflowError:
-        return math.inf if number > 0 else -math.inf
-
-
-def _finite_number(entry) -> float:
-    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-        raise ValueError("must be a number")
-    value = _to_float(entry)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
+        value = float(raw)
+    except OverflowError:  # an int too large for a float: its sign's infinity, as 1e400 is
+        value = math.inf if raw > 0 else -math.inf
+    if math.isnan(value) and not path.endswith("]"):  # a NaN list entry is "not finite"
+        raise ConfigError(path, "must not be NaN")
+    if not math.isfinite(value) and not (allow_inf and math.isinf(value)):
+        raise ConfigError(path, "must be finite")
+    if positive and not value > 0.0:
+        raise ConfigError(path, "must be > 0")
     return value
 
 
-def _integer(entry) -> int:
-    if isinstance(entry, bool) or not isinstance(entry, int):
-        raise ValueError("must be an integer")
-    return int(entry)
+def _integer(raw, path: str, minimum: Optional[int] = None) -> int:
+    """``raw``, refused at ``path`` unless it is an integer, >= ``minimum`` if given."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(path, "must be an integer")
+    if minimum is not None and raw < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return int(raw)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -244,23 +208,30 @@ def _load_config(path: Optional[str], mode: str) -> Section:
 # shared builders
 
 
-_LIBRARY_ERRORS = (ParameterError, DomainError, ScheduleError, PreconditionError, QuadratureError)
 # a run that passed validation and then fails exits 3
-_RUN_ERRORS = (*_LIBRARY_ERRORS, NoRootError, NonDifferentiableError, OverflowError, OSError)
+_RUN_ERRORS = (ArgumentError, NoRootError, OverflowError, OSError)
+
+# the config field of a library argument, where the two are spelled differently
+_RENAMED = {"a": "loading", "admissible[0]": "admissible.lo", "admissible[1]": "admissible.hi"}
 
 
 @contextlib.contextmanager
-def _field(name: str):
-    """Report a library rule broken inside the block as a ConfigError naming ``name``.
+def _refusals(section: str = ""):
+    """Report a library refusal inside the block as a ConfigError naming the config
+    field of its argument.
 
-    Section's own ConfigErrors pass through with their fields.  Where a
-    constructor checks several arguments, Section bounds all but one of them,
-    so an error from the library names the one left.
+    An argument of an object read from ``section`` is a field of that section.
+    An argument that is a field of another argument (``agents.gamma``,
+    ``schedule.shocks[1]``) names a top-level section already.  A refusal
+    naming no argument names ``section``.  Section's own ConfigErrors pass
+    through with their fields.
     """
     try:
         yield
-    except _LIBRARY_ERRORS as exc:
-        raise ConfigError(name, str(exc)) from exc
+    except ArgumentError as exc:
+        argument = exc.argument or ""
+        field = argument if "." in argument else ".".join(filter(None, (section, argument)))
+        raise ConfigError(_RENAMED.get(field, field), str(exc)) from exc
 
 
 def _agents(root: Section) -> AgentPair:
@@ -268,27 +239,21 @@ def _agents(root: Section) -> AgentPair:
     sec.require_keys({"gamma", "c"})
     gamma = sec.number("gamma")
     c = sec.number("c", positive=True, allow_inf=True)
-    with _field(sec.path("gamma")):
+    with _refusals(sec.prefix):
         return AgentPair(gamma=gamma, c=c)
+
+
+# each factor family and its parameters, the config fields of its model section
+_FAMILIES = {"brownian": (Brownian, ("b", "sigma")), "gamma": (GammaProcess, ("alpha", "beta")),
+             "stable": (OneSidedStable, ("r", "alpha"))}
 
 
 def _levy_model(root: Section):
     sec = root.section("model")
-    family = sec.string("family", choices=("brownian", "gamma", "stable"))
-    if family == "brownian":
-        sec.require_keys({"family", "b", "sigma"})
-        b, sigma = sec.number("b"), sec.number("sigma")
-        with _field(sec.path("sigma")):
-            return Brownian(b=b, sigma=sigma)
-    if family == "gamma":
-        sec.require_keys({"family", "alpha", "beta"})
-        alpha, beta = sec.number("alpha", positive=True), sec.number("beta")
-        with _field(sec.path("beta")):
-            return GammaProcess(alpha=alpha, beta=beta)
-    sec.require_keys({"family", "r", "alpha"})
-    r, alpha = sec.number("r", positive=True), sec.number("alpha")
-    with _field(sec.path("alpha")):
-        return OneSidedStable(r=r, alpha=alpha)
+    family, params = _FAMILIES[sec.string("family", choices=tuple(_FAMILIES))]
+    sec.require_keys({"family", *params})
+    with _refusals(sec.prefix):
+        return family(**{name: sec.number(name) for name in params})
 
 
 def _schedule(root: Section) -> ShockSchedule:
@@ -296,30 +261,20 @@ def _schedule(root: Section) -> ShockSchedule:
     sec.require_keys({"initial_value", "h", "shocks"})
     initial = sec.number("initial_value", default=0.0)
     h = sec.number("h", default=0.0)
-    raw = sec.data.get("shocks", [])
-    if not isinstance(raw, (list, tuple)):
+    shocks = sec.data.get("shocks", [])
+    if not isinstance(shocks, (list, tuple)):
         raise ConfigError(sec.path("shocks"), "must be a list of [time, jump] pairs")
-    shocks = []
-    for i, item in enumerate(raw):
-        field = f"{sec.path('shocks')}[{i}]"
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigError(field, "must be a [time, jump] pair")
-        for label, value in zip(("time", "jump"), item):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(field, f"{label} must be a number")
-        with _field(field):  # the shock on its own and after its predecessor
-            ShockSchedule(shocks=(*shocks[-1:], item))
-        shocks.append(item)
-    return ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
+    with _refusals(sec.prefix):
+        return ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
 
 
 def _quadratic_model(sec: Section, agents: AgentPair) -> QuadraticModel:
     sec.require_keys({"kind", "g_load", "mu", "sigma", "a_lin", "b_quad", "h_const"})
-    with _field(sec.path("b_quad")):
+    with _refusals(sec.prefix):
         return QuadraticModel(
             g_load=sec.number("g_load", default=0.0),
             mu=sec.number("mu", default=0.0),
-            sigma=sec.number("sigma", nonzero=True),
+            sigma=sec.number("sigma"),
             a_lin=sec.number("a_lin", default=0.0),
             b_quad=sec.number("b_quad", default=0.0),
             agents=agents,
@@ -329,10 +284,10 @@ def _quadratic_model(sec: Section, agents: AgentPair) -> QuadraticModel:
 
 def _shockwave_model(sec: Section, agents: AgentPair) -> ShockWaveModel:
     sec.require_keys({"kind", "mu", "sigma", "w_c", "offset"})
-    with _field("agents.gamma"):
+    with _refusals(sec.prefix):
         return ShockWaveModel(
             mu=sec.number("mu", default=0.0),
-            sigma=sec.number("sigma", positive=True),
+            sigma=sec.number("sigma"),
             w_c=sec.number("w_c"),
             agents=agents,
             offset=sec.number("offset", default=0.0),
@@ -421,20 +376,13 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool 
         _over_budget(field, f"the recursion at n={lattice_n} on {grid:.4g} grid points",
                      _DP_BYTES_PER_CELL * lattice.working_cells(grid, refine))
     payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
-    # DpScenario checks lo < hi, then lo <= 0 <= hi, then 0 < resolution <= hi - lo.
-    # Each build below can break one rule only: [0, hi - lo] holds 0 whenever it
-    # is an interval, and a resolution of hi - lo always fits.
-    with _field("admissible.hi"):
-        DpScenario(lattice, payoffs, (0.0, hi - lo), hi - lo)
-    with _field("admissible.lo"):
-        DpScenario(lattice, payoffs, (lo, hi), hi - lo)
-    with _field("y_resolution"):
+    with _refusals():
         return DpScenario(lattice, payoffs, (lo, hi), resolution)
 
 
 def _quad_order(root: Section) -> int:
     order = root.integer("order", default=128)
-    with _field("order"):
+    with _refusals():
         _rules(order)
     return order
 
@@ -646,10 +594,8 @@ def _path_width(n_paths: int) -> int:
 def _int_setting(flag_value, flag_name, root, field, default, minimum) -> int:
     """Command-line override if given, else the config field."""
     if flag_value is not None:
-        if flag_value < minimum:
-            raise ConfigError(flag_name, f"must be >= {minimum}")
-        return int(flag_value)
-    return root.integer(field, default=default, minimum=minimum)
+        return _integer(flag_value, flag_name, minimum)
+    return root.integer(field, default, minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +617,8 @@ def _run_levy_sim(args) -> int:
     grid = _path_grid(args, root, 256)
     out = _out_path(root, args)
 
-    with _field("loading"):  # H' = -loading puts the aggregate argument at 0
-        LevyScenario(model, agents, loading, ShockSchedule(initial_value=-loading), grid)
-    for i, level in enumerate(schedule.levels()):
-        with _field("schedule.initial_value" if i == 0 else f"schedule.shocks[{i - 1}]"):
-            LevyScenario(model, agents, loading, ShockSchedule(initial_value=level), grid)
-    with _field("schedule.shocks"):
-        schedule.series(grid)
-    scenario = LevyScenario(model, agents, loading, schedule, grid)
+    with _refusals():
+        scenario = LevyScenario(model, agents, loading, schedule, grid)
 
     width = _path_width(n_paths)
     alloc = allocation_value(scenario)
@@ -711,7 +651,7 @@ def _run_markov_fields(args) -> int:
     agents = _agents(root)
     order = _quad_order(root)
     inventory = root.number("inventory", default=0.0)
-    times = root.list_of("times", _finite_number, "numbers")
+    times = root.list_of("times", _number, "numbers")
     if not times:
         raise ConfigError("times", "must not be empty")
     for i, t in enumerate(times):
@@ -803,7 +743,7 @@ def _run_dp_value(args) -> int:
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
-        with _field("buy_and_hold"):
+        with _refusals("buy_and_hold"):
             buy_and_hold_position(scenario)
     out = _out_path(root, args)
 

@@ -50,10 +50,11 @@ class Brownian:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.b) and math.isfinite(self.sigma)):
-            raise ParameterError("Brownian parameters must be finite")
+        for name in ("b", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError("Brownian parameters must be finite", name)
         if self.sigma < 0.0:
-            raise ParameterError("Brownian sigma must be >= 0")
+            raise ParameterError("Brownian sigma must be >= 0", "sigma")
 
     def domain_contains(self, u) -> bool:
         return bool(np.all(np.isfinite(np.asarray(u, dtype=float))))
@@ -95,9 +96,9 @@ class GammaProcess:
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ParameterError("GammaProcess alpha (rate) must be > 0")
+            raise ParameterError("GammaProcess alpha (rate) must be > 0", "alpha")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ParameterError("GammaProcess beta (shape) must be > 0")
+            raise ParameterError("GammaProcess beta (shape) must be > 0", "beta")
 
     def domain_contains(self, u) -> bool:
         u = np.asarray(u, dtype=float)
@@ -153,9 +154,9 @@ class OneSidedStable:
 
     def __post_init__(self):
         if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ParameterError("OneSidedStable r (rate) must be > 0")
+            raise ParameterError("OneSidedStable r (rate) must be > 0", "r")
         if not (0.0 < self.alpha < 1.0):
-            raise ParameterError("OneSidedStable alpha must lie in (0, 1)")
+            raise ParameterError("OneSidedStable alpha must lie in (0, 1)", "alpha")
 
     def domain_contains(self, u) -> bool:
         u = np.asarray(u, dtype=float)

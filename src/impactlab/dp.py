@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _whole_number
 from .markov import MarkovPayoffs, _payoff_rows, field_p, field_v
 from .utility import ce, newton_root, tilted_mean, tilted_moments
 
@@ -58,8 +58,7 @@ class Lattice:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError("lattice period count must be an integer >= 1")
+        object.__setattr__(self, "n", _whole_number(self.n, "n", 1))
 
     def nodes(self, level: int) -> int:
         """How many nodes ``level`` holds."""
@@ -127,11 +126,12 @@ class DpScenario:
     def __post_init__(self):
         lo, hi = self.admissible
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ParameterError("admissible interval must be finite with lo < hi")
+            raise ParameterError("admissible interval must be finite with lo < hi",
+                                 "admissible[0]" if not math.isfinite(lo) else "admissible[1]")
         if not lo <= 0.0 <= hi:
-            raise ParameterError("admissible interval must contain 0")
+            raise ParameterError("admissible interval must contain 0", "admissible[0]")
         if not 0.0 < self.y_resolution <= (hi - lo):
-            raise ParameterError("y_resolution must lie in (0, hi - lo]")
+            raise ParameterError("y_resolution must lie in (0, hi - lo]", "y_resolution")
 
     @property
     def agents(self):
@@ -491,7 +491,7 @@ def convergence_study(
         )
     rows = []
     for n in n_list:
-        result = value_recursion(replace(scenario, lattice=Lattice(int(n))), refine=refine)
+        result = value_recursion(replace(scenario, lattice=Lattice(n)), refine=refine)
         error = abs(result.value - limit)
         if not math.isfinite(error):
             raise PreconditionError(f"non-finite convergence error at n={n}")

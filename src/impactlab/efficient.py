@@ -39,7 +39,8 @@ class LevyScenario:
     """Market data: factor model, agent pair, supplier loading a, endowment schedule, grid.
 
     Construction verifies that every inventory state the closed-form strategy
-    can reach keeps the cumulant arguments inside the domain U.
+    can reach keeps the cumulant arguments inside the domain U, and that the
+    schedule's shocks snap onto the grid.
     """
 
     model: LevyModel
@@ -50,17 +51,19 @@ class LevyScenario:
 
     def __post_init__(self):
         if not math.isfinite(self.a):
-            raise ParameterError("loading a must be finite")
+            raise ParameterError("loading a must be finite", "a")
         g = self.agents.gamma
         if g > 0.0 and not self.model.domain_contains(g * self.a):
-            raise DomainError("gamma * a outside the cumulant domain")
-        for level in self.schedule.levels():
+            raise DomainError("gamma * a outside the cumulant domain", "a")
+        for i, level in enumerate(self.schedule.levels()):
             # gamma*(a - Y*) equals abar*(a + H') identically, so one check
             # covers both the supplier's and the aggregate's arguments.
             if not self.model.domain_contains(self._argument(level)):
                 raise DomainError(
-                    f"endowment level {level} pushes the aggregate argument out of domain"
+                    f"endowment level {level} pushes the aggregate argument out of domain",
+                    f"schedule.shocks[{i - 1}]" if i else "schedule.initial_value",
                 )
+        self.schedule._grid_indices(self.grid, "schedule.shocks")
 
     @property
     def abar(self) -> float:

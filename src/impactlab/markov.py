@@ -61,17 +61,17 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and normalized log-weights."""
     if order < 2:
-        raise ParameterError("quadrature order must be >= 2")
+        raise ParameterError("quadrature order must be >= 2", "order")
     if order > MAX_ORDER:
         raise QuadratureError(
             f"Hermite rule of order {order} is not computable in double precision"
-            f" (the largest is {MAX_ORDER})"
+            f" (the largest is {MAX_ORDER})", "order"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise QuadratureError(
-            f"Hermite rule of order {order} is not computable in double precision"
+            f"Hermite rule of order {order} is not computable in double precision", "order"
         )
     with np.errstate(divide="ignore"):
         logw = np.log(weights) - _LOG_SQRT_2PI
@@ -313,12 +313,12 @@ class QuadraticModel:
 
     def __post_init__(self):
         if self.sigma == 0.0 or not math.isfinite(self.sigma):
-            raise ParameterError("sigma must be finite and nonzero")
+            raise ParameterError("sigma must be finite and nonzero", "sigma")
         abar = self.agents.aggregate_aversion
         if 1.0 + abar * self.b_quad <= 0.0:
             raise ParameterError(
                 "aggregate aversion too large for the quadratic endowment: "
-                "need 1 + abar*b_quad > 0"
+                "need 1 + abar*b_quad > 0", "b_quad"
             )
 
     def payoffs(self) -> MarkovPayoffs:
@@ -419,9 +419,10 @@ class ShockWaveModel:
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ParameterError("sigma must be finite and > 0")
+            raise ParameterError("sigma must be finite and > 0", "sigma")
         if self.agents.aggregate_aversion <= 0.0:
-            raise ParameterError("shock wave needs strictly positive aggregate aversion")
+            raise ParameterError("shock wave needs strictly positive aggregate aversion",
+                                 "agents.gamma")
 
     @property
     def wave_aversion(self) -> float:

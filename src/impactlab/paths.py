@@ -22,15 +22,15 @@ batch, so a one-path batch (``simulate_path``) pays it whole.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .cumulants import Brownian, GammaProcess, LevyModel, OneSidedStable
-from .errors import ParameterError, ScheduleError
+from .cumulants import LevyModel
+from .errors import ParameterError, ScheduleError, _whole_number
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class PathGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
-            raise ParameterError("n_steps must be an integer >= 1")
+        object.__setattr__(self, "n_steps", _whole_number(self.n_steps, "n_steps", 1))
 
     @property
     def dt(self) -> float:
@@ -66,22 +65,27 @@ class ShockSchedule:
     h: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "shocks",
-            tuple((float(s), float(j)) for s, j in self.shocks),
-        )
-        last = 0.0
-        for s, j in self.shocks:
+        shocks, last = [], 0.0
+        for i, shock in enumerate(self.shocks):
+            argument = f"shocks[{i}]"
+            if not isinstance(shock, (tuple, list, np.ndarray)) or len(shock) != 2:
+                raise ScheduleError("must be a [time, jump] pair", argument)
+            for label, value in zip(("time", "jump"), shock):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ScheduleError(f"{label} must be a number", argument)
+            s, j = map(float, shock)
             if not 0.0 < s < 1.0:
-                raise ScheduleError(f"shock time {s} must lie strictly inside (0, 1)")
+                raise ScheduleError(f"shock time {s} must lie strictly inside (0, 1)", argument)
             if s <= last:
-                raise ScheduleError("shock times must be strictly increasing")
+                raise ScheduleError("shock times must be strictly increasing", argument)
             if not math.isfinite(j):
-                raise ScheduleError("shock jumps must be finite")
+                raise ScheduleError("shock jumps must be finite", argument)
+            shocks.append((s, j))
             last = s
-        if not (math.isfinite(self.initial_value) and math.isfinite(self.h)):
-            raise ScheduleError("initial_value and h must be finite")
+        object.__setattr__(self, "shocks", tuple(shocks))
+        for name in ("initial_value", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScheduleError("initial_value and h must be finite", name)
 
     def levels(self) -> np.ndarray:
         """All values H' takes over [0, 1], in order."""
@@ -96,20 +100,24 @@ class ShockSchedule:
         Right-continuous: the entry at a snapped shock index already includes
         that jump.  Snapping must keep shocks distinct and interior.
         """
-        n = grid.n_steps
-        out = np.full(n + 1, self.initial_value)
-        used = set()
-        for s, j in self.shocks:
-            idx = int(round(s * n))
-            if idx <= 0 or idx >= n:
-                raise ScheduleError(
-                    f"shock at {s} snaps to grid index {idx}, outside the open interval"
-                )
-            if idx in used:
-                raise ScheduleError(f"two shocks snap to the same grid index {idx}")
-            used.add(idx)
+        out = np.full(grid.n_steps + 1, self.initial_value)
+        for idx, (_, j) in zip(self._grid_indices(grid), self.shocks):
             out[idx:] += j
         return out
+
+    def _grid_indices(self, grid: PathGrid, argument: str = "shocks") -> list:
+        """The grid index each shock snaps to; a refusal names ``argument``."""
+        n = grid.n_steps
+        indices = [int(round(s * n)) for s, _ in self.shocks]
+        # the times increase, so only neighbours can snap to one index
+        for (s, _), idx, before in zip(self.shocks, indices, [None, *indices]):
+            if idx <= 0 or idx >= n:
+                raise ScheduleError(
+                    f"shock at {s} snaps to grid index {idx}, outside the open interval", argument
+                )
+            if idx == before:
+                raise ScheduleError(f"two shocks snap to the same grid index {idx}", argument)
+        return indices
 
 
 @dataclass(frozen=True)
@@ -127,20 +135,9 @@ class PathSample:
             raise ParameterError("inconsistent path array lengths")
 
 
-def _path_number(value, name: str, least: int = 0) -> int:
-    """``value`` as an int >= least: a seed, a path index or a path count."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     """Generator for one path, split from (seed, path_index)."""
-    entropy = [_path_number(seed, "seed"), _path_number(path_index, "path index")]
+    entropy = [_whole_number(seed, "seed"), _whole_number(path_index, "path_index")]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -288,8 +285,8 @@ def simulate_batch(
     every path's ``SeedSequence([seed, k])`` words are hashed at once, and one
     ``Generator`` is set to each path's PCG64 state before its draws.
     """
-    seed, first = _path_number(seed, "seed"), _path_number(first, "path index")
-    n_paths = _path_number(n_paths, "n_paths", 1)
+    seed, first = _whole_number(seed, "seed"), _whole_number(first, "first")
+    n_paths = _whole_number(n_paths, "n_paths", 1)
     h_prime = schedule.series(grid)
     h_prime.flags.writeable = False
     n = grid.n_steps

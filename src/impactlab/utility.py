@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,11 +47,11 @@ class AgentPair:
 
     def __post_init__(self):
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ParameterError("gamma must be finite and >= 0")
+            raise ParameterError("gamma must be finite and >= 0", "gamma")
         if not (self.c > 0.0):
-            raise ParameterError("c must be > 0 (math.inf allowed)")
+            raise ParameterError("c must be > 0 (math.inf allowed)", "c")
         if math.isnan(self.c):
-            raise ParameterError("c must not be NaN")
+            raise ParameterError("c must not be NaN", "c")
 
     @property
     def aggregate_aversion(self) -> float:
@@ -81,20 +81,21 @@ class SampleSet:
         v = np.asarray(self.values, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if v.ndim != 1 or w.shape != v.shape or v.size == 0:
-            raise ParameterError("values and weights must be equal-length 1-d arrays")
+            raise ParameterError("values and weights must be equal-length 1-d arrays",
+                                 "values" if v.ndim != 1 or v.size == 0 else "weights")
         if not np.all(np.isfinite(v)):
-            raise ParameterError("sample values must be finite")
+            raise ParameterError("sample values must be finite", "values")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite and >= 0")
+            raise ParameterError("weights must be finite and >= 0", "weights")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ParameterError(f"weights must sum to 1 within {_WEIGHT_TOL}")
+            raise ParameterError(f"weights must sum to 1 within {_WEIGHT_TOL}", "weights")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, values) -> "SampleSet":
         v = np.asarray(values, dtype=float)
-        return cls(v, np.full(v.shape, 1.0 / v.size))
+        return cls(v, np.ones(v.shape) / v.size)  # no values: an empty array, refused
 
     def shifted(self, cash: float) -> "SampleSet":
         return SampleSet(self.values + float(cash), self.weights)
@@ -249,7 +250,7 @@ def certainty_equivalent(samples: SampleSet, aversion: float) -> float:
     a = 0 gives the plain mean, a = inf the worst supported value.
     """
     if aversion < 0.0 or math.isnan(aversion):
-        raise ParameterError("aversion must be >= 0 (math.inf allowed)")
+        raise ParameterError("aversion must be >= 0 (math.inf allowed)", "aversion")
     with np.errstate(divide="ignore"):
         logw = np.log(samples.weights)
     return float(ce(samples.values, logw, aversion))
@@ -259,7 +260,7 @@ def _check_time(t) -> None:
     """Refuse a time t, or an array of them, with an entry outside [0, 1] (or NaN)."""
     ok = (0.0 <= t) & (t <= 1.0)  # a bool for a float t, else a numpy bool or array
     if not (ok if isinstance(ok, bool) else ok.all()):
-        raise ParameterError("t must lie in [0, 1]")
+        raise ParameterError("t must lie in [0, 1]", "t")
 
 
 def levy_pi(model: LevyModel, gamma: float, z: float, x_t: float, t: float) -> float:
@@ -270,7 +271,7 @@ def levy_pi(model: LevyModel, gamma: float, z: float, x_t: float, t: float) -> f
     """
     _check_time(t)
     if gamma < 0.0 or not math.isfinite(gamma):
-        raise ParameterError("gamma must be finite and >= 0")
+        raise ParameterError("gamma must be finite and >= 0", "gamma")
     if gamma == 0.0:
         return z * x_t + (1.0 - t) * z * model.kappa_prime(0.0)
     if not model.domain_contains(gamma * z):
@@ -295,7 +296,7 @@ def levy_price_curve(
     """
     _check_time(t)
     if gamma < 0.0 or not math.isfinite(gamma):
-        raise ParameterError("gamma must be finite and >= 0")
+        raise ParameterError("gamma must be finite and >= 0", "gamma")
     if gamma == 0.0:
         return y * (x_t + (1.0 - t) * model.kappa_prime(0.0))
     u_hold = gamma * (a + z)
