@@ -21,12 +21,18 @@ modes simulate in blocks of paths.  They write the text of the
 path-independent columns once per run, into a row template that each path
 file fills with its own columns.  ``_emit_path_files`` writes a block's path
 files from up to one process per CPU; their bytes do not depend on that count.
+
+``run`` is the process entry of ``python -m impactlab.cli`` and the
+``impactlab`` script: it calls ``main`` and freezes the garbage collector
+(``gc.freeze()``) before the process exits, so the interpreter's shutdown
+collection walks nothing.  ``main`` is the in-process call and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -37,7 +43,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -868,5 +874,22 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, ConfigError) else 3
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry: ``python -m impactlab.cli`` and the ``impactlab`` script.
+
+    Runs ``main(argv)`` and exits with its status.  On the way out, also when
+    argparse exits, ``gc.freeze()`` moves every object the process holds out of
+    the collector's reach, so the interpreter's shutdown collection has nothing
+    to walk: what dies with the process is left to the OS.  ``atexit`` handlers
+    and the flushing of stdout and stderr still run.  ``main`` never freezes,
+    since in a caller's process nothing frozen would ever be collected.
+    """
+    try:
+        status = main(argv)
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -51,6 +51,14 @@ class PathGrid:
         return np.arange(self.n_steps + 1) / self.n_steps
 
 
+def _finite(value) -> bool:
+    """``math.isfinite(value)``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ShockSchedule:
     """Deterministic piecewise-constant endowment loading H'.
@@ -73,19 +81,19 @@ class ShockSchedule:
             for label, value in zip(("time", "jump"), shock):
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ScheduleError(f"{label} must be a number", argument)
+                if not _finite(value):
+                    raise ScheduleError(f"{label} must be finite", argument)
             s, j = map(float, shock)
             if not 0.0 < s < 1.0:
                 raise ScheduleError(f"shock time {s} must lie strictly inside (0, 1)", argument)
             if s <= last:
                 raise ScheduleError("shock times must be strictly increasing", argument)
-            if not math.isfinite(j):
-                raise ScheduleError("shock jumps must be finite", argument)
             shocks.append((s, j))
             last = s
         object.__setattr__(self, "shocks", tuple(shocks))
         for name in ("initial_value", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScheduleError("initial_value and h must be finite", name)
+            if not _finite(getattr(self, name)):
+                raise ScheduleError(f"{name} must be finite", name)
 
     def levels(self) -> np.ndarray:
         """All values H' takes over [0, 1], in order."""

@@ -1,12 +1,14 @@
 """End-to-end CLI runs: exit codes, dotted-field errors, byte-stable CSV output."""
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -838,6 +840,8 @@ REFUSALS = {
     "non-finite-jump": (
         "levy-sim", lambda o: _with_shocks(levy_config(o), (0.25, 0.1), (0.5, math.inf)),
         "schedule.shocks[1]"),
+    "shock-time-too-large-for-a-float": (
+        "levy-sim", lambda o: _with_shocks(levy_config(o), (10**400, 0.1)), "schedule.shocks[0]"),
     "shocks-snap-to-one-index": (
         "levy-sim", lambda o: _with_shocks(levy_config(o), (0.5, 0.1), (0.51, 0.1)),
         "schedule.shocks"),
@@ -1193,10 +1197,8 @@ def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
         "seen.append(loaded())",
         "print(json.dumps(seen))",
     ])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], [], []]
@@ -1224,10 +1226,8 @@ def test_every_mode_and_the_strategy_run_with_scipy_unimportable(tmp_path):
         "model = QuadraticModel(0.4, 0.1, 1.3, 0.7, 0.5, AgentPair(1.0, 2.0))",
         "print(optimal_strategy_markov(model.payoffs(), 0.3, 0.2))",
     ])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     model = QuadraticModel(0.4, 0.1, 1.3, 0.7, 0.5, AgentPair(1.0, 2.0))
@@ -1246,3 +1246,80 @@ def test_a_huge_quadrature_order_is_refused_before_the_rule_is_built(tmp_path, c
     assert main(["markov-fields", "--config", cfg]) == 2
     assert stderr_record(capsys)["field"] == "order"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+
+def _src_env():
+    """The environment with the tested package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _script_target():
+    """(module, function) of the ``impactlab`` console script in pyproject.toml."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^impactlab = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+
+
+# each way a command line reaches the package: ``python -m impactlab.cli``, and
+# the wrapper pip writes for the console script
+ENTRIES = ("module", "script")
+
+
+def _run_entry(entry, *argv):
+    """A child that registers an atexit handler, then runs ``entry`` on ``argv``;
+    the handler's line on stderr says whether the collector was frozen."""
+    if entry == "module":
+        call = 'import runpy; runpy.run_module("impactlab.cli", run_name="__main__", alter_sys=True)'
+    else:
+        module, function = _script_target()
+        call = f"import importlib; sys.exit(importlib.import_module({module!r}).{function}())"
+    code = "\n".join([
+        "import atexit, gc, sys",
+        "atexit.register(lambda: print('atexit frozen', gc.get_freeze_count() > 0, file=sys.stderr))",
+        f"sys.argv = ['impactlab', *{list(argv)!r}]",
+        call,
+    ])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_process_entry_freezes_the_collector_and_keeps_the_output(tmp_path, entry):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, _recorded_run_config("levy-sim", out))
+    proc = _run_entry(entry, "levy-sim", "--config", cfg, "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["atexit frozen True"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == RECORDED_SHA256["levy-sim"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_process_entry_exits_2_after_the_error_record(tmp_path, entry):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, levy_config(out, schema_version=2))
+    proc = _run_entry(entry, "levy-sim", "--config", cfg)
+    assert proc.returncode == 2
+    record, handler = proc.stderr.splitlines()
+    assert json.loads(record)["field"] == "schema_version"
+    assert handler == "atexit frozen True"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_process_entry_freezes_when_argparse_exits(entry):
+    proc = _run_entry(entry, "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"impactlab {cli.__version__}\n"
+    assert proc.stderr.splitlines() == ["atexit frozen True"]
+
+
+def test_main_in_process_does_not_freeze_the_collector(tmp_path):
+    cfg = write_config(tmp_path, levy_config(tmp_path / "o"))
+    before = gc.get_freeze_count()
+    assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
+    assert gc.get_freeze_count() == before

@@ -72,6 +72,17 @@ REFUSALS = {
     "shock-jump-inf": (
         ShockSchedule, lambda: ShockSchedule(shocks=((0.5, math.inf),)), ScheduleError,
         "shocks[0]"),
+    "shock-time-too-large-for-a-float": (
+        ShockSchedule, lambda: ShockSchedule(shocks=((10**400, 0.1),)), ScheduleError,
+        "shocks[0]"),
+    "shock-jump-too-large-for-a-float": (
+        ShockSchedule, lambda: ShockSchedule(shocks=((0.25, 0.1), (0.5, -10**400))),
+        ScheduleError, "shocks[1]"),
+    "schedule-initial-too-large-for-a-float": (
+        ShockSchedule, lambda: ShockSchedule(initial_value=10**400), ScheduleError,
+        "initial_value"),
+    "schedule-h-too-large-for-a-float": (
+        ShockSchedule, lambda: ShockSchedule(h=-10**400), ScheduleError, "h"),
     "schedule-initial-nan": (
         ShockSchedule, lambda: ShockSchedule(initial_value=math.nan), ScheduleError,
         "initial_value"),

@@ -6,8 +6,8 @@ Run from the repository root:
         --workload montecarlo --first-seed 701 \\
         --claim montecarlo:cli_s --note "what the change does"
 
-Each commit is checked out into its own detached ``git worktree`` in a
-temporary directory, so both sides run their committed files only.  For
+Each commit is extracted with ``git archive`` into its own temporary
+directory, so both sides run their committed files only.  For
 each workload, ten seeds make ten pairs; one pair runs
 
     python3 bench/run.py --workload W --seed S --trace 0
@@ -24,8 +24,8 @@ metric of ``BENCHMARK.json``, each side's median and quartiles
 in how many pairs the change is lower; per workload, the seeds and each
 side's attempted and failed operations, and whether every check held;
 and the Python and numpy versions, ``nproc`` and the commands.  It is
-written to the repository root.  The worktrees are removed at the end, also
-when a run fails.
+written to the repository root.  The extracted trees are removed at the end,
+also when a run fails.
 """
 
 from __future__ import annotations
@@ -134,32 +134,29 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         trees = {side: Path(scratch) / side for side in SIDES}
-        try:
-            for side in SIDES:
-                git("worktree", "add", "--detach", str(trees[side]), commits[side])
-            for k, workload in enumerate(workloads):
-                seeds = [args.first_seed + 20 * k + i for i in range(PAIRS)]
-                runs = {side: [] for side in SIDES}
-                for seed in seeds:
-                    for side in SIDES if seed % 2 else SIDES[::-1]:
-                        runs[side].append(bench(trees[side], workload, seed, 0))
-                        print(f"{workload} seed {seed} {side}: " + ", ".join(
-                            f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}"
-                            for name, _ in metrics), file=sys.stderr)
-                result["workloads"][workload] = workload_record(runs, seeds, metrics)
-            if args.traced_seed is not None:
-                result["traced"] = {"command": COMMAND.format(seed=args.traced_seed, trace=1)
-                                    + ", one run a side", "note": TRACED_NOTE}
-                for workload in workloads:
-                    result["traced"][workload] = {"seed": args.traced_seed, **{
-                        side: {name: round(m["value"], 4) for name, m in sorted(bench(
-                            trees[side], workload, args.traced_seed, 1
-                        )["metrics"].items())} for side in SIDES}}
-        finally:
-            for side in SIDES:
-                if trees[side].exists():
-                    git("worktree", "remove", "--force", str(trees[side]))
-            git("worktree", "prune")
+        for side in SIDES:
+            trees[side].mkdir()
+            archive = subprocess.run(["git", "archive", commits[side]], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive, check=True)
+        for k, workload in enumerate(workloads):
+            seeds = [args.first_seed + 20 * k + i for i in range(PAIRS)]
+            runs = {side: [] for side in SIDES}
+            for seed in seeds:
+                for side in SIDES if seed % 2 else SIDES[::-1]:
+                    runs[side].append(bench(trees[side], workload, seed, 0))
+                    print(f"{workload} seed {seed} {side}: " + ", ".join(
+                        f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}"
+                        for name, _ in metrics), file=sys.stderr)
+            result["workloads"][workload] = workload_record(runs, seeds, metrics)
+        if args.traced_seed is not None:
+            result["traced"] = {"command": COMMAND.format(seed=args.traced_seed, trace=1)
+                                + ", one run a side", "note": TRACED_NOTE}
+            for workload in workloads:
+                result["traced"][workload] = {"seed": args.traced_seed, **{
+                    side: {name: round(m["value"], 4) for name, m in sorted(bench(
+                        trees[side], workload, args.traced_seed, 1
+                    )["metrics"].items())} for side in SIDES}}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

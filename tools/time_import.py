@@ -17,6 +17,14 @@ under ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark's command-line
 children may: with no ``__pycache__`` in ``src/impactlab`` each one compiles
 the sources it imports.  It imports ``src/impactlab`` from the checkout it
 sits in.
+
+The last line times the other end of a command-line process: a small
+``levy-sim`` run through ``python -m impactlab.cli``, from the command's
+return to its process being reaped.  The child registers an ``atexit``
+handler before it imports anything, so the handler runs after every other
+one and prints ``time.monotonic()`` (one clock for every process); the
+interval runs from there, through the interpreter's finalisation, to
+``subprocess.run`` returning in this process.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +49,21 @@ start = time.perf_counter()
 seconds = time.perf_counter() - start
 print(json.dumps([seconds, sorted(m for m in sys.modules if m.startswith("impactlab."))]))
 """
+
+EXIT_CHILD = """\
+import atexit, runpy, sys, time
+atexit.register(lambda: print(time.monotonic()))
+sys.argv = {argv!r}
+runpy.run_module("impactlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+# a levy-sim run of two short paths: the command is the part that does not matter
+EXIT_CONFIG = {
+    "schema_version": 1, "mode": "levy-sim", "seed": 7, "paths": 2, "grid": 16,
+    "agents": {"gamma": 1.0, "c": 1.0}, "loading": 1.0,
+    "model": {"family": "gamma", "alpha": 4.0, "beta": 1.0},
+    "schedule": {"initial_value": 0.0, "h": 0.0, "shocks": [[0.5, 0.25]]},
+}
 
 
 def workload_imports():
@@ -58,13 +83,23 @@ def workload_imports():
     return found
 
 
-def run_child(statement):
-    """(seconds, loaded impactlab modules) of one fresh interpreter."""
+def run_child(code):
+    """The stdout of ``code`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD.format(statement=statement)],
-                          capture_output=True, text=True, env=env, check=True, cwd=ROOT)
-    return json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, cwd=ROOT).stdout
+
+
+def import_seconds(statement):
+    """(seconds, loaded impactlab modules) of one import statement."""
+    return json.loads(run_child(CHILD.format(statement=statement)))
+
+
+def exit_seconds(argv):
+    """Seconds from the return of the command ``argv`` to its process being reaped."""
+    stdout = run_child(EXIT_CHILD.format(argv=argv))
+    return time.monotonic() - float(stdout.split()[-1])
 
 
 def main(argv=None):
@@ -75,12 +110,22 @@ def main(argv=None):
     scenarios = [("reference", "import numpy"), ("bare", "import impactlab")]
     scenarios += [(f"{name} build", line) for name, line in workload_imports()]
     scenarios.append(("cli", "import impactlab.cli"))
-    # round robin, so a drift in the machine's speed falls on every scenario alike
-    runs = [[run_child(statement) for _, statement in scenarios] for _ in range(args.repeats)]
+    with tempfile.TemporaryDirectory(prefix="time_import-") as work:
+        config = Path(work) / "levy-sim.json"
+        config.write_text(json.dumps(EXIT_CONFIG), encoding="utf-8")
+        # round robin, so a drift in the machine's speed falls on every scenario alike
+        runs, exits = [], []
+        for r in range(args.repeats):
+            runs.append([import_seconds(statement) for _, statement in scenarios])
+            exits.append(exit_seconds(["impactlab", "levy-sim", "--config", str(config),
+                                       "--out", str(Path(work) / str(r)), "--quiet"]))
     for k, (label, statement) in enumerate(scenarios):
         seconds = statistics.median(run[k][0] for run in runs)
         loaded = ", ".join(m.removeprefix("impactlab.") for m in runs[-1][k][1]) or "none"
         print(f"{label} ({statement}): median {seconds * 1e3:.1f} ms; loads {loaded}")
+    print(f"exit (python -m impactlab.cli levy-sim, 2 paths): median "
+          f"{statistics.median(exits) * 1e3:.1f} ms from the command's return to its "
+          "process being reaped")
     return 0
 
 
