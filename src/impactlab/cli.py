@@ -1,13 +1,16 @@
-"""Command-line front end: YAML scenario configs in, deterministic CSVs out.
+"""Command-line front end: JSON or YAML scenario configs in, deterministic CSVs out.
 
 Subcommands mirror the scenario modes: ``levy-sim``, ``markov-fields``,
 ``shockwave``, ``dp-value``, ``convergence``, ``verify``.  Every config
-carries ``schema_version: 1``.  Validation checks each field's type and
-shape, then builds each library object the run needs, once.  A malformed
-field, or a rule a library object refuses (an ArgumentError, whose
-``argument`` ``_refusals`` maps to its config field), is reported as a
-ConfigError naming the offending dotted path, before any computation
-starts and before the output directory is made, and exits with status 2.
+carries ``schema_version: 1``.  A config whose text is JSON is read with
+``json``; any other text, JSON's non-standard NaN and Infinity tokens
+included, is read as YAML 1.2 by PyYAML, which is imported only then.
+Validation checks each field's type and shape, then builds each library
+object the run needs, once.  A malformed field, or a rule a library object
+refuses (an ArgumentError, whose ``argument`` ``_refusals`` maps to its
+config field), is reported as a ConfigError naming the offending dotted
+path, before any computation starts and before the output directory is
+made, and exits with status 2.
 Computation-stage errors exit 3 with a machine-readable JSON record on
 stderr; ``verify`` exits 1 when any invariant fails.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import itertools
 import json
@@ -46,7 +50,6 @@ from pathlib import Path
 from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .cumulants import Brownian, GammaProcess, OneSidedStable
@@ -177,16 +180,41 @@ def _integer(raw, path: str, minimum: Optional[int] = None) -> int:
     return int(raw)
 
 
-class _ConfigLoader(yaml.SafeLoader):
+@functools.lru_cache(maxsize=None)
+def _config_loader():
     """PyYAML's safe loader, reading YAML 1.2 floats that YAML 1.1 leaves as
-    strings: an exponent without a '.' or without a sign (1e-05, 2.5e3)."""
+    strings: an exponent without a '.' or without a sign (1e-05, 2.5e3).
+    Built, and yaml imported, on the first config that is not JSON."""
+    import yaml
+
+    class _ConfigLoader(yaml.SafeLoader):
+        pass
+
+    _ConfigLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return _ConfigLoader
 
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+def _not_json(token: str):
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON, so YAML reads them."""
+    raise ValueError(f"{token} is not JSON")
+
+
+def _parse_config(text: str):
+    """The data of a config's text: JSON text read by ``json``, any other by YAML."""
+    try:
+        return json.loads(text, parse_constant=_not_json)
+    except ValueError:
+        pass
+    import yaml  # here, not at the top: a JSON config never pays its import
+
+    try:
+        return yaml.load(text, Loader=_config_loader())
+    except yaml.YAMLError as exc:
+        raise ConfigError("config", f"invalid YAML: {exc}") from exc
 
 
 def _load_config(path: Optional[str], mode: str) -> Section:
@@ -194,12 +222,9 @@ def _load_config(path: Optional[str], mode: str) -> Section:
         raise ConfigError("config", f"mode {mode!r} requires --config")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    try:
-        data = yaml.load(text, Loader=_ConfigLoader)
-    except yaml.YAMLError as exc:
-        raise ConfigError("config", f"invalid YAML: {exc}") from exc
+    data = _parse_config(text)
     root = Section(data if data is not None else {}, "")
     version = root.integer("schema_version")
     if version != SCHEMA_VERSION:
@@ -590,7 +615,15 @@ def _note_bound_hits(quiet: bool, n: int, hits: int) -> None:
 
 
 def _out_path(root: Section, args) -> Path:
-    return Path(args.out) if args.out is not None else Path(root.string("out", default="."))
+    """The output directory, refused unless the file system can take its name."""
+    field, out = ("--out", args.out) if args.out is not None else ("out", root.string("out", "."))
+    try:
+        if "\0" in out:
+            raise ValueError("embedded null character")
+        os.fsencode(out)  # a lone surrogate has no bytes
+    except ValueError as exc:
+        raise ConfigError(field, f"must be a path the file system can encode: {exc}") from exc
+    return Path(out)
 
 
 def _path_width(n_paths: int) -> int:
@@ -819,7 +852,7 @@ def _run_verify(args) -> int:
 
 
 _FLAGS = {
-    "--config": dict(help="YAML scenario config (schema_version: 1)"),
+    "--config": dict(help="JSON or YAML scenario config (schema_version: 1)"),
     "--seed": dict(type=int, help="override the config seed"),
     "--out": dict(help="override the output directory"),
     "--paths": dict(type=int, help="override the path count"),

@@ -8,7 +8,12 @@ Gauss-Hermite quadrature in log space.  Spatial gradients use the exact
 Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s, so no
 derivative of the terminal callables is ever needed.  Each callable runs
 once per call, on the nodes of a whole array of states (one row each), and
-v, u, p, q are reductions of those rows along the node axis.  Root-finding
+v, u, p, q are reductions of those rows along the node axis.  A table of
+states (``_state_fields``, the ``markov-fields`` mode) takes v and u from
+one tilt of each row of g + h, and p and q from one tilt of g - y*s: the
+certainty equivalent comes from the tilt's normaliser and the gradient
+from its tilted mean of the nodes, bit for bit as the four single fields
+give them.  Root-finding
 for the strategy reuses the node values of s, g (and h, for dv/dw), checks
 each bracket at 9 points with one batched residual, and polishes by
 safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
@@ -131,21 +136,26 @@ def _grad_rows(vals, t: float, aversion: float, order: int):
     return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
 
 
+def _field_rows(vals, t: float, aversion: float, order: int):
+    """_ce_rows and _grad_rows of the rows of node values (t < 1), from one tilt of each."""
+    nodes, logw = _rules(order)
+    if aversion == 0.0:
+        return ce(vals, logw, aversion), _grad_rows(vals, t, aversion, order)
+    mean, certainty = tilted_mean(nodes, vals, logw, aversion, with_ce=True)
+    return certainty, -mean / (aversion * math.sqrt(1.0 - t))
+
+
 def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DEFAULT_ORDER):
-    """Rows v, u, p, q at one t < 1 for each w of a 1-d array (in blocks), inventory y."""
+    """Rows v, u, p, q at one t < 1 for each w of a 1-d array (in blocks), inventory y:
+    v and u from one tilt of the nodes, p and q from another."""
     _check_t(t, terminal_ok=False)
     abar, gamma = payoffs.agents.aggregate_aversion, payoffs.agents.gamma
     out = np.empty((4, len(w)))
     for start in range(0, len(w), _STATE_BLOCK):
         rows = slice(start, start + _STATE_BLOCK)
         s, g, h = _node_values(t, w[rows], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
-        total, book = g + h, g - y * s
-        out[:, rows] = (
-            _ce_rows(total, t, abar, order),
-            _grad_rows(total, t, abar, order),
-            _ce_rows(book, t, gamma, order),
-            _grad_rows(book, t, gamma, order),
-        )
+        out[:2, rows] = _field_rows(g + h, t, abar, order)
+        out[2:, rows] = _field_rows(g - y * s, t, gamma, order)
     return out
 
 

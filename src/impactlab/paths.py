@@ -51,12 +51,18 @@ class PathGrid:
         return np.arange(self.n_steps + 1) / self.n_steps
 
 
-def _finite(value) -> bool:
-    """``math.isfinite(value)``, and False for an int too large for a float."""
+def _real(value, label: str, argument: str) -> float:
+    """``value`` as a float, refused naming ``argument`` unless it is a finite real
+    number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScheduleError(f"{label} must be a number", argument)
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScheduleError(f"{label} must be finite", argument)
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,7 @@ class ShockSchedule:
             argument = f"shocks[{i}]"
             if not isinstance(shock, (tuple, list, np.ndarray)) or len(shock) != 2:
                 raise ScheduleError("must be a [time, jump] pair", argument)
-            for label, value in zip(("time", "jump"), shock):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ScheduleError(f"{label} must be a number", argument)
-                if not _finite(value):
-                    raise ScheduleError(f"{label} must be finite", argument)
-            s, j = map(float, shock)
+            s, j = (_real(value, label, argument) for label, value in zip(("time", "jump"), shock))
             if not 0.0 < s < 1.0:
                 raise ScheduleError(f"shock time {s} must lie strictly inside (0, 1)", argument)
             if s <= last:
@@ -92,8 +93,7 @@ class ShockSchedule:
             last = s
         object.__setattr__(self, "shocks", tuple(shocks))
         for name in ("initial_value", "h"):
-            if not _finite(getattr(self, name)):
-                raise ScheduleError(f"{name} must be finite", name)
+            object.__setattr__(self, name, _real(getattr(self, name), name, name))
 
     def levels(self) -> np.ndarray:
         """All values H' takes over [0, 1], in order."""

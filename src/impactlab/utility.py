@@ -115,11 +115,17 @@ def ce(values, logw, aversion: float, axis: int = -1):
     if math.isinf(aversion):
         return np.minimum.reduce(np.where(np.isneginf(logw), np.inf, values), axis)
     with np.errstate(over="ignore", invalid="ignore"):
-        exponent = logw - aversion * values
-        top = np.maximum.reduce(exponent, axis, keepdims=True)
-        exponent -= top
-        total = np.add.reduce(np.exp(exponent, exponent), axis)
+        _, total, top = _tilt(logw - aversion * values, axis)
     return _ce_from_normaliser(total, top, aversion, axis)
+
+
+def _tilt(exponent, axis: int, keepdims: bool = False):
+    """The tilt exp(exponent - top) of the array ``exponent``, written over it, its
+    sum along ``axis``, and the shift ``top``, the maximum along ``axis`` (kept)."""
+    top = np.maximum.reduce(exponent, axis, keepdims=True)
+    exponent -= top
+    tilt = np.exp(exponent, exponent)
+    return tilt, np.add.reduce(tilt, axis, keepdims=keepdims), top
 
 
 def _ce_from_normaliser(total, top, aversion: float, axis: int):
@@ -133,17 +139,25 @@ def _ce_from_normaliser(total, top, aversion: float, axis: int):
     return out
 
 
-def tilted_mean(x, values, logw, aversion: float):
+def tilted_mean(x, values, logw, aversion: float, with_ce: bool = False):
     """E[x exp(-a v)] / E[exp(-a v)] along the last axis, for finite a >= 0.
 
     ``x`` and ``logw`` are 1-d over the support; each row of ``values`` is
-    tilted on its own.
+    tilted on its own.  ``with_ce`` also returns ``ce(values, logw,
+    aversion)``, bit for bit, which for a > 0 comes from the same tilt's
+    normaliser: (mean, ce).
     """
-    exponent = logw - aversion * values
-    exponent -= np.maximum.reduce(exponent, -1, keepdims=True)
-    tilt = np.exp(exponent)
-    # one dot product per row: a matrix-vector product sums in another order
-    return np.vecdot(tilt, x) / np.add.reduce(tilt, -1)
+    # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
+    quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
+    with quiet:
+        tilt, total, top = _tilt(logw - aversion * values, -1)
+        # one dot product per row: a matrix-vector product sums in another order
+        mean = np.vecdot(tilt, x) / total
+    if not with_ce:
+        return mean
+    if aversion == 0.0:  # the tilt does not weigh the values
+        return mean, ce(values, logw, aversion)
+    return mean, _ce_from_normaliser(total, top, aversion, -1)
 
 
 def tilted_moments(
@@ -164,7 +178,8 @@ def tilted_moments(
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
     with quiet:
         if aversion == 0.0:
-            exponent = np.broadcast_to(logw, np.broadcast_shapes(np.shape(logw), np.shape(values)))
+            exponent = np.array(np.broadcast_to(
+                logw, np.broadcast_shapes(np.shape(logw), np.shape(values))), dtype=float)
         elif math.isinf(aversion):
             lowest = np.minimum.reduce(
                 np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
@@ -172,9 +187,7 @@ def tilted_moments(
             exponent = np.where(values == lowest, logw, -np.inf)
         else:
             exponent = logw - aversion * values
-        top = np.maximum.reduce(exponent, axis, keepdims=True)
-        tilt = np.exp(exponent - top)
-        total = np.add.reduce(tilt, axis, keepdims=True)
+        tilt, total, top = _tilt(exponent, axis, keepdims=True)
         tilt /= total
         mean = np.add.reduce(tilt * x, axis, keepdims=True)
         spread = x - mean

@@ -278,6 +278,29 @@ def test_invalid_yaml_and_missing_file(tmp_path, capsys):
     assert stderr_record(capsys)["field"] == "config"
 
 
+def test_a_config_that_is_not_utf8_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(json.dumps(levy_config(tmp_path / "o")).encode("utf-16"))  # starts \xff\xfe
+    assert main(["levy-sim", "--config", str(cfg)]) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == "config" and "can't decode byte 0xff" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("by_flag", [False, True])
+@pytest.mark.parametrize("out", ["\ud800", "o\0ut"])
+def test_an_out_path_the_file_system_cannot_encode_is_refused(tmp_path, capsys, out, by_flag):
+    """A lone surrogate or a NUL in ``out`` is refused up front, before any mode
+    makes its output directory."""
+    cfg = write_config(tmp_path, dict(convergence_config(out), n_list=[1]))
+    argv = ["convergence", "--config", cfg] + (["--out", out] if by_flag else [])
+    assert main(argv) == 2
+    record = stderr_record(capsys)
+    assert record["field"] == ("--out" if by_flag else "out")
+    assert "must be a path the file system can encode" in record["message"]
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
 def test_negative_seed_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, levy_config(tmp_path))
     assert main(["levy-sim", "--config", cfg, "--seed", "-1"]) == 2
@@ -920,6 +943,28 @@ def test_library_rules_are_refused_naming_the_field(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def _json_text(data):
+    """``data`` as JSON text, or None if it holds a NaN or an infinity."""
+    try:
+        return json.dumps(data, allow_nan=False)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("case", [case for case in sorted(REFUSALS)
+                                  if _json_text(REFUSALS[case][1](Path("o"))) is not None])
+def test_a_refusal_reads_the_same_from_json_and_yaml(tmp_path, capsys, case):
+    mode, config, _ = REFUSALS[case]
+    out = tmp_path / "o"
+    records = []
+    for name, text in (("c.json", _json_text(config(out))), ("c.yaml", yaml.safe_dump(config(out)))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        records.append((main([mode, "--config", str(tmp_path / name)]), stderr_record(capsys)))
+    assert records[0] == records[1]
+    assert records[0][0] == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, names", [
     ("dp-value", ["dp_buy_and_hold.csv", "dp_emm.csv", "dp_value.csv"]),
     ("convergence", ["convergence.csv"]),
@@ -1323,3 +1368,132 @@ def test_main_in_process_does_not_freeze_the_collector(tmp_path):
     before = gc.get_freeze_count()
     assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
     assert gc.get_freeze_count() == before
+
+
+# ---------------------------------------------------------------------------
+# config text: JSON read by json, anything else by PyYAML
+
+
+def _same(a, b) -> bool:
+    """Equal data of the same types, key order included; signed zeros told apart."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+class _Raw(str):
+    """A number token written into the JSON text as it is (json.dumps has no form for it)."""
+
+
+# number forms json.dumps never writes: past the float range, a capital E, an
+# unsigned or signed exponent without a point, underflow to a signed zero
+_RAW_NUMBERS = ["1e400", "-1e400", "1E+5", "2.5E-3", "1E5", "1e-400", "-1e-400", "0e0", "-0.0",
+                "5e-324", "-0", "1.0e+308"]
+_BMP_TEXT = st.text(st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",)), max_size=12)
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(2**53 - 2, 2**1100) | st.integers(-(2**1100), -(2**53))
+    | st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals among them
+    | _BMP_TEXT | st.sampled_from(_RAW_NUMBERS).map(_Raw)
+)
+_JSON_DOCUMENTS = st.dictionaries(_BMP_TEXT, st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_BMP_TEXT, inner, max_size=4),
+    max_leaves=16,
+), max_size=5)
+
+
+def _json_document_text(document, indent, sort_keys) -> str:
+    """``document`` written by json.dumps, each _Raw leaf as its bare token."""
+    def raw(value):
+        if isinstance(value, _Raw):
+            return f"\x00{value}\x00"
+        if isinstance(value, dict):
+            return {k: raw(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [raw(v) for v in value]
+        return value
+
+    text = json.dumps(raw(document), indent=indent, sort_keys=sort_keys)
+    return re.sub(r'"\\u0000([-+.0-9eE]+)\\u0000"', r"\1", text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_DOCUMENTS, st.none() | st.integers(0, 4) | st.just("  "), st.booleans())
+def test_json_text_reads_as_pyyaml_reads_it(document, indent, sort_keys):
+    """What json makes of JSON text is what the YAML loader made of it, to the
+    type and the sign of zero."""
+    text = _json_document_text(document, indent, sort_keys)
+    want = yaml.load(text, Loader=cli._config_loader())
+    with mock.patch.object(cli, "_config_loader", side_effect=AssertionError("YAML was read")):
+        got = cli._parse_config(text)
+    assert _same(got, want), text
+
+
+@pytest.mark.parametrize("text, got, pyyaml", [
+    # tab indentation: PyYAML refuses a tab where it looks for the next token
+    ('{\n\t"a": 1\n}', {"a": 1}, yaml.YAMLError),
+    # a key longer than 1,024 characters is no simple key to PyYAML
+    (json.dumps({"k" * 1025: 1}), {"k" * 1025: 1}, yaml.YAMLError),
+    # a surrogate-pair escape: one character, where PyYAML reads two lone surrogates
+    ('{"a": "\\ud83d\\ude00"}', {"a": "\U0001F600"}, {"a": "\ud83d\ude00"}),
+    # a raw U+0085 (NEL) is a line break to YAML 1.1, folded into a space
+    ('{"a": "x\u0085y"}', {"a": "x\x85y"}, {"a": "x y"}),
+])
+def test_json_text_pyyaml_reads_otherwise_is_read_as_json(text, got, pyyaml):
+    assert _same(cli._parse_config(text), got)
+    if isinstance(pyyaml, dict):
+        assert _same(yaml.load(text, Loader=cli._config_loader()), pyyaml)
+    else:
+        with pytest.raises(pyyaml):
+            yaml.load(text, Loader=cli._config_loader())
+
+
+def test_json_constants_outside_json_are_read_by_yaml():
+    """NaN and Infinity are not JSON: the text goes to YAML, which reads them as
+    strings, as it always has (and an infinity field takes "Infinity")."""
+    assert cli._parse_config('{"a": NaN, "b": [Infinity, -Infinity]}') == {
+        "a": "NaN", "b": ["Infinity", "-Infinity"]}
+
+
+def test_json_configs_load_no_yaml_and_yaml_configs_write_the_same_bytes(tmp_path):
+    """In a fresh process, importing the CLI and a JSON-config run of every
+    writing mode load no yaml; a YAML config loads it, and writes the bytes of
+    the JSON one."""
+    makers = {"levy-sim": levy_config, "shockwave": shockwave_config, "dp-value": dp_config,
+              "convergence": lambda out: dict(convergence_config(out), n_list=[1, 2]),
+              "markov-fields": lambda out: _recorded_run_config("markov-fields", out)}
+    runs = []
+    for mode, make in makers.items():
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps(make(tmp_path / "json" / mode)), encoding="utf-8")
+        runs.append(f"assert cli.main([{mode!r}, '--config', {str(cfg)!r}, '--quiet']) == 0")
+    yaml_cfg = write_config(tmp_path, _recorded_run_config("markov-fields", tmp_path / "yaml"))
+    code = "\n".join([
+        "import json, sys",
+        "import impactlab.cli as cli",
+        "seen = ['yaml' in sys.modules]",
+        *runs,
+        "seen.append('yaml' in sys.modules)",
+        f"assert cli.main(['markov-fields', '--config', {yaml_cfg!r}, '--quiet']) == 0",
+        "seen.append('yaml' in sys.modules)",
+        "print(json.dumps(seen))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
+    for mode in makers:
+        assert any((tmp_path / "json" / mode).iterdir())
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "json" / "markov-fields").iterdir()}
+    assert digests == RECORDED_SHA256["markov-fields"]
+    assert (tmp_path / "yaml" / "markov_fields.csv").read_bytes() == (
+        tmp_path / "json" / "markov-fields" / "markov_fields.csv").read_bytes()

@@ -64,6 +64,12 @@ REFUSALS = {
         ShockSchedule, lambda: ShockSchedule(shocks=((None, 0.1),)), ScheduleError, "shocks[0]"),
     "shock-jump-a-bool": (
         ShockSchedule, lambda: ShockSchedule(shocks=((0.5, True),)), ScheduleError, "shocks[0]"),
+    "schedule-initial-value-a-string": (
+        ShockSchedule, lambda: ShockSchedule(initial_value="x"), ScheduleError, "initial_value"),
+    "schedule-initial-value-a-bool": (
+        ShockSchedule, lambda: ShockSchedule(initial_value=True), ScheduleError, "initial_value"),
+    "schedule-h-none": (ShockSchedule, lambda: ShockSchedule(h=None), ScheduleError, "h"),
+    "schedule-h-a-bool": (ShockSchedule, lambda: ShockSchedule(h=False), ScheduleError, "h"),
     "shock-time-outside-0-1": (
         ShockSchedule, lambda: ShockSchedule(shocks=((1.5, 0.1),)), ScheduleError, "shocks[0]"),
     "shocks-out-of-order": (
@@ -178,3 +184,12 @@ def test_a_schedule_of_lists_and_arrays_reads_as_float_pairs():
     schedule = ShockSchedule(shocks=([0.25, 1], np.array([0.5, -2.0])))
     assert schedule.shocks == ((0.25, 1.0), (0.5, -2.0))
     assert all(type(v) is float for shock in schedule.shocks for v in shock)
+
+
+def test_a_schedule_stores_its_numbers_as_floats():
+    schedule = ShockSchedule(initial_value=1, shocks=((0.5, 2),), h=np.float32(0.5))
+    assert (schedule.initial_value, schedule.h) == (1.0, 0.5)
+    assert type(schedule.initial_value) is float and type(schedule.h) is float
+    for name in ("initial_value", "h"):
+        with pytest.raises(ScheduleError, match=f"^{name} must be a number$"):
+            ShockSchedule(**{name: "1.0"})

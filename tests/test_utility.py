@@ -433,10 +433,32 @@ def test_tilted_moments_give_the_bits_of_ce(rows, k, transpose, aversion, data):
     assert mean.tobytes() == mean_alone.tobytes() and cov.tobytes() == cov_alone.tobytes()
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 4), st.integers(1, 8), st.booleans(), st.just(0.0) | _AVERSION, st.data())
+def test_tilted_mean_with_ce_gives_the_bits_of_both(rows, k, unsupported, aversion, data):
+    """The pair call returns tilted_mean's and ce's own bits, from one tilt for
+    a > 0; 0 rows is one 1-d support, and one node may have weight 0."""
+    shape = (rows, k) if rows else (k,)
+    values = data.draw(arrays(float, shape, elements=_VALUES))
+    x = data.draw(arrays(float, k, elements=_VALUES))
+    logw = _log_weights(data.draw, k)
+    if unsupported and k > 1:
+        weights, at = np.exp(logw), data.draw(st.integers(0, k - 1))
+        weights[at], weights[at - 1] = 0.0, weights[at - 1] + weights[at]
+        with np.errstate(divide="ignore"):
+            logw = np.log(weights)
+    mean, got = tilted_mean(x, values, logw, aversion, with_ce=True)
+    want_mean = tilted_mean(x, values, logw, aversion)
+    want = np.asarray(ce(values, logw, aversion))
+    assert mean.shape == want_mean.shape and mean.tobytes() == want_mean.tobytes()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_tilted_moments_refuse_an_overflowing_ce_as_ce_does():
     values, logw = np.array([-1e308, 0.0]), np.log([0.5, 0.5])
     for call in (lambda: ce(values, logw, 10.0),
-                 lambda: tilted_moments(values, values, logw, 10.0, with_ce=True)):
+                 lambda: tilted_moments(values, values, logw, 10.0, with_ce=True),
+                 lambda: tilted_mean(values, values, logw, 10.0, with_ce=True)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="non-finite even after shifting"):

@@ -11,8 +11,12 @@ workload's ``build()`` in ``bench/workloads.py`` (read from that file), and
 ``import impactlab.cli``.  A plain ``import numpy`` comes first for
 reference, since every layer imports it.  Each line gives the median time
 of the statement inside the child, timed with ``perf_counter``, and the
-sorted list of ``impactlab.*`` modules it loaded.  That list does not depend
-on the machine, so two checkouts can be compared by it.  The children run
+sorted list of ``impactlab.*`` modules it loaded, with ``yaml`` if it loaded
+PyYAML.  That list does not depend on the machine, so two checkouts can be
+compared by it.  Two more scenarios time ``cli._load_config`` on the
+seed-1 ``fields`` workload's ``markov-fields`` config, written as JSON (as
+the benchmark writes it) and as YAML, in a child that has imported
+``impactlab.cli`` before its timer starts.  The children run
 under ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark's command-line
 children may: with no ``__pycache__`` in ``src/impactlab`` each one compiles
 the sources it imports.  It imports ``src/impactlab`` from the checkout it
@@ -40,14 +44,18 @@ import tempfile
 import time
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """\
 import json, sys, time
+{setup}
 start = time.perf_counter()
 {statement}
 seconds = time.perf_counter() - start
-print(json.dumps([seconds, sorted(m for m in sys.modules if m.startswith("impactlab."))]))
+print(json.dumps([seconds, sorted(m for m in sys.modules
+                                  if m.startswith("impactlab.") or m == "yaml")]))
 """
 
 EXIT_CHILD = """\
@@ -91,9 +99,17 @@ def run_child(code):
                           env=env, check=True, cwd=ROOT).stdout
 
 
-def import_seconds(statement):
-    """(seconds, loaded impactlab modules) of one import statement."""
-    return json.loads(run_child(CHILD.format(statement=statement)))
+def import_seconds(statement, setup=""):
+    """(seconds, loaded impactlab modules and yaml) of one statement, after ``setup``."""
+    return json.loads(run_child(CHILD.format(setup=setup, statement=statement)))
+
+
+def fields_config():
+    """The seed-1 ``fields`` workload's markov-fields config, as the benchmark builds it."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import Fields
+
+    return Fields(1).cli_ops()[0].config
 
 
 def exit_seconds(argv):
@@ -107,19 +123,25 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
 
-    scenarios = [("reference", "import numpy"), ("bare", "import impactlab")]
-    scenarios += [(f"{name} build", line) for name, line in workload_imports()]
-    scenarios.append(("cli", "import impactlab.cli"))
+    scenarios = [("reference", "import numpy", ""), ("bare", "import impactlab", "")]
+    scenarios += [(f"{name} build", line, "") for name, line in workload_imports()]
+    scenarios.append(("cli", "import impactlab.cli", ""))
     with tempfile.TemporaryDirectory(prefix="time_import-") as work:
         config = Path(work) / "levy-sim.json"
         config.write_text(json.dumps(EXIT_CONFIG), encoding="utf-8")
+        for kind, dump in (("JSON", json.dumps), ("YAML", yaml.safe_dump)):
+            name = f"fields.{kind.lower()}"
+            (Path(work) / name).write_text(dump(fields_config()), encoding="utf-8")
+            scenarios.append((f"fields config as {kind}",
+                              f"cli._load_config({name!r}, 'markov-fields')",
+                              f"import os, impactlab.cli as cli; os.chdir({work!r})"))
         # round robin, so a drift in the machine's speed falls on every scenario alike
         runs, exits = [], []
         for r in range(args.repeats):
-            runs.append([import_seconds(statement) for _, statement in scenarios])
+            runs.append([import_seconds(statement, setup) for _, statement, setup in scenarios])
             exits.append(exit_seconds(["impactlab", "levy-sim", "--config", str(config),
                                        "--out", str(Path(work) / str(r)), "--quiet"]))
-    for k, (label, statement) in enumerate(scenarios):
+    for k, (label, statement, _) in enumerate(scenarios):
         seconds = statistics.median(run[k][0] for run in runs)
         loaded = ", ".join(m.removeprefix("impactlab.") for m in runs[-1][k][1]) or "none"
         print(f"{label} ({statement}): median {seconds * 1e3:.1f} ms; loads {loaded}")
