@@ -177,9 +177,8 @@ def tilted_moments(
     # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
     with quiet:
-        if aversion == 0.0:
-            exponent = np.array(np.broadcast_to(
-                logw, np.broadcast_shapes(np.shape(logw), np.shape(values))), dtype=float)
+        if aversion == 0.0:  # a new array to tilt in place: -0.0 + 0.0 is 0.0, which tilts alike
+            exponent = logw + np.zeros_like(values, dtype=float)
         elif math.isinf(aversion):
             lowest = np.minimum.reduce(
                 np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True

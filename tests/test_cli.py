@@ -957,7 +957,8 @@ def test_a_refusal_reads_the_same_from_json_and_yaml(tmp_path, capsys, case):
     mode, config, _ = REFUSALS[case]
     out = tmp_path / "o"
     records = []
-    for name, text in (("c.json", _json_text(config(out))), ("c.yaml", yaml.safe_dump(config(out)))):
+    texts = {"c.json": _json_text(config(out)), "c.yaml": yaml.safe_dump(config(out))}
+    for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
         records.append((main([mode, "--config", str(tmp_path / name)]), stderr_record(capsys)))
     assert records[0] == records[1]

@@ -190,6 +190,8 @@ def test_a_schedule_stores_its_numbers_as_floats():
     schedule = ShockSchedule(initial_value=1, shocks=((0.5, 2),), h=np.float32(0.5))
     assert (schedule.initial_value, schedule.h) == (1.0, 0.5)
     assert type(schedule.initial_value) is float and type(schedule.h) is float
+    # an int initial_value, stored as a float, gives a float series that takes float jumps
+    assert schedule.series(PathGrid(4)).tolist() == [1.0, 1.0, 3.0, 3.0, 3.0]
     for name in ("initial_value", "h"):
         with pytest.raises(ScheduleError, match=f"^{name} must be a number$"):
             ShockSchedule(**{name: "1.0"})
