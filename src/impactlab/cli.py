@@ -6,9 +6,13 @@ carries ``schema_version: 1``.  A config whose text is JSON is read with
 ``json``; any other text, JSON's non-standard NaN and Infinity tokens
 included, is read as YAML 1.2 by PyYAML, which is imported only then.
 Validation checks each field's type and shape, then builds each library
-object the run needs, once.  A malformed field, or a rule a library object
-refuses (an ArgumentError, whose ``argument`` ``_refusals`` maps to its
-config field), is reported as a ConfigError naming the offending dotted
+object the run needs, once.  A ``model`` section names its model by
+``family`` (``levy-sim``) or ``kind``; ``_FAMILIES`` and ``_KINDS`` give each
+model's library type and fields, with their defaults, and one reader,
+``_model``, builds every model from them (the ``black-scholes`` kind, a
+payoff set, has its own builder).  A malformed field, or a rule a library
+object refuses (an ArgumentError, whose ``argument`` ``_refusals`` maps to
+its config field), is reported as a ConfigError naming the offending dotted
 path, before any computation starts and before the output directory is
 made, and exits with status 2.
 Computation-stage errors exit 3 with a machine-readable JSON record on
@@ -203,21 +207,31 @@ def _not_json(token: str):
     raise ValueError(f"{token} is not JSON")
 
 
+_TOO_DEEP = "is nested too deeply to read"
+
+
 def _parse_config(text: str):
-    """The data of a config's text: JSON text read by ``json``, any other by YAML."""
+    """The data of a config's text: JSON text read by ``json``, any other by YAML.
+    Text nested deeper than either reader's recursion can go is refused."""
     try:
         return json.loads(text, parse_constant=_not_json)
     except ValueError:
         pass
+    except RecursionError as exc:
+        raise ConfigError("config", _TOO_DEEP) from exc
     import yaml  # here, not at the top: a JSON config never pays its import
 
     try:
         return yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config", _TOO_DEEP) from exc
 
 
-def _load_config(path: Optional[str], mode: str) -> Section:
+def _load_config(path: Optional[str], mode: str, fields: Sequence[str]) -> Section:
+    """The config at ``path`` for ``mode``: its version and mode checked, then its
+    top-level keys, each schema_version, mode or one of the mode's ``fields``."""
     if path is None:
         raise ConfigError("config", f"mode {mode!r} requires --config")
     try:
@@ -232,6 +246,7 @@ def _load_config(path: Optional[str], mode: str) -> Section:
     declared = root.string("mode", default=mode)
     if declared != mode:
         raise ConfigError("mode", f"config declares {declared!r} but subcommand is {mode!r}")
+    root.require_keys({"schema_version", "mode", *fields})
     return root
 
 
@@ -274,17 +289,30 @@ def _agents(root: Section) -> AgentPair:
         return AgentPair(gamma=gamma, c=c)
 
 
-# each factor family and its parameters, the config fields of its model section
-_FAMILIES = {"brownian": (Brownian, ("b", "sigma")), "gamma": (GammaProcess, ("alpha", "beta")),
-             "stable": (OneSidedStable, ("r", "alpha"))}
+# each model a model section names by its family (levy-sim) or kind: its library
+# type and its fields, in read order, each with its default (_REQUIRED: none)
+_FAMILIES = {"brownian": (Brownian, dict(b=_REQUIRED, sigma=_REQUIRED)),
+             "gamma": (GammaProcess, dict(alpha=_REQUIRED, beta=_REQUIRED)),
+             "stable": (OneSidedStable, dict(r=_REQUIRED, alpha=_REQUIRED))}
+_KINDS = {"quadratic": (QuadraticModel, dict(g_load=0.0, mu=0.0, sigma=_REQUIRED, a_lin=0.0,
+                                             b_quad=0.0, h_const=0.0)),
+          "shockwave": (ShockWaveModel, dict(mu=0.0, sigma=_REQUIRED, w_c=_REQUIRED, offset=0.0))}
+
+
+def _model(sec: Section, selector: str, name: str, table, **given):
+    """Model ``name`` of ``table``, built from the arguments ``given`` and its fields
+    in the model section ``sec``, whose other key can only be ``selector``, the
+    field that named it."""
+    model, fields = table[name]
+    sec.require_keys({selector, *fields})
+    with _refusals(sec.prefix):
+        return model(**{field: sec.number(field, default) for field, default in fields.items()},
+                     **given)
 
 
 def _levy_model(root: Section):
     sec = root.section("model")
-    family, params = _FAMILIES[sec.string("family", choices=tuple(_FAMILIES))]
-    sec.require_keys({"family", *params})
-    with _refusals(sec.prefix):
-        return family(**{name: sec.number(name) for name in params})
+    return _model(sec, "family", sec.string("family", choices=tuple(_FAMILIES)), _FAMILIES)
 
 
 def _schedule(root: Section) -> ShockSchedule:
@@ -297,32 +325,6 @@ def _schedule(root: Section) -> ShockSchedule:
         raise ConfigError(sec.path("shocks"), "must be a list of [time, jump] pairs")
     with _refusals(sec.prefix):
         return ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
-
-
-def _quadratic_model(sec: Section, agents: AgentPair) -> QuadraticModel:
-    sec.require_keys({"kind", "g_load", "mu", "sigma", "a_lin", "b_quad", "h_const"})
-    with _refusals(sec.prefix):
-        return QuadraticModel(
-            g_load=sec.number("g_load", default=0.0),
-            mu=sec.number("mu", default=0.0),
-            sigma=sec.number("sigma"),
-            a_lin=sec.number("a_lin", default=0.0),
-            b_quad=sec.number("b_quad", default=0.0),
-            agents=agents,
-            h_const=sec.number("h_const", default=0.0),
-        )
-
-
-def _shockwave_model(sec: Section, agents: AgentPair) -> ShockWaveModel:
-    sec.require_keys({"kind", "mu", "sigma", "w_c", "offset"})
-    with _refusals(sec.prefix):
-        return ShockWaveModel(
-            mu=sec.number("mu", default=0.0),
-            sigma=sec.number("sigma"),
-            w_c=sec.number("w_c"),
-            agents=agents,
-            offset=sec.number("offset", default=0.0),
-        )
 
 
 def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> MarkovPayoffs:
@@ -352,14 +354,12 @@ def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> MarkovPayoffs:
     return MarkovPayoffs(s_fn=s_fn, g_fn=g_fn, h_fn=h_fn, agents=agents)
 
 
-def _dp_payoffs(root: Section, agents: AgentPair, kinds) -> MarkovPayoffs:
+def _dp_payoffs(root: Section, agents: AgentPair) -> MarkovPayoffs:
     sec = root.section("model")
-    kind = sec.string("kind", choices=kinds)
-    if kind == "quadratic":
-        return _quadratic_model(sec, agents).payoffs()
-    if kind == "shockwave":
-        return _shockwave_model(sec, agents).payoffs()
-    return _black_scholes_payoffs(sec, agents)
+    kind = sec.string("kind", choices=("black-scholes", *_KINDS))
+    if kind == "black-scholes":
+        return _black_scholes_payoffs(sec, agents)
+    return _model(sec, "kind", kind, _KINDS, agents=agents).payoffs()
 
 
 # value_recursion holds the (n+1, grid) menus plus (2, n, grid) pair arrays
@@ -386,9 +386,8 @@ _PATH_BYTES_PER_POINT = 300
 
 def _path_grid(args, root: Section, default: int) -> PathGrid:
     """The path modes' grid, from --grid or the config, refused over the memory budget."""
-    n_steps = _int_setting(args.grid, "--grid", root, "grid", default, 1)
-    _over_budget("grid" if args.grid is None else "--grid", f"a path grid of {n_steps} steps",
-                 _PATH_BYTES_PER_POINT * (n_steps + 1))
+    n_steps, source = _int_setting(args.grid, "--grid", root, "grid", default, 1)
+    _over_budget(source, f"a path grid of {n_steps} steps", _PATH_BYTES_PER_POINT * (n_steps + 1))
     return PathGrid(n_steps)
 
 
@@ -406,7 +405,7 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool 
     for field, grid in ((lattice_field, 2.0), ("y_resolution", points)):
         _over_budget(field, f"the recursion at n={lattice_n} on {grid:.4g} grid points",
                      _DP_BYTES_PER_CELL * lattice.working_cells(grid, refine))
-    payoffs = _dp_payoffs(root, agents, ("quadratic", "shockwave", "black-scholes"))
+    payoffs = _dp_payoffs(root, agents)
     with _refusals():
         return DpScenario(lattice, payoffs, (lo, hi), resolution)
 
@@ -630,11 +629,11 @@ def _path_width(n_paths: int) -> int:
     return max(3, len(str(n_paths - 1)))
 
 
-def _int_setting(flag_value, flag_name, root, field, default, minimum) -> int:
-    """Command-line override if given, else the config field."""
+def _int_setting(flag_value, flag_name, root, field, default, minimum):
+    """Command-line override if given, else the config field; and the name of the one read."""
     if flag_value is not None:
-        return _integer(flag_value, flag_name, minimum)
-    return root.integer(field, default, minimum)
+        return _integer(flag_value, flag_name, minimum), flag_name
+    return root.integer(field, default, minimum), root.path(field)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +641,14 @@ def _int_setting(flag_value, flag_name, root, field, default, minimum) -> int:
 
 
 def _run_levy_sim(args) -> int:
-    root = _load_config(args.config, "levy-sim")
-    root.require_keys(
-        {"schema_version", "mode", "seed", "paths", "grid", "out", "agents",
-         "loading", "model", "schedule"}
-    )
+    root = _load_config(args.config, "levy-sim", ("seed", "paths", "grid", "out", "agents",
+                                                   "loading", "model", "schedule"))
     agents = _agents(root)
     model = _levy_model(root)
     schedule = _schedule(root)
     loading = root.number("loading")
-    seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
-    n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
+    seed, _ = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
+    n_paths, _ = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
     grid = _path_grid(args, root, 256)
     out = _out_path(root, args)
 
@@ -682,11 +678,8 @@ def _run_levy_sim(args) -> int:
 
 
 def _run_markov_fields(args) -> int:
-    root = _load_config(args.config, "markov-fields")
-    root.require_keys(
-        {"schema_version", "mode", "out", "agents", "model", "times", "w",
-         "order", "inventory"}
-    )
+    root = _load_config(args.config, "markov-fields", ("out", "agents", "model", "times", "w",
+                                                        "order", "inventory"))
     agents = _agents(root)
     order = _quad_order(root)
     inventory = root.number("inventory", default=0.0)
@@ -701,22 +694,17 @@ def _run_markov_fields(args) -> int:
     w_min, w_max = wsec.number("min"), wsec.number("max")
     if w_min > w_max:
         raise ConfigError("w.max", "must be >= w.min")
-    count = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
-    _over_budget("w.count" if args.grid is None else "--grid", f"a w grid of {count} points",
-                 8.0 * count)
+    count, source = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
+    _over_budget(source, f"a w grid of {count} points", 8.0 * count)
 
     sec = root.section("model")
-    kind = sec.string("kind", choices=("quadratic", "shockwave"))
+    kind = sec.string("kind", choices=tuple(_KINDS))
+    model = _model(sec, "kind", kind, _KINDS, agents=agents)
     if kind == "quadratic":
-        model = _quadratic_model(sec, agents)
-
         def closed(t, w):
             forms = quadratic_closed_forms(model, t, w)
             return forms.y_star, forms.s_star
-
     else:
-        model = _shockwave_model(sec, agents)
-
         def closed(t, w):
             return shockwave_strategy(model, t, w), shockwave_price(model, t, w)
 
@@ -739,17 +727,15 @@ def _run_markov_fields(args) -> int:
 
 
 def _run_shockwave(args) -> int:
-    root = _load_config(args.config, "shockwave")
-    root.require_keys(
-        {"schema_version", "mode", "seed", "paths", "grid", "out", "agents", "model"}
-    )
+    root = _load_config(args.config, "shockwave",
+                        ("seed", "paths", "grid", "out", "agents", "model"))
     agents = _agents(root)
     sec = root.section("model")
     if "kind" in sec.data and sec.string("kind") != "shockwave":
         raise ConfigError("model.kind", "must be 'shockwave' in shockwave mode")
-    model = _shockwave_model(sec, agents)
-    seed = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
-    n_paths = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
+    model = _model(sec, "kind", "shockwave", _KINDS, agents=agents)
+    seed, _ = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
+    n_paths, _ = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
     grid = _path_grid(args, root, 1000)
     out = _out_path(root, args)
 
@@ -769,16 +755,13 @@ def _run_shockwave(args) -> int:
 
 
 def _run_dp_value(args) -> int:
-    root = _load_config(args.config, "dp-value")
-    root.require_keys(
-        {"schema_version", "mode", "out", "agents", "model", "lattice_n",
-         "admissible", "y_resolution", "refine", "buy_and_hold", "emm_root"}
-    )
+    root = _load_config(args.config, "dp-value", ("out", "agents", "model", "lattice_n",
+                                                   "admissible", "y_resolution", "refine",
+                                                   "buy_and_hold", "emm_root"))
     agents = _agents(root)
-    lattice_n = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
+    lattice_n, source = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
     refine = root.boolean("refine", default=True)
-    scenario = _dp_scenario(root, agents, lattice_n, refine,
-                            "lattice_n" if args.grid is None else "--grid")
+    scenario = _dp_scenario(root, agents, lattice_n, refine, source)
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
@@ -813,11 +796,9 @@ def _run_dp_value(args) -> int:
 
 
 def _run_convergence(args) -> int:
-    root = _load_config(args.config, "convergence")
-    root.require_keys(
-        {"schema_version", "mode", "out", "agents", "model", "n_list",
-         "admissible", "y_resolution", "refine", "order", "limit"}
-    )
+    root = _load_config(args.config, "convergence", ("out", "agents", "model", "n_list",
+                                                      "admissible", "y_resolution", "refine",
+                                                      "order", "limit"))
     agents = _agents(root)
     n_list = root.list_of("n_list", _integer, "integers")
     if not n_list:

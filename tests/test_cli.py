@@ -29,7 +29,7 @@ from impactlab.cumulants import GammaProcess
 from impactlab.dp import DpScenario, Lattice, emm_eipu
 from impactlab.efficient import LevyScenario, allocation_value, efficient_path_record
 from impactlab.errors import QuadratureError
-from impactlab.markov import QuadraticModel, quadratic_closed_forms
+from impactlab.markov import QuadraticModel, ShockWaveModel, quadratic_closed_forms
 from impactlab.paths import PathGrid, ShockSchedule, simulate_path
 from impactlab.utility import AgentPair
 
@@ -287,6 +287,26 @@ def test_a_config_that_is_not_utf8_is_refused(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# 100,000 nested lists: past the recursion limits of json's C scanner (deeper in
+# newer Pythons) and of PyYAML's composer
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name, text", [
+    ("deep.json", '{"schema_version": 1, "deep": ' + _DEEP + "}"),
+    ("deep.yaml", "schema_version: 1\ndeep: " + _DEEP + "\n"),
+], ids=["json", "yaml"])
+def test_a_config_nested_too_deeply_to_read_is_refused(tmp_path, capsys, name, text):
+    """json's scanner and PyYAML's composer both recurse once a level; past their
+    recursion limits the config is refused, not a traceback."""
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["levy-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert stderr_record(capsys) == {"error": "ConfigError", "field": "config",
+                                     "message": "config: is nested too deeply to read"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("by_flag", [False, True])
 @pytest.mark.parametrize("out", ["\ud800", "o\0ut"])
 def test_an_out_path_the_file_system_cannot_encode_is_refused(tmp_path, capsys, out, by_flag):
@@ -359,6 +379,15 @@ def test_markov_fields_table(tmp_path):
         assert float(row[6]) == pytest.approx(forms.y_star, rel=1e-12)
         assert float(row[7]) == pytest.approx(forms.s_star, rel=1e-12)
         assert float(row[2]) == pytest.approx(forms.v, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, fields, model", [
+    ("quadratic", {"sigma": 1.3}, QuadraticModel(0.0, 0.0, 1.3, 0.0, 0.0, AgentPair(1.0, 2.0), 0.0)),
+    ("shockwave", {"sigma": 1.3, "w_c": -0.6}, ShockWaveModel(0.0, 1.3, -0.6, AgentPair(1.0, 2.0))),
+], ids=["quadratic", "shockwave"])
+def test_a_model_field_left_out_reads_as_its_default(kind, fields, model):
+    sec = cli.Section(dict(fields, kind=kind), "model")
+    assert cli._model(sec, "kind", kind, cli._KINDS, agents=model.agents) == model
 
 
 def test_markov_fields_validation(tmp_path, capsys):
@@ -931,6 +960,97 @@ REFUSALS = {
     "buy_and_hold-not-proportional": (
         "dp-value", lambda o: _with_model(dp_config(o), **_NOT_PROPORTIONAL), "buy_and_hold"),
 }
+
+
+def _without_model_fields(data, *names, **model):
+    data["model"] = {k: v for k, v in dict(data["model"], **model).items() if k not in names}
+    return data
+
+
+_BS = {"kind": "black-scholes", "zeta": -1.0, "sigma": "x", "alpha": 1.0}
+
+# configs with two faults each: the one read first is reported, with this message
+MULTI_FAULT = {
+    # case: (mode, config builder for the output directory, expected field, message)
+    "unknown-key-beside-a-wrong-version": (
+        "levy-sim", lambda o: levy_config(o, schema_version=2, colour="red"),
+        "schema_version", "must be 1, got 2"),
+    "unknown-key-beside-a-wrong-mode": (
+        "dp-value", lambda o: dp_config(o, mode="convergence", colour="red"),
+        "mode", "config declares 'convergence' but subcommand is 'dp-value'"),
+    "unknown-key-beside-a-bad-lattice_n": (
+        "dp-value", lambda o: dp_config(o, colour="red", lattice_n="x"),
+        "colour", "unknown field"),
+    "gamma-extra-sigma-beside-a-bad-alpha": (
+        "levy-sim",
+        lambda o: levy_config(o, model={"family": "gamma", "alpha": "x", "beta": 1.0,
+                                        "sigma": 1.0}),
+        "model.sigma", "unknown field"),
+    "no-family-beside-an-unknown-key": (
+        "levy-sim", lambda o: levy_config(o, model={"alpha": "x", "colour": 1}),
+        "model.family", "required field is missing"),
+    "quadratic-no-sigma-beside-a-bad-g_load": (
+        "dp-value", lambda o: _without_model_fields(dp_config(o), "sigma", g_load="x"),
+        "model.g_load", "must be a number"),
+    "quadratic-no-sigma-beside-a-later-bad-a_lin": (
+        "markov-fields", lambda o: _without_model_fields(markov_config(o), "sigma", a_lin="x"),
+        "model.sigma", "required field is missing"),
+    "shockwave-mode-kind-quadratic": (
+        "shockwave", lambda o: _with_model(shockwave_config(o), kind="quadratic", colour=1),
+        "model.kind", "must be 'shockwave' in shockwave mode"),
+    "shockwave-mode-kind-not-a-string": (
+        "shockwave", lambda o: _with_model(shockwave_config(o), kind=3, colour=1),
+        "model.kind", "must be a string"),
+    "shockwave-no-w_c-beside-a-bad-offset": (
+        "shockwave",
+        lambda o: dict(shockwave_config(o), model={"mu": 0.0, "sigma": 1.0, "offset": "x"}),
+        "model.w_c", "required field is missing"),
+    "markov-fields-wave-no-w_c-beside-a-bad-offset": (
+        "markov-fields",
+        lambda o: dict(markov_config(o), model={"kind": "shockwave", "mu": 0.0, "sigma": 1.0,
+                                                "offset": "x"}),
+        "model.w_c", "required field is missing"),
+    "markov-fields-kind-black-scholes": (
+        "markov-fields", lambda o: dict(markov_config(o), model=dict(_BS, colour=1)),
+        "model.kind", "must be one of quadratic, shockwave"),
+    "dp-value-kind-gamma": (
+        "dp-value", lambda o: _with_model(dp_config(o), kind="gamma", colour=1),
+        "model.kind", "must be one of black-scholes, quadratic, shockwave"),
+    "convergence-no-kind-beside-an-unknown-key": (
+        "convergence", lambda o: dict(convergence_config(o), model={"sigma": 1.0, "colour": 1}),
+        "model.kind", "required field is missing"),
+    "black-scholes-zeta-le-0-beside-a-bad-sigma": (
+        "dp-value", lambda o: dp_config(o, model=_BS, buy_and_hold=False),
+        "model.zeta", "must be > 0"),
+    "black-scholes-unknown-key-beside-a-bad-zeta": (
+        "dp-value", lambda o: dp_config(o, model=dict(_BS, beta=1.0), buy_and_hold=False),
+        "model.beta", "unknown field"),
+    "dp-value-unknown-model-key-beside-lattice_n-over-budget": (
+        "dp-value",
+        lambda o: _with_model(dp_config(o, lattice_n=10_000, y_resolution=1.0), colour=1.0),
+        "lattice_n", "the recursion at n=10000 on 2 grid points would hold about 3.75 GiB, "
+                     "over the 2 GiB budget"),
+    "markov-fields-bad-model-beside-w.count-over-budget": (
+        "markov-fields",
+        lambda o: dict(markov_config(o), w={"min": -1.0, "max": 1.0, "count": 10**12},
+                       model={"kind": "quadratic", "colour": 1}),
+        "w.count", "a w grid of 1000000000000 points would hold about 7.45e+03 GiB, "
+                   "over the 2 GiB budget"),
+    "levy-sim-bad-out-beside-grid-over-budget": (
+        "levy-sim", lambda o: dict(levy_config(o, grid=10**10), out="o\0ut"),
+        "grid", "a path grid of 10000000000 steps would hold about 2.79e+03 GiB, "
+                "over the 2 GiB budget"),
+}
+REFUSALS.update((case, spec[:3]) for case, spec in MULTI_FAULT.items())
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT))
+def test_the_first_of_two_faults_is_reported_with_its_message(tmp_path, capsys, case):
+    mode, config, field, message = MULTI_FAULT[case]
+    cfg = write_config(tmp_path, config(tmp_path / "o"))
+    assert main([mode, "--config", cfg]) == 2
+    assert stderr_record(capsys) == {"error": "ConfigError", "field": field,
+                                     "message": f"{field}: {message}"}
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))

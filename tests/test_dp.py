@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from impactlab.dp import (
@@ -814,6 +814,53 @@ def test_recursion_policy_is_forward_optimal():
         table = [rng.uniform(lo, hi, size=level + 1) for level in range(scn.lattice.n)]
         other = forward_policy_ce(scn, lambda level, m: float(table[level][m]))
         assert other <= result.value + 1e-8
+
+
+def pareto_bound(scn):
+    """B_n = CE_abar(G + H) - Pi_0(G) over the n + 1 leaves: the demander's value of
+    the efficient (Borch) sharing of G + H, which a complete market reaches."""
+    g, _, h = _leaf_payoffs(scn)
+    logw = scn.lattice.leaf_log_weights_from(0)
+    return float(ce(g + h, logw, scn.agents.aggregate_aversion) - ce(g, logw, scn.agents.gamma))
+
+
+def _smooth(k):
+    return lambda w: k[0] + k[1] * w + k[2] * w**2 + k[3] * np.tanh(w) + k[4] * np.cos(w)
+
+
+_SMOOTH = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.2, 0.2),
+                    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 8, 16, 32]),
+    s=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.floats(-0.3, 0.3)),
+    g=_SMOOTH,
+    h=_SMOOTH,
+    gamma=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+    c=st.one_of(st.floats(0.2, 4.0), st.just(math.inf)),
+)
+def test_the_lattice_reaches_the_pareto_bound(n, s, g, h, gamma, c):
+    """Each one-step market of the binomial lattice is complete when S is strictly
+    increasing, so the recursion reaches B_n wherever the admissible interval
+    does not bind; on the y grid alone (refine off) it cannot exceed B_n."""
+    scn = make_scenario(n, lambda w: s[0] + s[1] * w + s[2] * np.tanh(w), _smooth(g), _smooth(h),
+                        gamma=gamma, c=c, admissible=(-8.0, 8.0), res=1e-3)
+    refined = value_recursion(scn, refine=True)
+    assume(refined.bound_hits == 0)
+    bound = pareto_bound(scn)
+    assert abs(refined.value - bound) <= 1e-12 * (1.0 + abs(bound))
+    assert value_recursion(scn, refine=False).value <= bound + 1e-12
+
+
+def test_a_binding_admissible_interval_stays_below_the_pareto_bound():
+    # S = tanh w flattens in the tails, so replication there needs |y| > 3
+    scn = make_scenario(8, np.tanh, lambda w: 0.3 * w**2, np.cos, gamma=1.3, c=2.0,
+                        admissible=(-3.0, 3.0))
+    result = value_recursion(scn)
+    assert result.bound_hits > 0
+    assert result.value < pareto_bound(scn) - 0.01
 
 
 # ---------------------------------------------------------------------------

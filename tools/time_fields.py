@@ -13,7 +13,7 @@ number of Newton evaluations the pass takes (calls of
 ``markov.tilted_moments``, one tilt of the nodes each), and a sha256 of the
 roots' bytes, so two checkouts' roots can be compared.  A second line a seed
 times the table of the workload's ``markov-fields`` command: its config is
-read by the command line's own builders, and ``markov._state_fields`` gives
+read by the command line's own readers, and ``markov._state_fields`` gives
 the v, u, p, q rows at each of its 16 times over its 301 factor levels.  The
 line gives the median wall time and a sha256 of the rows' bytes.  It imports
 ``src/impactlab`` from the checkout it sits in.
@@ -55,7 +55,8 @@ def evaluations(work):
 def table_pass(work):
     """A callable giving the v, u, p, q rows of the workload's markov-fields table."""
     root = cli.Section(work.cli_ops()[0].config)
-    payoffs = cli._quadratic_model(root.section("model"), cli._agents(root)).payoffs()
+    payoffs = cli._model(root.section("model"), "kind", "quadratic", cli._KINDS,
+                         agents=cli._agents(root)).payoffs()
     w = np.linspace(root.data["w"]["min"], root.data["w"]["max"], root.data["w"]["count"])
     times, y, order = root.data["times"], root.data["inventory"], root.data["order"]
     return lambda: np.hstack([markov._state_fields(payoffs, t, w, y, order) for t in times])

@@ -129,11 +129,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="time_import-") as work:
         config = Path(work) / "levy-sim.json"
         config.write_text(json.dumps(EXIT_CONFIG), encoding="utf-8")
+        fields = tuple(fields_config())
         for kind, dump in (("JSON", json.dumps), ("YAML", yaml.safe_dump)):
             name = f"fields.{kind.lower()}"
             (Path(work) / name).write_text(dump(fields_config()), encoding="utf-8")
             scenarios.append((f"fields config as {kind}",
-                              f"cli._load_config({name!r}, 'markov-fields')",
+                              f"cli._load_config({name!r}, 'markov-fields', {fields!r})",
                               f"import os, impactlab.cli as cli; os.chdir({work!r})"))
         # round robin, so a drift in the machine's speed falls on every scenario alike
         runs, exits = [], []

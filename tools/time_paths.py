@@ -45,18 +45,8 @@ sys.path.insert(1, str(ROOT / "bench"))
 from impactlab import Brownian, GammaProcess, PathGrid, ShockSchedule  # noqa: E402
 from impactlab.cli import main as cli_main  # noqa: E402
 from impactlab.paths import _stream_words, simulate_batch, simulate_path  # noqa: E402
+from time_dp import median_seconds  # noqa: E402
 from workloads import MonteCarlo  # noqa: E402
-
-
-def median_seconds(fn, repeats):
-    """Median wall time of ``repeats`` calls of fn after a warm one, and fn's last result."""
-    result = fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
 
 
 def report(label, seconds, array):
