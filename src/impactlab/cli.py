@@ -1,7 +1,8 @@
 """Command-line front end: JSON or YAML scenario configs in, deterministic CSVs out.
 
 Subcommands mirror the scenario modes: ``levy-sim``, ``markov-fields``,
-``shockwave``, ``dp-value``, ``convergence``, ``verify``.  Every config
+``shockwave``, ``dp-value``, ``convergence``, ``verify``.  A config holds
+every setting of its run; ``--out`` overrides only ``out``.  Every config
 carries ``schema_version: 1``.  A config whose text is JSON is read with
 ``json``; any other text, JSON's non-standard NaN and Infinity tokens
 included, is read as YAML 1.2 by PyYAML, which is imported only then.
@@ -10,11 +11,11 @@ object the run needs, once.  A ``model`` section names its model by
 ``family`` (``levy-sim``) or ``kind``; ``_FAMILIES`` and ``_KINDS`` give each
 model's library type and fields, with their defaults, and one reader,
 ``_model``, builds every model from them (the ``black-scholes`` kind, a
-payoff set, has its own builder).  A malformed field, or a rule a library
-object refuses (an ArgumentError, whose ``argument`` ``_refusals`` maps to
-its config field), is reported as a ConfigError naming the offending dotted
-path, before any computation starts and before the output directory is
-made, and exits with status 2.
+payoff set, has its own builder).  A malformed field, an ``out`` under a
+file, or a rule a library object refuses (an ArgumentError, whose
+``argument`` ``_refusals`` maps to its config field), is reported as a
+ConfigError naming the offending dotted path, before any computation starts
+and before the output directory is made, and exits with status 2.
 Computation-stage errors exit 3 with a machine-readable JSON record on
 stderr; ``verify`` exits 1 when any invariant fails.
 
@@ -384,10 +385,10 @@ def _over_budget(field: str, what: str, need: float) -> None:
 _PATH_BYTES_PER_POINT = 300
 
 
-def _path_grid(args, root: Section, default: int) -> PathGrid:
-    """The path modes' grid, from --grid or the config, refused over the memory budget."""
-    n_steps, source = _int_setting(args.grid, "--grid", root, "grid", default, 1)
-    _over_budget(source, f"a path grid of {n_steps} steps", _PATH_BYTES_PER_POINT * (n_steps + 1))
+def _path_grid(root: Section, default: int) -> PathGrid:
+    """The path modes' grid, refused over the memory budget."""
+    n_steps = root.integer("grid", default, minimum=1)
+    _over_budget("grid", f"a path grid of {n_steps} steps", _PATH_BYTES_PER_POINT * (n_steps + 1))
     return PathGrid(n_steps)
 
 
@@ -614,7 +615,8 @@ def _note_bound_hits(quiet: bool, n: int, hits: int) -> None:
 
 
 def _out_path(root: Section, args) -> Path:
-    """The output directory, refused unless the file system can take its name."""
+    """The output directory, refused if the file system cannot encode it or a file is
+    in its way: the nearest of it and its ancestors that exists is not a directory."""
     field, out = ("--out", args.out) if args.out is not None else ("out", root.string("out", "."))
     try:
         if "\0" in out:
@@ -622,18 +624,15 @@ def _out_path(root: Section, args) -> Path:
         os.fsencode(out)  # a lone surrogate has no bytes
     except ValueError as exc:
         raise ConfigError(field, f"must be a path the file system can encode: {exc}") from exc
-    return Path(out)
+    path = Path(out)
+    existing = next((part for part in (path, *path.parents) if part.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(field, f"must name a directory, but {existing} is not one")
+    return path
 
 
 def _path_width(n_paths: int) -> int:
     return max(3, len(str(n_paths - 1)))
-
-
-def _int_setting(flag_value, flag_name, root, field, default, minimum):
-    """Command-line override if given, else the config field; and the name of the one read."""
-    if flag_value is not None:
-        return _integer(flag_value, flag_name, minimum), flag_name
-    return root.integer(field, default, minimum), root.path(field)
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +646,9 @@ def _run_levy_sim(args) -> int:
     model = _levy_model(root)
     schedule = _schedule(root)
     loading = root.number("loading")
-    seed, _ = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
-    n_paths, _ = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
-    grid = _path_grid(args, root, 256)
+    seed = root.integer("seed", minimum=0)
+    n_paths = root.integer("paths", 1, minimum=1)
+    grid = _path_grid(root, 256)
     out = _out_path(root, args)
 
     with _refusals():
@@ -694,8 +693,8 @@ def _run_markov_fields(args) -> int:
     w_min, w_max = wsec.number("min"), wsec.number("max")
     if w_min > w_max:
         raise ConfigError("w.max", "must be >= w.min")
-    count, source = _int_setting(args.grid, "--grid", wsec, "count", _REQUIRED, 1)
-    _over_budget(source, f"a w grid of {count} points", 8.0 * count)
+    count = wsec.integer("count", minimum=1)
+    _over_budget("w.count", f"a w grid of {count} points", 8.0 * count)
 
     sec = root.section("model")
     kind = sec.string("kind", choices=tuple(_KINDS))
@@ -734,9 +733,9 @@ def _run_shockwave(args) -> int:
     if "kind" in sec.data and sec.string("kind") != "shockwave":
         raise ConfigError("model.kind", "must be 'shockwave' in shockwave mode")
     model = _model(sec, "kind", "shockwave", _KINDS, agents=agents)
-    seed, _ = _int_setting(args.seed, "--seed", root, "seed", _REQUIRED, 0)
-    n_paths, _ = _int_setting(args.paths, "--paths", root, "paths", 1, 1)
-    grid = _path_grid(args, root, 1000)
+    seed = root.integer("seed", minimum=0)
+    n_paths = root.integer("paths", 1, minimum=1)
+    grid = _path_grid(root, 1000)
     out = _out_path(root, args)
 
     driver = Brownian(b=0.0, sigma=1.0)
@@ -759,9 +758,9 @@ def _run_dp_value(args) -> int:
                                                    "admissible", "y_resolution", "refine",
                                                    "buy_and_hold", "emm_root"))
     agents = _agents(root)
-    lattice_n, source = _int_setting(args.grid, "--grid", root, "lattice_n", _REQUIRED, 1)
+    lattice_n = root.integer("lattice_n", minimum=1)
     refine = root.boolean("refine", default=True)
-    scenario = _dp_scenario(root, agents, lattice_n, refine, source)
+    scenario = _dp_scenario(root, agents, lattice_n, refine)
     buy_and_hold = root.boolean("buy_and_hold", default=False)
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
@@ -833,11 +832,8 @@ def _run_verify(args) -> int:
 
 
 _FLAGS = {
-    "--config": dict(help="JSON or YAML scenario config (schema_version: 1)"),
-    "--seed": dict(type=int, help="override the config seed"),
-    "--out": dict(help="override the output directory"),
-    "--paths": dict(type=int, help="override the path count"),
-    "--grid": dict(type=int, help="override the grid/lattice size"),
+    "--config": dict(help="JSON or YAML scenario config (schema_version: 1): the whole run"),
+    "--out": dict(help="override the config's output directory, out"),
     "--quiet": dict(action="store_true", help="suppress progress lines"),
 }
 
@@ -845,14 +841,13 @@ _FLAGS = {
 _MODES = {
     "levy-sim": (_run_levy_sim, tuple(_FLAGS),
                  "simulate factor paths and the closed-form efficient market along them"),
-    "markov-fields": (_run_markov_fields, ("--config", "--out", "--grid", "--quiet"),
+    "markov-fields": (_run_markov_fields, tuple(_FLAGS),
                       "tabulate the quadrature value/price fields on a (t, w) grid"),
     "shockwave": (_run_shockwave, tuple(_FLAGS),
                   "emit traveling-wave market paths (t, W, S_star, Y_star, wave_position)"),
-    "dp-value": (_run_dp_value, ("--config", "--out", "--grid", "--quiet"),
-                 "run the lattice value recursion for one scenario"),
-    "convergence": (_run_convergence, ("--config", "--out", "--quiet"),
-                    "lattice-vs-closed-form convergence table over several n"),
+    "dp-value": (_run_dp_value, tuple(_FLAGS), "run the lattice value recursion for one scenario"),
+    "convergence": (_run_convergence, tuple(_FLAGS),
+                    "tabulate the lattice value's error against its continuum limit over n"),
     "verify": (_run_verify, ("--quiet",), "run the built-in invariant suite"),
 }
 

@@ -118,20 +118,14 @@ def test_levy_sim_columns_match_library(tmp_path):
     assert float(srows[0][4]) == allocation_value(scenario)
 
 
-def test_levy_sim_flag_overrides(tmp_path):
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path, levy_config(out))
-    assert main(["levy-sim", "--config", cfg, "--quiet", "--paths", "1", "--grid", "8"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["levy_path_000.csv", "levy_summary.csv"]
-    _, rows = read_csv(out / "levy_path_000.csv")
-    assert len(rows) == 9
-
-    # a different seed must change the sampled increments
-    out2 = tmp_path / "o2"
-    assert main(["levy-sim", "--config", cfg, "--quiet", "--out", str(out2), "--seed", "8"]) == 0
-    a = read_csv(out / "levy_path_000.csv")[1]
-    b = read_csv(out2 / "levy_path_000.csv")[1]
-    assert a != b
+def test_levy_sim_seed_changes_the_increments(tmp_path):
+    paths = []
+    for seed in (7, 8):
+        out = tmp_path / f"o{seed}"
+        cfg = write_config(tmp_path, levy_config(out, seed=seed, paths=1))
+        assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
+        paths.append(read_csv(out / "levy_path_000.csv")[1])
+    assert paths[0] != paths[1]
 
 
 def test_levy_sim_accepts_infinite_c(tmp_path):
@@ -321,18 +315,32 @@ def test_an_out_path_the_file_system_cannot_encode_is_refused(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [Path(cfg)]
 
 
-def test_negative_seed_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path, levy_config(tmp_path))
-    assert main(["levy-sim", "--config", cfg, "--seed", "-1"]) == 2
-    assert stderr_record(capsys)["field"] == "--seed"
+@pytest.mark.parametrize("by_flag", [False, True])
+@pytest.mark.parametrize("mode", ["levy-sim", "shockwave", "markov-fields", "dp-value",
+                                  "convergence"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_an_out_with_a_file_in_its_way_is_refused_up_front(tmp_path, capsys, monkeypatch,
+                                                           under, mode, by_flag):
+    """An ``out`` that names a file, or a path under one, is refused before any
+    computation and before any directory is made."""
+    def never(*args, **kwargs):
+        raise AssertionError("the computation must not start")
 
-
-def test_unwritable_out_dir_exits_3(tmp_path, capsys):
+    for name in ("simulate_batch", "_state_fields", "value_recursion", "convergence_study"):
+        monkeypatch.setattr(cli, name, never)
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
-    cfg = write_config(tmp_path, levy_config(blocker / "sub"))
-    assert main(["levy-sim", "--config", cfg, "--quiet"]) == 3
-    assert "Error" in stderr_record(capsys)["error"]
+    out = str(blocker / under) if under else str(blocker)
+    makers = {"levy-sim": levy_config, "shockwave": shockwave_config,
+              "markov-fields": markov_config, "dp-value": dp_config,
+              "convergence": convergence_config}
+    cfg = write_config(tmp_path, makers[mode](tmp_path / "o" if by_flag else out))
+    assert main([mode, "--config", cfg, "--quiet"] + (["--out", out] if by_flag else [])) == 2
+    field = "--out" if by_flag else "out"
+    assert stderr_record(capsys) == {"error": "ConfigError", "field": field,
+                                     "message": f"{field}: must name a directory, but "
+                                                f"{blocker} is not one"}
+    assert sorted(tmp_path.iterdir()) == [blocker, Path(cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +823,11 @@ def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on(tmp_path, capsy
     monkeypatch.setattr(cli, "value_recursion", never)
     monkeypatch.setattr(cli, "convergence_study", never)
     out = tmp_path / "o"
-    for argv, field, lattice in ((["dp-value"], "lattice_n", {"lattice_n": 10_000}),
-                                 (["dp-value", "--grid", "10000"], "--grid", {"lattice_n": 4}),
-                                 (["convergence"], "n_list[2]", {"n_list": [2, 4, 10_000]})):
-        data = convergence_config(out) if argv[0] == "convergence" else dp_config(out)
+    for mode, field, lattice in (("dp-value", "lattice_n", {"lattice_n": 10_000}),
+                                 ("convergence", "n_list[2]", {"n_list": [2, 4, 10_000]})):
+        data = convergence_config(out) if mode == "convergence" else dp_config(out)
         data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1.0, refine=True, **lattice)
-        assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+        assert main([mode, "--config", write_config(tmp_path, data)]) == 2
         record = stderr_record(capsys)
         assert record["field"] == field and "2 grid points" in record["message"]
         assert not out.exists()
@@ -1040,6 +1047,8 @@ MULTI_FAULT = {
         "levy-sim", lambda o: dict(levy_config(o, grid=10**10), out="o\0ut"),
         "grid", "a path grid of 10000000000 steps would hold about 2.79e+03 GiB, "
                 "over the 2 GiB budget"),
+    "negative-seed-beside-zero-paths": (
+        "levy-sim", lambda o: levy_config(o, seed=-1, paths=0), "seed", "must be >= 0"),
 }
 REFUSALS.update((case, spec[:3]) for case, spec in MULTI_FAULT.items())
 
@@ -1112,9 +1121,7 @@ def test_lattice_modes_write_all_or_nothing(tmp_path, monkeypatch, capsys, mode,
     assert sorted(p.name for p in out.iterdir()) == names
 
 
-@pytest.mark.parametrize("by_flag", [False, True])
-def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch,
-                                                               by_flag):
+def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the w grid must not be built")
 
@@ -1123,18 +1130,15 @@ def test_markov_fields_refuses_a_w_grid_over_the_memory_budget(tmp_path, capsys,
     data = markov_config(out)
     count = 10**12
     assert 8 * count > cli._DP_MEMORY_BUDGET
-    argv = ["markov-fields", "--grid", str(count)] if by_flag else ["markov-fields"]
-    data["w"]["count"] = 3 if by_flag else count
-    assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+    data["w"]["count"] = count
+    assert main(["markov-fields", "--config", write_config(tmp_path, data)]) == 2
     record = stderr_record(capsys)
-    assert record["field"] == ("--grid" if by_flag else "w.count") and "GiB" in record["message"]
+    assert record["field"] == "w.count" and "GiB" in record["message"]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("by_flag", [False, True])
 @pytest.mark.parametrize("mode", ["levy-sim", "shockwave"])
-def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch, mode,
-                                                         by_flag):
+def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch, mode):
     def never(*args, **kwargs):
         raise AssertionError("no path array may be allocated")
 
@@ -1144,20 +1148,18 @@ def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monke
     data = levy_config(out) if mode == "levy-sim" else shockwave_config(out)
     steps = 10**10
     assert cli._PATH_BYTES_PER_POINT * (steps + 1) > cli._DP_MEMORY_BUDGET
-    data["grid"] = 3 if by_flag else steps
-    argv = [mode, "--grid", str(steps)] if by_flag else [mode]
-    assert main(argv + ["--config", write_config(tmp_path, data)]) == 2
+    data["grid"] = steps
+    assert main([mode, "--config", write_config(tmp_path, data)]) == 2
     record = stderr_record(capsys)
-    assert record["field"] == ("--grid" if by_flag else "grid") and "GiB" in record["message"]
+    assert record["field"] == "grid" and "GiB" in record["message"]
     assert not out.exists()
 
 
 def test_path_grid_budget_accepts_millions_of_steps():
-    no_flag = mock.Mock(grid=None)
-    assert cli._path_grid(no_flag, cli.Section({"grid": 2_000_000}), 256).n_steps == 2_000_000
-    assert cli._path_grid(no_flag, cli.Section({"grid": 7_000_000}), 256).n_steps == 7_000_000
+    assert cli._path_grid(cli.Section({"grid": 2_000_000}), 256).n_steps == 2_000_000
+    assert cli._path_grid(cli.Section({"grid": 7_000_000}), 256).n_steps == 7_000_000
     with pytest.raises(cli.ConfigError):
-        cli._path_grid(no_flag, cli.Section({"grid": 7_200_000}), 256)
+        cli._path_grid(cli.Section({"grid": 7_200_000}), 256)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,6 +1172,9 @@ def test_verify_exits_zero(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["dp-value", "--seed", "5"], ["convergence", "--grid", "8"], ["verify", "--config", "x"],
+    ["levy-sim", "--seed", "5"], ["levy-sim", "--paths", "2"], ["levy-sim", "--grid", "8"],
+    ["shockwave", "--seed", "5"], ["shockwave", "--paths", "2"], ["shockwave", "--grid", "8"],
+    ["markov-fields", "--grid", "8"], ["dp-value", "--grid", "8"],
 ])
 def test_modes_refuse_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as refused:

@@ -832,26 +832,68 @@ _SMOOTH = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.2, 
                     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.sampled_from([2, 4, 8, 16, 32]),
+# a strictly increasing S (slope >= 0.5), smooth G and H, and an admissible
+# interval wide enough that most draws never reach it
+_COMPLETE_MARKETS = dict(
     s=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.floats(-0.3, 0.3)),
     g=_SMOOTH,
     h=_SMOOTH,
     gamma=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
     c=st.one_of(st.floats(0.2, 4.0), st.just(math.inf)),
 )
+
+
+def _complete_market(n, s, g, h, gamma, c):
+    return make_scenario(n, lambda w: s[0] + s[1] * w + s[2] * np.tanh(w), _smooth(g),
+                         _smooth(h), gamma=gamma, c=c, admissible=(-8.0, 8.0), res=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16, 32]), **_COMPLETE_MARKETS)
 def test_the_lattice_reaches_the_pareto_bound(n, s, g, h, gamma, c):
     """Each one-step market of the binomial lattice is complete when S is strictly
     increasing, so the recursion reaches B_n wherever the admissible interval
     does not bind; on the y grid alone (refine off) it cannot exceed B_n."""
-    scn = make_scenario(n, lambda w: s[0] + s[1] * w + s[2] * np.tanh(w), _smooth(g), _smooth(h),
-                        gamma=gamma, c=c, admissible=(-8.0, 8.0), res=1e-3)
+    scn = _complete_market(n, s, g, h, gamma, c)
     refined = value_recursion(scn, refine=True)
     assume(refined.bound_hits == 0)
     bound = pareto_bound(scn)
     assert abs(refined.value - bound) <= 1e-12 * (1.0 + abs(bound))
     assert value_recursion(scn, refine=False).value <= bound + 1e-12
+
+
+def replication_root(scn, level, m):
+    """The y at node (level, m) whose step shares the risk of G + H by Borch's rule:
+    Pi_up(G - yS) - Pi_down(G - yS) = (c/(c+gamma)) (CE_abar,up(G+H) - CE_abar,down(G+H)),
+    found by a bracketed root-finder on the admissible interval.  The sharing
+    weight and abar are written out here, not taken from AgentPair."""
+    from scipy.optimize import brentq
+
+    gamma, c, pay = scn.agents.gamma, scn.agents.c, scn.payoffs
+    share = 1.0 if math.isinf(c) else c / (c + gamma)
+    up, down = (level + 1, m + 1), (level + 1, m)
+    book = lambda w: pay.g_fn(w) + pay.h_fn(w)
+    target = share * (conditional_ce(scn, *up, book, gamma * share)
+                      - conditional_ce(scn, *down, book, gamma * share))
+
+    def gap(y):
+        owed = lambda w: pay.g_fn(w) - y * pay.s_fn(w)
+        return conditional_pi(scn, *up, owed) - conditional_pi(scn, *down, owed) - target
+
+    return brentq(gap, *scn.admissible, xtol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16]), **_COMPLETE_MARKETS)
+def test_every_policy_is_the_one_step_replication_root(n, s, g, h, gamma, c):
+    """Where the admissible interval does not bind, the refined policy at every node
+    replicates the efficient sharing of the step: it is the replication root."""
+    scn = _complete_market(n, s, g, h, gamma, c)
+    result = value_recursion(scn, refine=True)
+    assume(result.bound_hits == 0)
+    for level, row in enumerate(result.policies):
+        for m, y in enumerate(row):
+            assert abs(y - replication_root(scn, level, m)) <= 1e-10
 
 
 def test_a_binding_admissible_interval_stays_below_the_pareto_bound():

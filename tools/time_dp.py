@@ -15,14 +15,17 @@ Black-Scholes scenario at n = 20 on [-1, 1] at resolution 1e-3).  Then one
 larger recursion: the quadratic model with g_load 0.3, mu 0.1, sigma 1.1,
 a_lin 0.6, b_quad 0.4, gamma = c = 1, on [-2, 2] at resolution 1e-3 (4001
 points).  Each line gives the median wall time, the refinement's evaluation
-and fallback counts where the recursion reports them, and the root values
-with all their digits, so two checkouts' outputs can be compared.  It
-imports ``src/impactlab`` from the checkout it sits in.
+and fallback counts where the recursion reports them, the root values with
+all their digits, and a sha256 (16 hex digits) of the bytes of every field
+and policy of the recursions, so two checkouts' outputs can be compared at
+every node, not only at the root.  It imports ``src/impactlab`` from the
+checkout it sits in.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import statistics
 import sys
 import time
@@ -60,8 +63,18 @@ def counts(results):
     return f"evaluations {sum(e for e, _ in found)}, fallback nodes {sum(f for _, f in found)}"
 
 
+def nodes_digest(results):
+    """sha256, 16 hex digits, of the bytes of every field and policy of the recursions."""
+    digest = hashlib.sha256()
+    for result in results:
+        for array in (*result.fields, *result.policies):
+            digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def report(label, seconds, results, value):
-    print(f"{label}: median {seconds * 1e3:.2f} ms; {counts(results)}; value {value!r}")
+    print(f"{label}: median {seconds * 1e3:.2f} ms; {counts(results)}; value {value!r}; "
+          f"nodes sha256 {nodes_digest(results)}")
 
 
 def main(argv=None):
