@@ -19,10 +19,14 @@ each bracket at 9 points with one batched residual, and polishes by
 safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
 mean of the nodes) and its y-derivative (a tilted covariance of the nodes
 and s).  A root is one state's scalar problem, and most of its cost is the
-fixed cost of each numpy call, so a bracket's probe grid is built once and
-cached, the bracket bookkeeping runs on Python floats and Newton on numpy
-scalars, all rounding as float64 arrays do: about 205 us a root on the
-benchmark's ``fields`` pass (``tools/time_fields.py``, busy 2-vCPU VM).
+fixed cost of each numpy call, so the calls are few: the state's node values
+come from one call of each payoff, dv/dw and the first bracket's 9 probe
+residuals from one tilt of 10 stacked rows, a bracket's probe grid is built
+once and cached, and the bracket bookkeeping and Newton run on Python floats,
+all rounding as float64 arrays do.  On the benchmark's ``fields`` pass a root
+takes about 155 us (busy 2-vCPU VM; ``tools/time_fields.py`` times it in
+process), against about 180 us with dv/dw from a tilt of its own and Newton
+on numpy scalars.
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -41,13 +45,8 @@ from typing import TYPE_CHECKING, Callable, Tuple
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import (
-    NoRootError,
-    ParameterError,
-    PreconditionError,
-    QuadratureError,
-)
-from .utility import AgentPair, _check_time, ce, newton_root, tilted_mean, tilted_moments
+from .errors import NoRootError, ParameterError, PreconditionError, QuadratureError, _whole_number
+from .utility import AgentPair, _check_time, _divide, ce, newton_root, tilted_mean, tilted_moments
 
 if TYPE_CHECKING:  # annotations only: importing paths here would load it with markov
     from .paths import PathBatch, PathSample
@@ -62,11 +61,10 @@ _STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays boun
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: an order of 128.0 is refused, not a cache hit
 def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and normalized log-weights."""
-    if order < 2:
-        raise ParameterError("quadrature order must be >= 2", "order")
+    order = _whole_number(order, "order", least=2)
     if order > MAX_ORDER:
         raise QuadratureError(
             f"Hermite rule of order {order} is not computable in double precision"
@@ -97,6 +95,13 @@ def _check_t(t: float, terminal_ok: bool):
     _check_time(t)
     if not terminal_ok and t >= 1.0:
         raise ParameterError("gradient fields need t < 1")
+
+
+def _check_state(t: float, w: float, terminal_ok: bool):
+    """_check_t, and refuse a NaN or infinite factor level w of one state."""
+    _check_t(t, terminal_ok)
+    if not math.isfinite(w):
+        raise ParameterError(f"w must be finite, got {w}", "w")
 
 
 def _payoff_rows(points: np.ndarray, fns, error, where: str) -> np.ndarray:
@@ -161,7 +166,7 @@ def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DE
 
 def field_v(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """Aggregate allocation value v(t, w): CE of (g+h)(W_1) at aversion c*gamma/(c+gamma)."""
-    _check_t(t, terminal_ok=True)
+    _check_state(t, w, terminal_ok=True)
     g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
     return float(_ce_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
 
@@ -170,14 +175,14 @@ def field_p(
     payoffs: MarkovPayoffs, t: float, w: float, y: float, order: int = DEFAULT_ORDER
 ) -> float:
     """Supplier book value p(t, w, y): CE of (g - y*s)(W_1) at aversion gamma."""
-    _check_t(t, terminal_ok=True)
+    _check_state(t, w, terminal_ok=True)
     s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
     return float(_ce_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
 
 
 def field_u(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """u = dv/dw, computed by differentiating under the quadrature."""
-    _check_t(t, terminal_ok=False)
+    _check_state(t, w, terminal_ok=False)
     g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
     return float(_grad_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
 
@@ -186,7 +191,7 @@ def field_q(
     payoffs: MarkovPayoffs, t: float, w: float, y: float, order: int = DEFAULT_ORDER
 ) -> float:
     """q = dp/dw at inventory y, computed by differentiating under the quadrature."""
-    _check_t(t, terminal_ok=False)
+    _check_state(t, w, terminal_ok=False)
     s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
     return float(_grad_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
 
@@ -195,7 +200,7 @@ def replication_price(
     payoffs: MarkovPayoffs, t: float = 0.0, w: float = 0.0, order: int = DEFAULT_ORDER
 ) -> float:
     """Supplier indifference charge for taking on -H: CE_gamma(g) - CE_gamma(g+h)."""
-    _check_t(t, terminal_ok=True)
+    _check_state(t, w, terminal_ok=True)
     g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
     ce_g, ce_gh = _ce_rows(np.vstack((g, g + h)), t, payoffs.agents.gamma, order)
     return float(ce_g - ce_gh)
@@ -212,13 +217,20 @@ def completeness_invert(
     """Solve -dp/dw(t, w, y) = z for the replicating inventory y.
 
     With s and g evaluated at the nodes once, doubles the bracket about its
-    midpoint until the residual changes sign (at most _MAX_EXPANSIONS times),
+    midpoint until the residual changes sign (at most _MAX_EXPANSIONS times,
+    and while it stays finite),
     checks the map is monotone at 9 points of it (ends included, one batched
     residual), then polishes by safeguarded Newton inside the probe interval
     where the sign changes, to |residual| <= _RESIDUAL_TOL."""
-    _check_t(t, terminal_ok=False)
-    s, g = (vals[0] for vals in _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn))
+    s, g = _state_nodes(t, w, order, payoffs.s_fn, payoffs.g_fn)
     return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
+
+
+def _state_nodes(t: float, w: float, order: int, *fns):
+    """Each callable's row of values at the nodes w + sqrt(1-t)*z_k of one state, t < 1."""
+    _check_state(t, w, terminal_ok=False)
+    points = w + math.sqrt(1.0 - t) * _rules(order)[0]
+    return _payoff_rows(points, fns, QuadratureError, "a quadrature node")
 
 
 @lru_cache(maxsize=64)
@@ -231,28 +243,63 @@ def _probe_grid(lo: float, hi: float) -> np.ndarray:
     return probes
 
 
-def _invert(s, g, gamma, t, z, order, bracket) -> float:
-    """``completeness_invert`` on the node values s and g of one state."""
+def _probe_gradients(s, g, probes, gamma, t, order, h=None, abar=0.0) -> list:
+    """_grad_rows of g - y*s at each y of ``probes`` (aversion gamma), as floats, from
+    one tilt of the rows; with ``h``, the _grad_rows of g + h at aversion abar comes
+    first, from the same tilt, which takes each row at its own aversion."""
+    if h is not None and (abar == 0.0) != (gamma == 0.0):  # c*gamma underflowed to abar = 0
+        return [float(_grad_rows(g + h, t, abar, order)),
+                *_probe_gradients(s, g, probes, gamma, t, order)]
     nodes, logw = _rules(order)
     spread = math.sqrt(1.0 - t)
+    head = 0 if h is None else 1
+    rows = np.empty((head + len(probes), s.size))
+    np.subtract(g, np.multiply.outer(probes, s), out=rows[head:])
+    if head:
+        np.add(g, h, out=rows[0])
+    if gamma == 0.0:  # then abar = 0 too: every row untilted
+        return (np.vecdot(nodes * rows, np.exp(logw)) / spread).tolist()
+    aversion = np.full(len(rows), gamma)
+    if head:
+        aversion[0] = abar
+    mean = tilted_mean(nodes, rows, logw, aversion[:, None])
+    return (-mean / (aversion * spread)).tolist()
 
-    def residual(y):
-        return -_grad_rows(g - np.multiply.outer(y, s), t, gamma, order) - z
+
+def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
+    """``completeness_invert`` on the node values s and g of one state.  Given the
+    node values h and the agents, z is -(c/(c+gamma)) * dv/dw instead, dv/dw coming
+    from the first probes' tilt (``optimal_strategy_markov``)."""
+    nodes, logw = _rules(order)
+    spread = math.sqrt(1.0 - t)
 
     def with_slope(y):
         # one tilt gives the residual (its tilted mean of the nodes, for gamma > 0)
         # and its y-derivative, the gamma-tilted covariance of the nodes and s
-        mean, cov = tilted_moments(nodes, g - np.multiply.outer(y, s), logw, gamma, other=s)
-        value = residual(y) if gamma == 0.0 else mean / (gamma * spread) - z
-        return value, cov / spread
+        vals = g - np.multiply.outer(y, s)
+        mean, cov = tilted_moments(nodes, vals, logw, gamma, other=s)
+        if gamma == 0.0:
+            value = -float(_grad_rows(vals, t, gamma, order)) - z
+        else:  # a subnormal gamma may leave gamma * spread at 0
+            value = _divide(float(mean), gamma * spread) - z
+        return value, float(cov) / spread
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
-        raise ParameterError("bracket must satisfy lo < hi")
+        raise ParameterError("bracket must satisfy lo < hi", "bracket")
+    if not math.isfinite(hi - lo):  # a NaN, an infinite end or an infinite width
+        raise ParameterError(f"bracket must be finite with a finite width, got [{lo}, {hi}]",
+                             "bracket")
     # the bracket bookkeeping runs on Python floats, which round as float64
     # arrays do: numpy's bits without numpy's fixed cost per call
     probes = _probe_grid(lo, hi)
-    vals = residual(probes).tolist()
+    if h is None:
+        gradients = _probe_gradients(s, g, probes, gamma, t, order)
+    else:
+        dv, *gradients = _probe_gradients(s, g, probes, gamma, t, order, h,
+                                          agents.aggregate_aversion)
+        z = -agents.demander_weight * dv
+    vals = [-q - z for q in gradients]
     expansions = 0
     while vals[0] * vals[-1] > 0.0:
         if expansions >= _MAX_EXPANSIONS:
@@ -260,9 +307,12 @@ def _invert(s, g, gamma, t, z, order, bracket) -> float:
                 f"no sign change in [{lo}, {hi}] after {expansions} expansions"
             )
         mid, width = 0.5 * (lo + hi), hi - lo
+        if not math.isfinite((mid + width) - (mid - width)):
+            raise NoRootError(f"no sign change in [{lo}, {hi}] after {expansions} expansions:"
+                              " the next leaves the float range")
         lo, hi = mid - width, mid + width
         probes = _probe_grid(lo, hi)
-        vals = residual(probes).tolist()
+        vals = [-q - z for q in _probe_gradients(s, g, probes, gamma, t, order)]
         expansions += 1
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     # deep exponential tilts flatten numerically at the bracket ends, so only a
@@ -295,12 +345,10 @@ def optimal_strategy_markov(
 ) -> float:
     """Optimal demander position: invert completeness at z = -(c/(c+gamma)) * dv/dw.
 
-    s, g and h are evaluated at the nodes once, for dv/dw and the inversion."""
-    _check_t(t, terminal_ok=False)
-    agents = payoffs.agents
-    s, g, h = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
-    target = -agents.demander_weight * float(_grad_rows(g + h, t, agents.aggregate_aversion, order)[0])
-    return _invert(s[0], g[0], agents.gamma, t, target, order, bracket)
+    s, g and h are evaluated at the nodes once, for dv/dw and the inversion, and
+    dv/dw comes from the tilt of the first bracket's probes."""
+    s, g, h = _state_nodes(t, w, order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+    return _invert(s, g, payoffs.agents.gamma, t, None, order, bracket, h, payoffs.agents)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -143,9 +144,9 @@ def tilted_mean(x, values, logw, aversion: float, with_ce: bool = False):
     """E[x exp(-a v)] / E[exp(-a v)] along the last axis, for finite a >= 0.
 
     ``x`` and ``logw`` are 1-d over the support; each row of ``values`` is
-    tilted on its own.  ``with_ce`` also returns ``ce(values, logw,
-    aversion)``, bit for bit, which for a > 0 comes from the same tilt's
-    normaliser: (mean, ce).
+    tilted on its own, and without ``with_ce`` ``aversion`` may be a column,
+    one a row.  ``with_ce`` also returns ``ce(values, logw, aversion)``, bit
+    for bit, which for a > 0 comes from the same tilt's normaliser: (mean, ce).
     """
     # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
@@ -211,6 +212,21 @@ def _choose(cond, a, b):
     return a if cond else b
 
 
+def _divide(a: float, b: float) -> float:
+    """a / b on Python floats as numpy divides float64: a zero divisor gives the
+    signed infinity, or NaN for a zero or NaN numerator, where Python raises."""
+    if b == 0.0:
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def _quiet():
+    """Silence the warnings of an array step: an infinite step is refused, not reported."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def newton_root(fn, x, neg, pos):
     """A zero of each entry of ``fn`` by safeguarded Newton, all entries in lockstep.
 
@@ -222,27 +238,31 @@ def newton_root(fn, x, neg, pos):
     otherwise the bracket is bisected.  An entry stops at a zero value, or
     where its next step would be at most one ulp of the bracket's larger end.
     Returns the points and fn's values there; fn's last call is at those points.
-    When x, neg and pos are all scalars, the one entry runs on numpy scalars,
-    and fn gets one: they round as 0-d arrays do, without a 0-d array's fixed
-    cost per numpy call, which is most of a scalar root's Newton time.
+    When x, neg and pos are all numbers, the one entry runs on Python floats in
+    the same loop: they round as float64 arrays do, division by a zero slope
+    included (``_divide``), without the fixed cost of a numpy call, which is
+    most of a scalar root's Newton time.  fn then gets a numpy float64 (a
+    float with the array methods) and should return two Python floats.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == np.ndim(neg) == np.ndim(pos) == 0:
-        x, neg, pos = x[()], np.float64(neg), np.float64(pos)
-        where, any_ = _choose, bool
+    if isinstance(x, Real) and isinstance(neg, Real) and isinstance(pos, Real):
+        x, neg, pos = float(x), float(neg), float(pos)
+        where, any_, maximum, divide, quiet, point = (
+            _choose, bool, max, _divide, contextlib.nullcontext, np.float64)
     else:
-        where, any_ = np.where, np.any
-    tol = _EPS * np.maximum(np.abs(neg), np.abs(pos))
-    step = prev = np.abs(np.subtract(pos, neg))
-    f, slope = fn(x)
+        x = np.asarray(x, dtype=float)
+        where, any_, maximum, divide, quiet, point = (
+            np.where, np.any, np.maximum, np.divide, _quiet, np.asarray)
+    tol = _EPS * maximum(abs(neg), abs(pos))
+    step = prev = abs(pos - neg)
+    f, slope = fn(point(x))
     active = f != 0.0
     for _ in range(_NEWTON_CAP):
         neg = where(f < 0.0, x, neg)
         pos = where(f > 0.0, x, pos)
         # a tiny slope overflows the step, and the step the bracket test: an
         # infinite product reads as outside the bracket, which it is
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dx = f / slope
+        with quiet():
+            dx = divide(f, slope)
             new = x - dx
             take = ((new - neg) * (new - pos) < 0.0) & (abs(dx) <= 0.5 * prev)
         new = where(take, new, 0.5 * (neg + pos))
@@ -251,7 +271,7 @@ def newton_root(fn, x, neg, pos):
         if not any_(active):
             break
         x = where(active, new, x)
-        f, slope = fn(x)
+        f, slope = fn(point(x))
         active &= f != 0.0
     return x, f
 

@@ -870,21 +870,27 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _both_inversions(pay, t, w, z, bracket):
+def _both_inversions(pay, t, w, z, bracket, order=128):
     """(current, reference) outcome pairs for completeness_invert at z and for
     optimal_strategy_markov."""
-    s, g, h = (v[0] for v in _node_values(t, [w], 128, pay.s_fn, pay.g_fn, pay.h_fn))
+    s, g, h = (v[0] for v in _node_values(t, [w], order, pay.s_fn, pay.g_fn, pay.h_fn))
     agents = pay.agents
     target = -agents.demander_weight * float(
-        _grad_rows(g + h, t, agents.aggregate_aversion, 128)
+        _grad_rows(g + h, t, agents.aggregate_aversion, order)
     )
     return [
-        (_outcome(lambda: completeness_invert(pay, t, w, z, bracket=bracket)),
-         _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, agents.gamma, t, z, 128, bracket))),
-        (_outcome(lambda: optimal_strategy_markov(pay, t, w, bracket=bracket)),
+        (_outcome(lambda: completeness_invert(pay, t, w, z, order, bracket)),
+         _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, agents.gamma, t, z, order, bracket))),
+        (_outcome(lambda: optimal_strategy_markov(pay, t, w, order, bracket)),
          _outcome(lambda: _invert_with_numpy_bookkeeping(
-             s, g, agents.gamma, t, target, 128, bracket))),
+             s, g, agents.gamma, t, target, order, bracket))),
     ]
+
+
+# the default order, and row lengths that leave every SIMD tail: the target and
+# probe rows share one tilt, whose rows must give the bits of separate tilts.
+# The largest is 370: hermegauss(371) has finite nodes but every weight 0
+_ORDERS = st.sampled_from([2, 3, 7, 33, 127, 128, 129, 370])
 
 
 @settings(deadline=None, max_examples=300)
@@ -894,10 +900,24 @@ def _both_inversions(pay, t, w, z, bracket):
     st.floats(-1.5, 1.5),
     st.floats(-3.0, 3.0) | st.floats(-1e3, 1e3),
     _BRACKETS,
+    _ORDERS,
 )
-def test_inversion_equals_its_numpy_bookkeeping_form(pay, t, w, z, bracket):
-    for got, want in _both_inversions(pay, t, w, z, bracket):
+def test_inversion_equals_its_numpy_bookkeeping_form(pay, t, w, z, bracket, order):
+    for got, want in _both_inversions(pay, t, w, z, bracket, order):
         assert got == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(invert_payoffs(), st.floats(0.0, 0.95), st.floats(-1.5, 1.5), _BRACKETS, _ORDERS)
+def test_stacked_probe_tilt_equals_separate_tilts(pay, t, w, bracket, order):
+    lo, hi = sorted(bracket)
+    probes = np.linspace(lo, hi + (lo == hi), 9)
+    s, g, h = (v[0] for v in _node_values(t, [w], order, pay.s_fn, pay.g_fn, pay.h_fn))
+    gamma, abar = pay.agents.gamma, pay.agents.aggregate_aversion
+    separate = _grad_rows(g - np.multiply.outer(probes, s), t, gamma, order).tolist()
+    head = float(_grad_rows(g + h, t, abar, order))
+    assert markov._probe_gradients(s, g, probes, gamma, t, order) == separate
+    assert markov._probe_gradients(s, g, probes, gamma, t, order, h, abar) == [head, *separate]
 
 
 def test_inversion_refusals_equal_the_numpy_bookkeeping_form():
@@ -923,6 +943,16 @@ def test_inversion_refusals_equal_the_numpy_bookkeeping_form():
     got, want = _both_inversions(quad, 0.3, 0.2, math.nan, (-50.0, 50.0))[0]
     assert got == (NoRootError, "no sign change among the probes of [-50.0, 50.0]")
     assert want[0] is IndexError
+
+
+def test_an_underflowed_aggregate_aversion_takes_the_untilted_target():
+    # c*gamma underflows to abar = 0 while gamma > 0: dv/dw takes _grad_rows'
+    # untilted form, as the reference does, not a tilt divided by abar = 0
+    pay = replace(quad_model().payoffs(), agents=AgentPair(gamma=1e-5, c=1e-320))
+    assert pay.agents.aggregate_aversion == 0.0
+    for got, want in _both_inversions(pay, 0.3, 0.2, 0.5, (-50.0, 50.0)):
+        assert got == want
+        assert isinstance(got, str)  # a root
 
 
 def test_nan_probe_residuals_leave_the_monotonicity_scale_at_one():
@@ -965,6 +995,16 @@ def _fields_workload_payoffs(seed):
         QuadraticModel(agents=AgentPair(quad.pop("gamma"), quad.pop("c")), **quad).payoffs(),
         ShockWaveModel(agents=AgentPair(wave.pop("gamma"), wave.pop("c")), **wave).payoffs(),
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fields_workload_roots_equal_the_numpy_bookkeeping_form(seed):
+    states = [(pay, t, w) for pay in _fields_workload_payoffs(seed)
+              for t in _FIELDS_TIMES for w in _FIELDS_W]
+    assert len(states) == 1312
+    for pay, t, w in states:
+        got, want = _both_inversions(pay, t, w, 0.0, (-50.0, 50.0))[1]  # the optimal strategy
+        assert got == want
 
 
 @pytest.mark.parametrize("seed, evaluations", [(1, 1804), (2, 1983), (3, 1799)])

@@ -1,8 +1,11 @@
-"""Every constructor refusal names the argument at fault, as the caller spells it."""
+"""Every constructor or function refusal names the argument at fault, as the caller spells it."""
 
 import dataclasses
+import inspect
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,14 +13,28 @@ import pytest
 from impactlab.cumulants import Brownian, GammaProcess, OneSidedStable
 from impactlab.dp import DpScenario, Lattice, convergence_study
 from impactlab.efficient import LevyScenario
+from impactlab import markov
 from impactlab.errors import (
     ArgumentError,
     DomainError,
+    NoRootError,
     ParameterError,
     QuadratureError,
     ScheduleError,
 )
-from impactlab.markov import MAX_ORDER, QuadraticModel, ShockWaveModel, _rules
+from impactlab.markov import (
+    MAX_ORDER,
+    QuadraticModel,
+    ShockWaveModel,
+    _rules,
+    completeness_invert,
+    field_p,
+    field_q,
+    field_u,
+    field_v,
+    optimal_strategy_markov,
+    replication_price,
+)
 from impactlab.paths import PathGrid, ShockSchedule, simulate_batch, simulate_path
 from impactlab.utility import AgentPair, SampleSet
 
@@ -35,7 +52,7 @@ def _quadratic(sigma=1.0, b_quad=0.0, agents=AGENTS):
                           agents=agents)
 
 
-# case: (the class whose constructor refuses, or None for markov._rules; the call;
+# case: (the class whose constructor refuses, or the function that refuses; the call;
 #        the exception type; the argument it must name)
 REFUSALS = {
     "agents-gamma-negative": (AgentPair, lambda: AgentPair(-1.0, 1.0), ParameterError, "gamma"),
@@ -150,8 +167,43 @@ REFUSALS = {
     "samples-weights-sum": (
         SampleSet, lambda: SampleSet(np.ones(2), np.array([0.5, 0.6])), ParameterError,
         "weights"),
-    "order-below-2": (None, lambda: _rules(1), ParameterError, "order"),
-    "order-not-computable": (None, lambda: _rules(MAX_ORDER + 1), QuadratureError, "order"),
+    "order-below-2": (_rules, lambda: _rules(1), ParameterError, "order"),
+    "order-not-computable": (_rules, lambda: _rules(MAX_ORDER + 1), QuadratureError, "order"),
+    "order-a-float": (_rules, lambda: _rules(2.5), ParameterError, "order"),
+    "order-a-whole-float": (_rules, lambda: _rules(128.0), ParameterError, "order"),  # 128 cached
+    "order-a-float-in-a-root": (
+        optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 0.5, 0.1, order=2.5),
+        ParameterError, "order"),
+    "bracket-infinite-ends": (
+        optimal_strategy_markov,
+        lambda: optimal_strategy_markov(PAYOFFS, 0.5, 0.1, bracket=(-math.inf, math.inf)),
+        ParameterError, "bracket"),
+    "bracket-infinite-width": (
+        optimal_strategy_markov,
+        lambda: optimal_strategy_markov(PAYOFFS, 0.5, 0.1, bracket=(-1e308, 1e308)),
+        ParameterError, "bracket"),
+    "bracket-an-infinite-end": (
+        completeness_invert, lambda: completeness_invert(PAYOFFS, 0.5, 0.1, 0.2, bracket=(0.0, math.inf)),
+        ParameterError, "bracket"),
+    "bracket-a-nan-end": (
+        completeness_invert, lambda: completeness_invert(PAYOFFS, 0.5, 0.1, 0.2, bracket=(math.nan, 1.0)),
+        ParameterError, "bracket"),
+    "bracket-empty": (
+        completeness_invert, lambda: completeness_invert(PAYOFFS, 0.5, 0.1, 0.2, bracket=(1.0, 1.0)),
+        ParameterError, "bracket"),
+    "w-nan-value": (field_v, lambda: field_v(PAYOFFS, 0.5, math.nan), ParameterError, "w"),
+    "w-inf-value-at-the-end": (field_v, lambda: field_v(PAYOFFS, 1.0, math.inf), ParameterError, "w"),
+    "w-nan-book": (field_p, lambda: field_p(PAYOFFS, 0.5, math.nan, 0.1), ParameterError, "w"),
+    "w-inf-gradient": (field_u, lambda: field_u(PAYOFFS, 0.5, -math.inf), ParameterError, "w"),
+    "w-nan-book-gradient": (field_q, lambda: field_q(PAYOFFS, 0.5, math.nan, 0.1), ParameterError, "w"),
+    "w-inf-replication": (
+        replication_price, lambda: replication_price(PAYOFFS, 0.5, math.inf), ParameterError, "w"),
+    "w-nan-inversion": (
+        completeness_invert, lambda: completeness_invert(PAYOFFS, 0.5, math.nan, 0.2), ParameterError,
+        "w"),
+    "w-inf-strategy": (
+        optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 0.5, math.inf),
+        ParameterError, "w"),
 }
 
 
@@ -163,7 +215,41 @@ def test_every_constructor_refusal_names_its_argument(case):
     assert isinstance(refused.value, ArgumentError)
     assert refused.value.argument == argument
     head = re.split(r"[.\[]", argument)[0]
-    assert head in ({f.name for f in dataclasses.fields(cls)} if cls else {"order"})
+    names = ({f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls)
+             else set(inspect.signature(cls).parameters))
+    assert head in names
+
+
+@pytest.mark.parametrize("bracket", [(-math.inf, math.inf), (-1e308, 1e308), (0.0, math.nan)])
+def test_a_non_finite_bracket_is_refused_before_any_probe(bracket):
+    # the probes of such a bracket were infinite or NaN: numpy warned, and the
+    # refusal came late, as "no sign change among the probes of [-inf, inf]"
+    with warnings.catch_warnings(), \
+            mock.patch.object(markov, "_probe_grid", side_effect=AssertionError("probed")):
+        warnings.simplefilter("error")
+        for call in (lambda: optimal_strategy_markov(PAYOFFS, 0.5, 0.1, bracket=bracket),
+                     lambda: completeness_invert(PAYOFFS, 0.5, 0.1, 0.2, bracket=bracket)):
+            with pytest.raises(ParameterError) as refused:
+                call()
+            assert refused.value.argument == "bracket"
+
+
+def test_the_lo_hi_refusal_keeps_its_message():
+    with pytest.raises(ParameterError, match=r"^bracket must satisfy lo < hi$") as refused:
+        completeness_invert(PAYOFFS, 0.5, 0.1, 0.2, bracket=(2.0, -2.0))
+    assert refused.value.argument == "bracket"
+
+
+def test_an_expansion_that_would_leave_the_float_range_stops_without_a_warning():
+    # a constant security never changes the residual's sign; from [1e300, 2e300]
+    # the 28th doubling would pass the largest float, before the 30 allowed
+    flat = dataclasses.replace(PAYOFFS, s_fn=lambda w: np.zeros_like(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoRootError, match="after 27 expansions: the next leaves the float range"):
+            completeness_invert(flat, 0.5, 0.1, 0.2, bracket=(1e300, 2e300))
+        with pytest.raises(NoRootError, match="after 30 expansions"):
+            completeness_invert(flat, 0.5, 0.1, 0.2, bracket=(-1.0, 1.0))
 
 
 def test_integer_arguments_take_what_operator_index_takes():

@@ -572,3 +572,50 @@ def test_newton_root_lockstep_equals_one_entry_at_a_time(targets, curvature):
         alone, _ = newton_root(lambda x: fn(x, t), 0.0, -4.0, 4.0)
         assert alone == together[k]
         assert abs(alone - t) <= 1e-14 * max(1.0, abs(t))
+
+
+_ROOT = 0.3
+# (name, the value at x): a slope-driven line, a step, and constant values
+_NEWTON_VALUES = {
+    "line": lambda x: x - _ROOT,
+    "step": lambda x: np.where(x < _ROOT, -1.0, 1.0),
+    "zero": lambda x: np.zeros_like(x),
+    "negative-zero": lambda x: np.full_like(x, -0.0),
+    "nan": lambda x: np.full_like(x, np.nan),
+}
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, -1e-320, 1.0])
+@pytest.mark.parametrize("value", sorted(_NEWTON_VALUES))
+@pytest.mark.parametrize("start, neg, pos", [(0.0, -3.0, 3.0), (2.5, 3.0, -1.0)])
+def test_newton_root_on_floats_equals_the_lockstep_arrays(value, slope, start, neg, pos):
+    # one entry runs on Python floats; a zero, NaN or infinite slope must step
+    # (or refuse to) as numpy's division does, at the same points, silently
+    def on_arrays(x):
+        points.append(float(x[0]).hex())
+        return _NEWTON_VALUES[value](x), np.full_like(x, slope)
+
+    def on_floats(x):
+        points.append(float(x).hex())
+        return float(_NEWTON_VALUES[value](np.array([x]))[0]), slope
+
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, args in ((on_arrays, ([start], [neg], [pos])), (on_floats, (start, neg, pos))):
+            points = []
+            x, f = newton_root(fn, *(np.array(a) if fn is on_arrays else a for a in args))
+            runs.append((float(np.ravel(x)[0]).hex(), float(np.ravel(f)[0]).hex(), points))
+    assert runs[0] == runs[1]
+    assert type(x) is float and type(f) is float
+
+
+def test_float_division_gives_numpys_bits():
+    numbers = [1.5, -1.5, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 1e-320, -1e-320]
+    for a in numbers:
+        for b in numbers:
+            with np.errstate(all="ignore"):
+                want = float(np.divide(a, b))
+            got = utility._divide(a, b)
+            assert type(got) is float
+            assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
