@@ -1023,3 +1023,23 @@ def test_fields_workload_roots_take_a_pinned_number_of_newton_evaluations(seed, 
                  for pay in models for t in _FIELDS_TIMES for w in _FIELDS_W]
     assert len(roots) == 1312
     assert calls["tilts"] == evaluations
+
+
+# sha256 of the 1,312 roots' float64 bytes, quadratic model first, as
+# tools/time_fields.py prints it: the roots pinned with no reference built from
+# the helpers they run through
+_FIELDS_ROOTS_SHA256 = {
+    1: "c478195970ecf6636fd920296b75b650a210148fcc351c75b8228dd1875f2628",
+    2: "cc026b942951355a76adaaa51a55aae63aed5443f6111da928edb13f55ed7dcb",
+    3: "a86bfa21781130bcb6ee774094ff585fab03b7bfca59a93ce996ade81f7ce9d3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FIELDS_ROOTS_SHA256))
+def test_fields_workload_roots_keep_their_recorded_bits(seed):
+    import hashlib
+
+    roots = np.array([[optimal_strategy_markov(pay, t, w) for t in _FIELDS_TIMES for w in _FIELDS_W]
+                      for pay in _fields_workload_payoffs(seed)])
+    assert roots.shape == (2, 656)
+    assert hashlib.sha256(roots.tobytes()).hexdigest() == _FIELDS_ROOTS_SHA256[seed]
