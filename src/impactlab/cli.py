@@ -70,7 +70,6 @@ from .dp import (
 from .efficient import LevyScenario, allocation_value, efficient_batch_record
 from .errors import ArgumentError, ConfigError, NoRootError
 from .markov import (
-    _STATE_BLOCK,
     MarkovPayoffs,
     QuadraticModel,
     ShockWaveModel,
@@ -710,12 +709,11 @@ def _run_markov_fields(args) -> int:
     out = _out_path(root, args)
     payoffs = model.payoffs()
     w = np.linspace(w_min, w_max, count)
-    rows = 8 * _STATE_BLOCK  # a multiple of the quadrature's state block keeps its blocks
 
     def table():
         for t in times:
-            for start in range(0, count, rows):
-                ws = w[start:start + rows]
+            for start in range(0, count, _BLOCK_ROWS):
+                ws = w[start:start + _BLOCK_ROWS]
                 yield (np.full(len(ws), t), ws, *_state_fields(payoffs, t, ws, inventory, order),
                        *closed(t, ws))
 

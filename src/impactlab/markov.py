@@ -6,27 +6,28 @@ Cole-Hopf form: conditional exponential certainty equivalents of the
 terminal data under the Gaussian transition, evaluated with probabilists'
 Gauss-Hermite quadrature in log space.  Spatial gradients use the exact
 Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s, so no
-derivative of the terminal callables is ever needed.  Each callable runs
-once per call, on the nodes of a whole array of states (one row each), and
-v, u, p, q are reductions of those rows along the node axis.  A table of
-states (``_state_fields``, the ``markov-fields`` mode) takes v and u from
-one tilt of each row of g + h, and p and q from one tilt of g - y*s: the
-certainty equivalent comes from the tilt's normaliser and the gradient
-from its tilted mean of the nodes, bit for bit as the four single fields
-give them.  Root-finding
+derivative of the terminal callables is ever needed.  Each entry point
+checks its state once (``_check_state``); ``_node_values`` builds the node
+values w + sqrt(1-t)*z_k, one row for a float w and a row per state for a
+column of them, from one call of each payoff; and v, u, p, q are reductions
+of those rows along the node axis (``_ce_rows``, and ``_grad_rows``, which
+also gives the certainty equivalent from the same tilt).  A table of states
+(``_state_fields``) is evaluated ``_STATE_BLOCK`` states at a time, which
+bounds its (block, order) arrays; the ``markov-fields`` command hands it
+blocks of its own 4,096 rows.  It takes v and u from one tilt of each row of
+g + h, and p and q from one tilt of g - y*s, bit for bit as the four single
+fields give them.  Root-finding
 for the strategy reuses the node values of s, g (and h, for dv/dw), checks
 each bracket at 9 points with one batched residual, and polishes by
 safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
 mean of the nodes) and its y-derivative (a tilted covariance of the nodes
 and s).  A root is one state's scalar problem, and most of its cost is the
-fixed cost of each numpy call, so the calls are few: the state's node values
-come from one call of each payoff, dv/dw and the first bracket's 9 probe
-residuals from one tilt of 10 stacked rows, a bracket's probe grid is built
-once and cached, and the bracket bookkeeping and Newton run on Python floats,
-all rounding as float64 arrays do.  On the benchmark's ``fields`` pass a root
-takes about 155 us (busy 2-vCPU VM; ``tools/time_fields.py`` times it in
-process), against about 180 us with dv/dw from a tilt of its own and Newton
-on numpy scalars.
+fixed cost of each numpy call, so the calls are few: dv/dw and the first
+bracket's 9 probe residuals come from one tilt of 10 stacked rows, a
+bracket's probe grid is built once and cached, and the bracket bookkeeping
+and Newton run on Python floats, all rounding as float64 arrays do.  On the
+benchmark's ``fields`` pass a root takes about 140-155 us (busy 2-vCPU VM;
+``tools/time_fields.py`` times it in process).
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -52,9 +53,10 @@ if TYPE_CHECKING:  # annotations only: importing paths here would load it with m
     from .paths import PathBatch, PathSample
 
 DEFAULT_ORDER = 128
-# the largest order whose rule hermegauss computes finitely; it builds an
-# order x order matrix first, so a larger order is refused before the call
-MAX_ORDER = 371
+# the largest order whose rule hermegauss computes (at 371 every weight is 0); it
+# builds an order x order matrix first, so a larger order is refused before the call
+MAX_ORDER = 370
+_WEIGHT_SUM_TOL = 1e-12  # |sum of the weights / sqrt(2*pi) - 1| is <= 4.4e-16 at orders 2-370
 _RESIDUAL_TOL = 1e-10  # the inversion's stopping residual, and how often it doubles the bracket
 _MAX_EXPANSIONS = 30
 _STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays bound the memory
@@ -72,7 +74,8 @@ def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+    total = weights.sum() / math.sqrt(2.0 * math.pi)  # NaN if a weight is, so refused too
+    if not (np.isfinite(nodes).all() and abs(total - 1.0) <= _WEIGHT_SUM_TOL):
         raise QuadratureError(
             f"Hermite rule of order {order} is not computable in double precision", "order"
         )
@@ -91,17 +94,17 @@ class MarkovPayoffs:
     agents: AgentPair
 
 
-def _check_t(t: float, terminal_ok: bool):
+def _check_state(t: float, w, terminal_ok: bool, y: float = 0.0):
+    """Refuse a time outside [0, 1] (or t = 1, unless ``terminal_ok``), and a NaN or
+    infinite factor level w (a float, or any of an array of states) or inventory y."""
     _check_time(t)
     if not terminal_ok and t >= 1.0:
         raise ParameterError("gradient fields need t < 1")
-
-
-def _check_state(t: float, w: float, terminal_ok: bool):
-    """_check_t, and refuse a NaN or infinite factor level w of one state."""
-    _check_t(t, terminal_ok)
-    if not math.isfinite(w):
-        raise ParameterError(f"w must be finite, got {w}", "w")
+    for name, x in (("w", w), ("y", y)):
+        if isinstance(x, np.ndarray):  # a table's states: the first non-finite one, if any
+            x = next(iter(x[~np.isfinite(x)]), 0.0)
+        if not math.isfinite(x):
+            raise ParameterError(f"{name} must be finite, got {x}", name)
 
 
 def _payoff_rows(points: np.ndarray, fns, error, where: str) -> np.ndarray:
@@ -116,11 +119,10 @@ def _payoff_rows(points: np.ndarray, fns, error, where: str) -> np.ndarray:
 
 
 def _node_values(t: float, w, order: int, *fns):
-    """Each callable at the quadrature points, from one call on the raveled 1-d points:
-    a row per w of the 1-d ``w``, a column per node w + sqrt(1-t)*z_k (w at t = 1)."""
-    points = np.asarray(w, dtype=float)[:, None]
-    if t < 1.0:
-        points = points + math.sqrt(1.0 - t) * _rules(order)[0]
+    """Each callable at the nodes w + sqrt(1-t)*z_k, from one call on the raveled points:
+    one row of nodes for a float w, a row per state for a column of states.  At t = 1
+    node 0 (z_0 < 0) is w + (-0.0), which is w, a signed zero included."""
+    points = w + math.sqrt(1.0 - t) * _rules(order)[0]
     vals = _payoff_rows(points.ravel(), fns, QuadratureError, "a quadrature node")
     return vals.reshape((len(fns),) + points.shape)
 
@@ -132,68 +134,64 @@ def _ce_rows(vals, t: float, aversion: float, order: int):
     return ce(vals, _rules(order)[1], aversion)
 
 
-def _grad_rows(vals, t: float, aversion: float, order: int):
-    """w-derivative of _ce_rows via the Gaussian kernel identity (t < 1)."""
+def _grad_rows(vals, t: float, aversion: float, order: int, with_ce: bool = False):
+    """w-derivative of _ce_rows via the Gaussian kernel identity (t < 1); ``with_ce``
+    puts _ce_rows first, from the same tilt of each row: (ce, gradient)."""
     nodes, logw = _rules(order)
     spread = math.sqrt(1.0 - t)
     if aversion == 0.0:
-        return np.vecdot(nodes * vals, np.exp(logw)) / spread
+        grad = np.vecdot(nodes * vals, np.exp(logw)) / spread
+        return (ce(vals, logw, aversion), grad) if with_ce else grad
+    if with_ce:
+        mean, certainty = tilted_mean(nodes, vals, logw, aversion, with_ce=True)
+        return certainty, -mean / (aversion * spread)
     return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
-
-
-def _field_rows(vals, t: float, aversion: float, order: int):
-    """_ce_rows and _grad_rows of the rows of node values (t < 1), from one tilt of each."""
-    nodes, logw = _rules(order)
-    if aversion == 0.0:
-        return ce(vals, logw, aversion), _grad_rows(vals, t, aversion, order)
-    mean, certainty = tilted_mean(nodes, vals, logw, aversion, with_ce=True)
-    return certainty, -mean / (aversion * math.sqrt(1.0 - t))
 
 
 def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DEFAULT_ORDER):
     """Rows v, u, p, q at one t < 1 for each w of a 1-d array (in blocks), inventory y:
     v and u from one tilt of the nodes, p and q from another."""
-    _check_t(t, terminal_ok=False)
+    _check_state(t, w, terminal_ok=False, y=y)
     abar, gamma = payoffs.agents.aggregate_aversion, payoffs.agents.gamma
     out = np.empty((4, len(w)))
     for start in range(0, len(w), _STATE_BLOCK):
         rows = slice(start, start + _STATE_BLOCK)
-        s, g, h = _node_values(t, w[rows], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
-        out[:2, rows] = _field_rows(g + h, t, abar, order)
-        out[2:, rows] = _field_rows(g - y * s, t, gamma, order)
+        s, g, h = _node_values(t, w[rows, None], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+        out[:2, rows] = _grad_rows(g + h, t, abar, order, with_ce=True)
+        out[2:, rows] = _grad_rows(g - y * s, t, gamma, order, with_ce=True)
     return out
 
 
 def field_v(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """Aggregate allocation value v(t, w): CE of (g+h)(W_1) at aversion c*gamma/(c+gamma)."""
     _check_state(t, w, terminal_ok=True)
-    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
-    return float(_ce_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
+    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
+    return float(_ce_rows(g + h, t, payoffs.agents.aggregate_aversion, order))
 
 
 def field_p(
     payoffs: MarkovPayoffs, t: float, w: float, y: float, order: int = DEFAULT_ORDER
 ) -> float:
     """Supplier book value p(t, w, y): CE of (g - y*s)(W_1) at aversion gamma."""
-    _check_state(t, w, terminal_ok=True)
-    s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
-    return float(_ce_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
+    _check_state(t, w, terminal_ok=True, y=y)
+    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
+    return float(_ce_rows(g - y * s, t, payoffs.agents.gamma, order))
 
 
 def field_u(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """u = dv/dw, computed by differentiating under the quadrature."""
     _check_state(t, w, terminal_ok=False)
-    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
-    return float(_grad_rows(g + h, t, payoffs.agents.aggregate_aversion, order)[0])
+    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
+    return float(_grad_rows(g + h, t, payoffs.agents.aggregate_aversion, order))
 
 
 def field_q(
     payoffs: MarkovPayoffs, t: float, w: float, y: float, order: int = DEFAULT_ORDER
 ) -> float:
     """q = dp/dw at inventory y, computed by differentiating under the quadrature."""
-    _check_state(t, w, terminal_ok=False)
-    s, g = _node_values(t, [w], order, payoffs.s_fn, payoffs.g_fn)
-    return float(_grad_rows(g - y * s, t, payoffs.agents.gamma, order)[0])
+    _check_state(t, w, terminal_ok=False, y=y)
+    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
+    return float(_grad_rows(g - y * s, t, payoffs.agents.gamma, order))
 
 
 def replication_price(
@@ -201,7 +199,7 @@ def replication_price(
 ) -> float:
     """Supplier indifference charge for taking on -H: CE_gamma(g) - CE_gamma(g+h)."""
     _check_state(t, w, terminal_ok=True)
-    g, h = _node_values(t, [w], order, payoffs.g_fn, payoffs.h_fn)
+    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
     ce_g, ce_gh = _ce_rows(np.vstack((g, g + h)), t, payoffs.agents.gamma, order)
     return float(ce_g - ce_gh)
 
@@ -218,19 +216,12 @@ def completeness_invert(
 
     With s and g evaluated at the nodes once, doubles the bracket about its
     midpoint until the residual changes sign (at most _MAX_EXPANSIONS times,
-    and while it stays finite),
-    checks the map is monotone at 9 points of it (ends included, one batched
-    residual), then polishes by safeguarded Newton inside the probe interval
-    where the sign changes, to |residual| <= _RESIDUAL_TOL."""
-    s, g = _state_nodes(t, w, order, payoffs.s_fn, payoffs.g_fn)
-    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
-
-
-def _state_nodes(t: float, w: float, order: int, *fns):
-    """Each callable's row of values at the nodes w + sqrt(1-t)*z_k of one state, t < 1."""
+    and while it stays finite), checks the map is monotone at 9 points of it
+    (ends included, one batched residual), then polishes by safeguarded Newton
+    inside the probe interval where the sign changes, to |residual| <= _RESIDUAL_TOL."""
     _check_state(t, w, terminal_ok=False)
-    points = w + math.sqrt(1.0 - t) * _rules(order)[0]
-    return _payoff_rows(points, fns, QuadratureError, "a quadrature node")
+    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
+    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
 
 
 @lru_cache(maxsize=64)
@@ -250,20 +241,19 @@ def _probe_gradients(s, g, probes, gamma, t, order, h=None, abar=0.0) -> list:
     if h is not None and (abar == 0.0) != (gamma == 0.0):  # c*gamma underflowed to abar = 0
         return [float(_grad_rows(g + h, t, abar, order)),
                 *_probe_gradients(s, g, probes, gamma, t, order)]
-    nodes, logw = _rules(order)
-    spread = math.sqrt(1.0 - t)
     head = 0 if h is None else 1
     rows = np.empty((head + len(probes), s.size))
     np.subtract(g, np.multiply.outer(probes, s), out=rows[head:])
     if head:
         np.add(g, h, out=rows[0])
     if gamma == 0.0:  # then abar = 0 too: every row untilted
-        return (np.vecdot(nodes * rows, np.exp(logw)) / spread).tolist()
+        return _grad_rows(rows, t, gamma, order).tolist()
+    nodes, logw = _rules(order)
     aversion = np.full(len(rows), gamma)
     if head:
         aversion[0] = abar
     mean = tilted_mean(nodes, rows, logw, aversion[:, None])
-    return (-mean / (aversion * spread)).tolist()
+    return (-mean / (aversion * math.sqrt(1.0 - t))).tolist()
 
 
 def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
@@ -347,7 +337,8 @@ def optimal_strategy_markov(
 
     s, g and h are evaluated at the nodes once, for dv/dw and the inversion, and
     dv/dw comes from the tilt of the first bracket's probes."""
-    s, g, h = _state_nodes(t, w, order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+    _check_state(t, w, terminal_ok=False)
+    s, g, h = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
     return _invert(s, g, payoffs.agents.gamma, t, None, order, bracket, h, payoffs.agents)
 
 
@@ -392,7 +383,7 @@ class QuadraticModel:
 
 def quadratic_v(model: QuadraticModel, t: float, w: float) -> float:
     """Closed-form aggregate value field for the quadratic family."""
-    _check_t(t, terminal_ok=True)
+    _check_time(t)
     abar = model.agents.aggregate_aversion
     lin = model.g_load * model.sigma + model.a_lin + model.b_quad * w
     denom = 1.0 + abar * model.b_quad * (1.0 - t)
@@ -413,7 +404,7 @@ def quadratic_v(model: QuadraticModel, t: float, w: float) -> float:
 
 def quadratic_p(model: QuadraticModel, t: float, w: float, y: float) -> float:
     """Closed-form supplier book value for the quadratic family."""
-    _check_t(t, terminal_ok=True)
+    _check_time(t)
     gamma = model.agents.gamma
     q = model.g_load - y
     return q * model.mu + q * model.sigma * w - 0.5 * gamma * q**2 * model.sigma**2 * (1.0 - t)
@@ -435,7 +426,7 @@ def quadratic_closed_forms(model: QuadraticModel, t: float, w: float) -> Quadrat
     ``volatility`` is the quadratic-variation density of the efficient price,
     ``convexity`` the local curvature gamma*sigma^2*(1-t) of the price curve.
     """
-    _check_t(t, terminal_ok=True)
+    _check_time(t)
     agents = model.agents
     abar = agents.aggregate_aversion
     lin = model.g_load * model.sigma + model.a_lin

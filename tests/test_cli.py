@@ -961,6 +961,8 @@ REFUSALS = {
         "convergence", lambda o: dict(convergence_config(o), y_resolution=2.5), "y_resolution"),
     "order-not-computable-markov-fields": (
         "markov-fields", lambda o: dict(markov_config(o), order=384), "order"),
+    "order-371-markov-fields": (  # finite nodes, but its weights sum to 0: it exited 3
+        "markov-fields", lambda o: dict(markov_config(o), order=371), "order"),
     "order-not-computable-convergence": (
         "convergence", lambda o: dict(convergence_config(o), order=384), "order"),
     "order-lt-2": ("markov-fields", lambda o: dict(markov_config(o), order=1), "order"),

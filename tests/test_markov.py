@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impactlab import markov
@@ -726,17 +726,53 @@ def test_payoffs_run_once_per_inversion_and_per_block():
     assert calls == {"s": 3, "g": 3, "h": 3}
 
 
-def test_max_order_is_the_largest_finite_hermite_rule():
+def test_max_order_is_the_largest_hermite_rule_whose_weights_sum_to_one():
     from numpy.polynomial.hermite_e import hermegauss
 
+    root_2pi = math.sqrt(2.0 * math.pi)
     with np.errstate(all="ignore"):
-        for order, finite in ((markov.MAX_ORDER, True), (markov.MAX_ORDER + 1, False)):
-            rule = hermegauss(order)
-            assert all(np.isfinite(part).all() for part in rule) == finite
+        nodes, weights = hermegauss(markov.MAX_ORDER)
+        assert np.isfinite(nodes).all() and abs(weights.sum() / root_2pi - 1.0) <= 1e-15
+        # the next rule's nodes are finite, but its weights all underflow to 0
+        nodes, weights = hermegauss(markov.MAX_ORDER + 1)
+        assert np.isfinite(nodes).all() and weights.sum() == 0.0
     assert _rules(markov.MAX_ORDER)[0].size == markov.MAX_ORDER
     with mock.patch.object(markov, "hermegauss", side_effect=AssertionError("called")):
         with pytest.raises(QuadratureError):
             _rules(markov.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0 + 1e-11, math.nan, math.inf])
+def test_a_rule_whose_weights_do_not_sum_to_one_is_refused(scale):
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(5)
+    with mock.patch.object(markov, "hermegauss", return_value=(nodes, scale * weights)):
+        with pytest.raises(QuadratureError) as refused:
+            _rules.__wrapped__(5)  # past the cache, which holds the true rule
+    assert refused.value.argument == "order"
+
+
+# s = w, g = w/2 and h = w keep the sign of a zero w through g + h
+_SIGNED = MarkovPayoffs(s_fn=lambda w: w, g_fn=lambda w: 0.5 * w, h_fn=lambda w: w,
+                        agents=AgentPair(1.0, 2.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    field_models().map(lambda model: model.payoffs()) | st.just(_SIGNED),
+    st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([2, 3, 128, 370]),
+)
+@example(_SIGNED, -0.0, 0.5, 2)  # v is -0.0 only if node 0 is w itself
+@example(_SIGNED, 0.0, 0.5, 128)
+def test_terminal_fields_are_the_payoffs_at_w(pay, w, y, order):
+    # at t = 1 the fields read node 0, w + (-0.0), which must be w itself
+    s, g, h = (float(fn(np.array([w]))[0]) for fn in (pay.s_fn, pay.g_fn, pay.h_fn))
+    assert field_v(pay, 1.0, w, order).hex() == (g + h).hex()
+    assert field_p(pay, 1.0, w, y, order).hex() == (g - y * s).hex()
+    assert replication_price(pay, 1.0, w, order).hex() == (g - (g + h)).hex()
 
 
 def test_completeness_invert_expands_a_bracket_with_an_end_at_zero():
@@ -873,7 +909,7 @@ def _outcome(call):
 def _both_inversions(pay, t, w, z, bracket, order=128):
     """(current, reference) outcome pairs for completeness_invert at z and for
     optimal_strategy_markov."""
-    s, g, h = (v[0] for v in _node_values(t, [w], order, pay.s_fn, pay.g_fn, pay.h_fn))
+    s, g, h = _node_values(t, w, order, pay.s_fn, pay.g_fn, pay.h_fn)
     agents = pay.agents
     target = -agents.demander_weight * float(
         _grad_rows(g + h, t, agents.aggregate_aversion, order)
@@ -889,7 +925,7 @@ def _both_inversions(pay, t, w, z, bracket, order=128):
 
 # the default order, and row lengths that leave every SIMD tail: the target and
 # probe rows share one tilt, whose rows must give the bits of separate tilts.
-# The largest is 370: hermegauss(371) has finite nodes but every weight 0
+# The largest is MAX_ORDER, 370: hermegauss(371) has finite nodes but every weight 0
 _ORDERS = st.sampled_from([2, 3, 7, 33, 127, 128, 129, 370])
 
 
@@ -912,7 +948,7 @@ def test_inversion_equals_its_numpy_bookkeeping_form(pay, t, w, z, bracket, orde
 def test_stacked_probe_tilt_equals_separate_tilts(pay, t, w, bracket, order):
     lo, hi = sorted(bracket)
     probes = np.linspace(lo, hi + (lo == hi), 9)
-    s, g, h = (v[0] for v in _node_values(t, [w], order, pay.s_fn, pay.g_fn, pay.h_fn))
+    s, g, h = _node_values(t, w, order, pay.s_fn, pay.g_fn, pay.h_fn)
     gamma, abar = pay.agents.gamma, pay.agents.aggregate_aversion
     separate = _grad_rows(g - np.multiply.outer(probes, s), t, gamma, order).tolist()
     head = float(_grad_rows(g + h, t, abar, order))

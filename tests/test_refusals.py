@@ -27,6 +27,7 @@ from impactlab.markov import (
     QuadraticModel,
     ShockWaveModel,
     _rules,
+    _state_fields,
     completeness_invert,
     field_p,
     field_q,
@@ -171,6 +172,24 @@ REFUSALS = {
     "order-not-computable": (_rules, lambda: _rules(MAX_ORDER + 1), QuadratureError, "order"),
     "order-a-float": (_rules, lambda: _rules(2.5), ParameterError, "order"),
     "order-a-whole-float": (_rules, lambda: _rules(128.0), ParameterError, "order"),  # 128 cached
+    "order-371": (field_v, lambda: field_v(PAYOFFS, 0.5, 0.1, order=371), QuadratureError, "order"),
+    "order-a-float-at-the-end-value": (
+        field_v, lambda: field_v(PAYOFFS, 1.0, 0.1, order=2.5), ParameterError, "order"),
+    "order-below-2-at-the-end-value": (
+        field_v, lambda: field_v(PAYOFFS, 1.0, 0.1, order=1), ParameterError, "order"),
+    "order-a-float-at-the-end-book": (
+        field_p, lambda: field_p(PAYOFFS, 1.0, 0.1, 0.2, order=2.5), ParameterError, "order"),
+    "order-below-2-at-the-end-book": (
+        field_p, lambda: field_p(PAYOFFS, 1.0, 0.1, 0.2, order=1), ParameterError, "order"),
+    "order-a-float-at-the-end-replication": (
+        replication_price, lambda: replication_price(PAYOFFS, 1.0, 0.1, order=2.5), ParameterError,
+        "order"),
+    "order-below-2-at-the-end-replication": (
+        replication_price, lambda: replication_price(PAYOFFS, 1.0, 0.1, order=1), ParameterError,
+        "order"),
+    "order-huge-at-the-end-replication": (
+        replication_price, lambda: replication_price(PAYOFFS, 1.0, 0.1, order=10**6),
+        QuadratureError, "order"),
     "order-a-float-in-a-root": (
         optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 0.5, 0.1, order=2.5),
         ParameterError, "order"),
@@ -201,6 +220,25 @@ REFUSALS = {
     "w-nan-inversion": (
         completeness_invert, lambda: completeness_invert(PAYOFFS, 0.5, math.nan, 0.2), ParameterError,
         "w"),
+    "w-nan-table": (
+        _state_fields, lambda: _state_fields(PAYOFFS, 0.5, np.array([0.1, math.nan]), 0.2),
+        ParameterError, "w"),
+    "w-inf-table": (
+        _state_fields, lambda: _state_fields(PAYOFFS, 0.5, np.array([-math.inf, 0.1]), 0.2),
+        ParameterError, "w"),
+    "y-nan-book": (field_p, lambda: field_p(PAYOFFS, 0.5, 0.1, math.nan), ParameterError, "y"),
+    "y-inf-book": (field_p, lambda: field_p(PAYOFFS, 0.5, 0.1, math.inf), ParameterError, "y"),
+    "y-nan-book-at-the-end": (
+        field_p, lambda: field_p(PAYOFFS, 1.0, 0.1, math.nan), ParameterError, "y"),
+    "y-inf-book-at-the-end": (
+        field_p, lambda: field_p(PAYOFFS, 1.0, 0.1, -math.inf), ParameterError, "y"),
+    "y-nan-book-gradient": (
+        field_q, lambda: field_q(PAYOFFS, 0.5, 0.1, math.nan), ParameterError, "y"),
+    "y-inf-book-gradient": (
+        field_q, lambda: field_q(PAYOFFS, 0.5, 0.1, math.inf), ParameterError, "y"),
+    "y-nan-table": (
+        _state_fields, lambda: _state_fields(PAYOFFS, 0.5, np.array([0.1]), math.nan),
+        ParameterError, "y"),
     "w-inf-strategy": (
         optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 0.5, math.inf),
         ParameterError, "w"),
