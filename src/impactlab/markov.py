@@ -26,7 +26,7 @@ fixed cost of each numpy call, so the calls are few: dv/dw and the first
 bracket's 9 probe residuals come from one tilt of 10 stacked rows, a
 bracket's probe grid is built once and cached, and the bracket bookkeeping
 and Newton run on Python floats, all rounding as float64 arrays do.  On the
-benchmark's ``fields`` pass a root takes about 140-155 us (busy 2-vCPU VM;
+benchmark's ``fields`` pass a root takes about 140-200 us (busy 2-vCPU VM;
 ``tools/time_fields.py`` times it in process).
 
 Two parametric families carry their own closed forms for cross-checks:
@@ -74,7 +74,7 @@ def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
-    total = weights.sum() / math.sqrt(2.0 * math.pi)  # NaN if a weight is, so refused too
+    total = weights.sum() / math.sqrt(2.0 * math.pi)  # a NaN or inf weight fails it too
     if not (np.isfinite(nodes).all() and abs(total - 1.0) <= _WEIGHT_SUM_TOL):
         raise QuadratureError(
             f"Hermite rule of order {order} is not computable in double precision", "order"
@@ -100,9 +100,9 @@ def _check_state(t: float, w, terminal_ok: bool, y: float = 0.0):
     _check_time(t)
     if not terminal_ok and t >= 1.0:
         raise ParameterError("gradient fields need t < 1")
+    if isinstance(w, np.ndarray):  # a table's states: the first non-finite one, if any
+        w = next(iter(w[~np.isfinite(w)]), 0.0)
     for name, x in (("w", w), ("y", y)):
-        if isinstance(x, np.ndarray):  # a table's states: the first non-finite one, if any
-            x = next(iter(x[~np.isfinite(x)]), 0.0)
         if not math.isfinite(x):
             raise ParameterError(f"{name} must be finite, got {x}", name)
 
