@@ -18,12 +18,20 @@ risk premium, convexity, the fee leg of the P&L) is those functions on the
 grid times, built once, read-only, and shared; only x, s*, the endowment
 payoff, the P&L and the terminal wealth are computed per path.  One record
 type holds either a path or a batch: a path is the one-row case.
+
+A per-path record is mostly fixed cost, so ``_record`` keeps it small: the
+shared columns, the interval slices of H' and Y* and the record's fields in
+order are memoised per H' series; a path's two sums (one ``np.vecdot`` each)
+are added as floats; and the frozen record is filled through its
+``__dict__``, without the guarded ``object.__setattr__`` per field of the
+dataclass ``__init__``.  ``dataclasses.replace`` and the public constructor
+give a record with the same fields and bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -210,8 +218,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _shared_columns(scenario: LevyScenario, h_prime):
-    """For one H' series: the record columns every path shares, s_star - x, and
-    the fee leg of the P&L at Y*.  Memoised on the series' bytes."""
+    """For one H' series: the record's fields in their order, the columns every path
+    shares filled in and the rest None; the H' and Y* of each interval, which weigh
+    a path's increments; s_star - x; and the fee leg of the P&L at Y*.  Memoised on
+    the series' bytes."""
     h = np.asarray(h_prime, dtype=float)
     key = (h.shape, h.tobytes())
     entry = scenario._columns_memo[0]
@@ -227,8 +237,11 @@ def _shared_columns(scenario: LevyScenario, h_prime):
         premium = risk_premium(scenario, h, times)
     shared = dict(times=times, h_prime=h.copy(), y_star=y_star, risk_premium=premium,
                   convexity=efficient_convexity(scenario, h, times))
+    shared = {name: _read_only(column) for name, column in shared.items()}
     value = (
-        {name: _read_only(column) for name, column in shared.items()},
+        {field.name: shared.get(field.name) for field in fields(EfficientRecord)},
+        shared["h_prime"][:-1],
+        shared["y_star"][:-1],
         slope_leg,
         _fee_leg(scenario, y_star[:-1]),
     )
@@ -236,16 +249,31 @@ def _shared_columns(scenario: LevyScenario, h_prime):
     return value
 
 
+def _filled(template: dict, x, s_star, endowment, pnl, wealth) -> EfficientRecord:
+    """The ``EfficientRecord`` of ``template``'s shared columns and one path's or batch's
+    own fields, written into its ``__dict__``: the frozen dataclass ``__init__`` would
+    pay one ``object.__setattr__`` a field."""
+    record = object.__new__(EfficientRecord)
+    values = record.__dict__
+    values.update(template)
+    values["x"] = x
+    values["s_star"] = s_star
+    values["endowment_payoff"] = endowment
+    values["trading_pnl"] = pnl
+    values["terminal_wealth"] = wealth
+    return record
+
+
 def _record(scenario: LevyScenario, paths) -> EfficientRecord:
     """One code path for a ``PathSample`` (1-d rows) and a ``PathBatch`` (matrices)."""
-    shared, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
-    endowment = scenario.schedule.h + np.vecdot(paths.increments, shared["h_prime"][:-1])
-    pnl = np.vecdot(paths.increments, shared["y_star"][:-1]) + fee
-    wealth = endowment + pnl
-    if endowment.ndim == 0:
-        endowment, pnl, wealth = float(endowment), float(pnl), float(wealth)
-    return EfficientRecord(x=paths.x, s_star=paths.x + slope_leg, endowment_payoff=endowment,
-                           trading_pnl=pnl, terminal_wealth=wealth, **shared)
+    template, h_left, y_left, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
+    endowment = np.vecdot(paths.increments, h_left)
+    pnl = np.vecdot(paths.increments, y_left)
+    if endowment.ndim == 0:  # a path: floats, which add as float64 scalars do
+        endowment, pnl = float(endowment), float(pnl)
+    endowment = scenario.schedule.h + endowment
+    pnl = pnl + fee
+    return _filled(template, paths.x, paths.x + slope_leg, endowment, pnl, endowment + pnl)
 
 
 def efficient_path_record(scenario: LevyScenario, path: PathSample) -> EfficientRecord:

@@ -99,7 +99,7 @@ def _check_state(t: float, w, terminal_ok: bool, y: float = 0.0):
     infinite factor level w (a float, or any of an array of states) or inventory y."""
     _check_time(t)
     if not terminal_ok and t >= 1.0:
-        raise ParameterError("gradient fields need t < 1")
+        raise ParameterError("gradient fields need t < 1", "t")
     if isinstance(w, np.ndarray):  # a table's states: the first non-finite one, if any
         w = next(iter(w[~np.isfinite(w)]), 0.0)
     for name, x in (("w", w), ("y", y)):

@@ -128,6 +128,19 @@ class ShockSchedule:
         return indices
 
 
+def _check_paths(x: np.ndarray, increments: np.ndarray, h_prime: np.ndarray, ndim: int):
+    """Refuse levels x that are not ``ndim``-d (1 for a path, 2 for a batch's rows) or
+    do not all start at 0, and increments or an H' series of another length."""
+    if x.ndim != ndim or not x.shape[-1]:
+        raise ParameterError(f"x must be a {ndim}-d array of levels from t = 0", "x")
+    if (x[..., 0] != 0.0).any():
+        raise ParameterError("path must start at x = 0", "x")
+    if increments.shape != (*x.shape[:-1], x.shape[-1] - 1):
+        raise ParameterError("inconsistent path array lengths", "increments")
+    if h_prime.shape != x.shape[-1:]:
+        raise ParameterError("inconsistent path array lengths", "h_prime")
+
+
 @dataclass(frozen=True)
 class PathSample:
     """One simulated factor path: levels x (n+1), increments (n), H' series (n+1)."""
@@ -137,10 +150,19 @@ class PathSample:
     h_prime: np.ndarray
 
     def __post_init__(self):
-        if self.x[0] != 0.0:
-            raise ParameterError("path must start at x = 0")
-        if self.x.shape != self.h_prime.shape or self.x.size != self.increments.size + 1:
-            raise ParameterError("inconsistent path array lengths")
+        _check_paths(self.x, self.increments, self.h_prime, 1)
+
+
+def _row_view(x: np.ndarray, increments: np.ndarray, h_prime: np.ndarray) -> PathSample:
+    """The ``PathSample`` of one row of a checked ``PathBatch``, built without the
+    dataclass ``__init__``: only the row's start is tested again, since a batch's
+    arrays can be written in place after its check."""
+    if x[0] != 0.0:
+        raise ParameterError("path must start at x = 0", "x")
+    path = object.__new__(PathSample)
+    values = path.__dict__
+    values["x"], values["increments"], values["h_prime"] = x, increments, h_prime
+    return path
 
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -260,8 +282,10 @@ class PathBatch(Sequence):
 
     ``x`` is (paths, n+1) with column 0 all zero, ``increments`` is
     (paths, n), and the read-only (n+1) series ``h_prime`` is shared by every
-    path.  Indexing gives ``PathSample`` row views (a slice gives a list of
-    them); nothing is copied.
+    path.  The arrays are checked once, at construction, by the rules of a
+    ``PathSample``.  Indexing and iteration give ``PathSample`` row views (a
+    slice gives a list of them); nothing is copied, and a row is not checked
+    again except for its start, x = 0, which a write into ``x`` can break.
     """
 
     x: np.ndarray
@@ -269,13 +293,22 @@ class PathBatch(Sequence):
     h_prime: np.ndarray
     first: int = 0
 
+    def __post_init__(self):
+        _check_paths(self.x, self.increments, self.h_prime, 2)
+
     def __len__(self) -> int:
         return self.x.shape[0]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return PathSample(x=self.x[k], increments=self.increments[k], h_prime=self.h_prime)
+            return [_row_view(x, inc, self.h_prime)
+                    for x, inc in zip(self.x[k], self.increments[k])]
+        return _row_view(self.x[k], self.increments[k], self.h_prime)
+
+    def __iter__(self):
+        h_prime = self.h_prime
+        for x, increments in zip(self.x, self.increments):
+            yield _row_view(x, increments, h_prime)
 
 
 def simulate_batch(
@@ -301,9 +334,10 @@ def simulate_batch(
     increments = np.empty((n_paths, n))
     bit_generator = np.random.PCG64(0)  # every path sets its own state
     rng = np.random.Generator(bit_generator)
+    sample, dt = model.sample_increments, grid.dt
     for row, state in zip(increments, _pcg64_states(_stream_words(seed, first, n_paths))):
         bit_generator.state = state
-        row[:] = model.sample_increments(rng, grid.dt, n)
+        row[:] = sample(rng, dt, n)
     x = np.empty((n_paths, n + 1))
     x[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=x[:, 1:])

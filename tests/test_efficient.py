@@ -1,5 +1,6 @@
 """Closed-form efficient market: strategy, prices, P&L, allocation value."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from impactlab import (
     AgentPair,
     Brownian,
     DomainError,
+    EfficientRecord,
     GammaProcess,
     LevyScenario,
     NonDifferentiableError,
@@ -381,3 +383,26 @@ def test_stable_convexity_is_zero_at_maturity_for_a_tiny_argument():
         record = efficient_batch_record(scn, simulate_batch(scn.model, scn.grid, scn.schedule, 5, 3))
     assert np.all(np.isinf(column[:-1])) and column[-1] == 0.0
     assert np.array_equal(record.convexity, column)
+
+
+RECORD_FIELDS = ["times", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity",
+                 "endowment_payoff", "trading_pnl", "terminal_wealth"]
+
+
+@pytest.mark.parametrize("scn", list(_family_scenarios()), ids=["brownian", "gamma", "stable"])
+def test_a_path_record_is_a_frozen_record_of_ten_fields(scn):
+    batch = simulate_batch(scn.model, scn.grid, scn.schedule, seed=11, n_paths=3)
+    for rec in (efficient_path_record(scn, batch[1]), efficient_batch_record(scn, batch)):
+        assert type(rec) is EfficientRecord
+        assert [f.name for f in dataclasses.fields(rec)] == RECORD_FIELDS == list(vars(rec))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.terminal_wealth = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.x
+        copy = dataclasses.replace(rec)
+        assert type(copy) is EfficientRecord and copy is not rec
+        for name in RECORD_FIELDS:
+            got, want = getattr(copy, name), getattr(rec, name)
+            assert type(got) is type(want) and same_bits(got, want), name
+    path = efficient_path_record(scn, batch[1])
+    assert all(type(getattr(path, name)) is float for name in RECORD_FIELDS[-3:])

@@ -1,5 +1,6 @@
 """Path simulation: exact marginals, schedules, reproducibility, batches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from impactlab import (
     GammaProcess,
     OneSidedStable,
     ParameterError,
+    PathBatch,
     PathGrid,
+    PathSample,
     ScheduleError,
     ShockSchedule,
     simulate_batch,
@@ -228,3 +231,54 @@ def test_numpy_integer_seeds_and_indices_are_accepted():
     batch = simulate_batch(model, grid, sched, np.int64(9), 2, first=np.uint32(4))
     assert batch.first == 4 and type(batch.first) is int
     assert (batch.x == simulate_batch(model, grid, sched, 9, 2, first=4).x).all()
+
+
+def _batch():
+    sched = ShockSchedule(0.3, ((0.5, 0.2),))
+    return simulate_batch(GammaProcess(2.0, 1.0), PathGrid(8), sched, 5, 6, first=3)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_batch_is_checked_at_construction():
+    batch = _batch()
+    x, inc, h = batch.x.copy(), batch.increments.copy(), batch.h_prime
+    assert PathBatch(x, inc, h, first=3).first == 3
+    x[4, 0] = 1e-300
+    with pytest.raises(ParameterError, match="start at x = 0") as refused:
+        PathBatch(x, inc, h)
+    assert refused.value.argument == "x"
+    for argument, arrays in (("increments", (batch.x, inc[:, :-1], h)),
+                             ("increments", (batch.x, inc[:-1], h)),
+                             ("h_prime", (batch.x, inc, h[:-1])),
+                             ("x", (batch.x[0], inc[0], h))):
+        with pytest.raises(ParameterError) as refused:
+            PathBatch(*arrays)
+        assert refused.value.argument == argument
+
+
+def test_a_row_written_away_from_zero_after_construction_is_refused_at_access():
+    batch = _batch()
+    batch.x[2, 0] = math.nan
+    assert batch[1].x[0] == 0.0 and len(batch[3:]) == 3  # the other rows still read
+    for access in (lambda: batch[2], lambda: batch[-4], lambda: batch[1:3], lambda: list(batch)):
+        with pytest.raises(ParameterError, match="start at x = 0") as refused:
+            access()
+        assert refused.value.argument == "x"
+
+
+def test_rows_are_path_samples_with_the_public_constructors_bits():
+    batch = _batch()
+    public = [PathSample(x=batch.x[k], increments=batch.increments[k], h_prime=batch.h_prime)
+              for k in range(len(batch))]
+    for rows in (list(batch), [batch[k] for k in range(len(batch))], batch[:], batch[::-1][::-1]):
+        assert [type(row) for row in rows] == [PathSample] * len(batch)
+        for row, want in zip(rows, public):
+            assert list(vars(row)) == list(vars(want)) == ["x", "increments", "h_prime"]
+            assert row.x.base is batch.x and row.increments.base is batch.increments
+            assert row.h_prime is batch.h_prime
+            assert all(_same_bits(vars(row)[name], vars(want)[name]) for name in vars(want))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        batch[0].x = batch.x[1]

@@ -36,7 +36,14 @@ from impactlab.markov import (
     optimal_strategy_markov,
     replication_price,
 )
-from impactlab.paths import PathGrid, ShockSchedule, simulate_batch, simulate_path
+from impactlab.paths import (
+    PathBatch,
+    PathGrid,
+    PathSample,
+    ShockSchedule,
+    simulate_batch,
+    simulate_path,
+)
 from impactlab.utility import AgentPair, SampleSet
 
 AGENTS = AgentPair(1.0, 1.0)
@@ -242,6 +249,48 @@ REFUSALS = {
     "w-inf-strategy": (
         optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 0.5, math.inf),
         ParameterError, "w"),
+    "t-one-gradient": (field_u, lambda: field_u(PAYOFFS, 1.0, 0.1), ParameterError, "t"),
+    "t-one-book-gradient": (
+        field_q, lambda: field_q(PAYOFFS, 1.0, 0.1, 0.2), ParameterError, "t"),
+    "t-one-inversion": (
+        completeness_invert, lambda: completeness_invert(PAYOFFS, 1.0, 0.1, 0.2), ParameterError,
+        "t"),
+    "t-one-strategy": (
+        optimal_strategy_markov, lambda: optimal_strategy_markov(PAYOFFS, 1.0, 0.1),
+        ParameterError, "t"),
+    "t-one-table": (
+        _state_fields, lambda: _state_fields(PAYOFFS, 1.0, np.array([0.1]), 0.2), ParameterError,
+        "t"),
+    "path-start-nonzero": (
+        PathSample, lambda: PathSample(np.array([0.5, 1.0]), np.zeros(1), np.zeros(2)),
+        ParameterError, "x"),
+    "path-start-nan": (
+        PathSample, lambda: PathSample(np.array([math.nan, 1.0]), np.zeros(1), np.zeros(2)),
+        ParameterError, "x"),
+    "path-levels-a-matrix": (
+        PathSample, lambda: PathSample(np.zeros((1, 2)), np.zeros(1), np.zeros(2)),
+        ParameterError, "x"),
+    "path-increments-of-another-length": (
+        PathSample, lambda: PathSample(np.zeros(3), np.zeros(3), np.zeros(3)), ParameterError,
+        "increments"),
+    "path-h-prime-of-another-length": (
+        PathSample, lambda: PathSample(np.zeros(3), np.zeros(2), np.zeros(2)), ParameterError,
+        "h_prime"),
+    "batch-start-nonzero": (
+        PathBatch, lambda: PathBatch(np.array([[0.0, 1.0], [0.5, 1.0]]), np.zeros((2, 1)),
+                                     np.zeros(2)),
+        ParameterError, "x"),
+    "batch-levels-a-row": (
+        PathBatch, lambda: PathBatch(np.zeros(2), np.zeros(1), np.zeros(2)), ParameterError, "x"),
+    "batch-increments-of-another-length": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3)),
+        ParameterError, "increments"),
+    "batch-increments-of-another-count": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3)),
+        ParameterError, "increments"),
+    "batch-h-prime-of-another-length": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2)),
+        ParameterError, "h_prime"),
 }
 
 

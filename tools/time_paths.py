@@ -14,6 +14,13 @@ the library pass of the benchmark's ``montecarlo`` workload; 65 paths of
 median wall time and a sha256 digest of what the call returned (the words
 or the increments), so that two checkouts' outputs can be compared.
 
+The per-path line times that library pass's shape: ``simulate_batch`` of
+4,000 gamma paths of 16 steps in the scenario of ``montecarlo`` (workload
+seed ``--seed``), the batch iterated twice, once for ``efficient_path_record``
+on each row and once for each path's last level.  Its digest covers every
+record's x, s_star and wealth split (endowment payoff, trading P&L, terminal
+wealth), in path order.
+
 The last two lines run ``levy-sim`` and ``shockwave`` in process, through
 ``impactlab.cli.main``, at the command-line configs of ``montecarlo``
 (``bench/workloads.py``, workload seed ``--seed``).  Each times one path-file
@@ -38,12 +45,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "bench"))
 
 from impactlab import Brownian, GammaProcess, PathGrid, ShockSchedule  # noqa: E402
 from impactlab.cli import main as cli_main  # noqa: E402
+from impactlab.efficient import efficient_path_record  # noqa: E402
 from impactlab.paths import _stream_words, simulate_batch, simulate_path  # noqa: E402
 from time_dp import median_seconds  # noqa: E402
 from workloads import MonteCarlo  # noqa: E402
@@ -52,6 +62,21 @@ from workloads import MonteCarlo  # noqa: E402
 def report(label, seconds, array):
     digest = hashlib.sha256(array.tobytes()).hexdigest()[:16]
     print(f"{label}: median {seconds * 1e6:.0f} us; sha256 {digest}")
+
+
+def path_pass(scenario, seed, n_paths):
+    """The records and last levels of the ``montecarlo`` library pass, one row at a time."""
+    batch = simulate_batch(scenario.model, scenario.grid, scenario.schedule, seed, n_paths)
+    records = [efficient_path_record(scenario, path) for path in batch]
+    return records, [path.x[-1] for path in batch]
+
+
+def records_digest(records):
+    digest = hashlib.sha256()
+    for r in records:
+        split = np.array([r.endowment_payoff, r.trading_pnl, r.terminal_wealth])
+        digest.update(r.x.tobytes() + r.s_star.tobytes() + split.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def files_digest(out):
@@ -118,6 +143,14 @@ def main(argv=None):
     seconds, path = median_seconds(
         lambda: simulate_path(GammaProcess(2.0, 3.0), grid, schedule, seed, 7), repeats)
     report("simulate_path GammaProcess 16 steps", seconds, path.increments)
+
+    workload = MonteCarlo(seed)
+    workload.build()
+    seconds, (records, _) = median_seconds(
+        lambda: path_pass(workload.scenario, workload.api_seed, workload.API_PATHS), repeats)
+    print(f"per-path pass GammaProcess {workload.API_PATHS} x {workload.API_GRID}, iterated "
+          f"twice, efficient_path_record a row: median {seconds * 1e3:.1f} ms "
+          f"({seconds / workload.API_PATHS * 1e6:.1f} us a path); sha256 {records_digest(records)}")
 
     cpus = len(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="time_paths-") as scratch:
