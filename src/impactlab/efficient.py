@@ -20,18 +20,18 @@ payoff, the P&L and the terminal wealth are computed per path.  One record
 type holds either a path or a batch: a path is the one-row case.
 
 A per-path record is mostly fixed cost, so ``_record`` keeps it small: the
-shared columns, the interval slices of H' and Y* and the record's fields in
-order are memoised per H' series; a path's two sums (one ``np.vecdot`` each)
-are added as floats; and the frozen record is filled through its
-``__dict__``, without the guarded ``object.__setattr__`` per field of the
-dataclass ``__init__``.  ``dataclasses.replace`` and the public constructor
-give a record with the same fields and bytes.
+shared columns and the interval slices of H' and Y* are memoised per H'
+series; a path's two sums (one ``np.vecdot`` each) are added as floats; and
+the frozen record is filled through its ``__dict__``, in field order, without
+the guarded ``object.__setattr__`` per field of the dataclass ``__init__``.
+``dataclasses.replace`` and the public constructor give a record with the
+same fields and bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -218,10 +218,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _shared_columns(scenario: LevyScenario, h_prime):
-    """For one H' series: the record's fields in their order, the columns every path
-    shares filled in and the rest None; the H' and Y* of each interval, which weigh
-    a path's increments; s_star - x; and the fee leg of the P&L at Y*.  Memoised on
-    the series' bytes."""
+    """For one H' series: the record columns every path shares (times, h_prime,
+    y_star, risk_premium, convexity, in field order); the H' and Y* of each
+    interval, which weigh a path's increments; s_star - x; and the fee leg of the
+    P&L at Y*.  Memoised on the series' bytes."""
     h = np.asarray(h_prime, dtype=float)
     key = (h.shape, h.tobytes())
     entry = scenario._columns_memo[0]
@@ -235,29 +235,28 @@ def _shared_columns(scenario: LevyScenario, h_prime):
         premium = np.full_like(h, math.nan)
     else:
         premium = risk_premium(scenario, h, times)
-    shared = dict(times=times, h_prime=h.copy(), y_star=y_star, risk_premium=premium,
-                  convexity=efficient_convexity(scenario, h, times))
-    shared = {name: _read_only(column) for name, column in shared.items()}
-    value = (
-        {field.name: shared.get(field.name) for field in fields(EfficientRecord)},
-        shared["h_prime"][:-1],
-        shared["y_star"][:-1],
-        slope_leg,
-        _fee_leg(scenario, y_star[:-1]),
-    )
+    shared = tuple(_read_only(column) for column in (
+        times, h.copy(), y_star, premium, efficient_convexity(scenario, h, times)))
+    value = (shared, shared[1][:-1], y_star[:-1], slope_leg, _fee_leg(scenario, y_star[:-1]))
     scenario._columns_memo[0] = (key, value)
     return value
 
 
-def _filled(template: dict, x, s_star, endowment, pnl, wealth) -> EfficientRecord:
-    """The ``EfficientRecord`` of ``template``'s shared columns and one path's or batch's
-    own fields, written into its ``__dict__``: the frozen dataclass ``__init__`` would
-    pay one ``object.__setattr__`` a field."""
+def _filled(shared: tuple, x, s_star, endowment, pnl, wealth) -> EfficientRecord:
+    """The ``EfficientRecord`` of the ``shared`` columns and one path's or batch's own
+    fields, written into its ``__dict__`` where the frozen dataclass ``__init__`` would
+    pay one ``object.__setattr__`` a field.  Written in field order, as ``__init__``
+    writes them, the dict keeps sharing its keys with every other record's."""
+    times, h_prime, y_star, premium, convexity = shared
     record = object.__new__(EfficientRecord)
     values = record.__dict__
-    values.update(template)
+    values["times"] = times
     values["x"] = x
+    values["h_prime"] = h_prime
+    values["y_star"] = y_star
     values["s_star"] = s_star
+    values["risk_premium"] = premium
+    values["convexity"] = convexity
     values["endowment_payoff"] = endowment
     values["trading_pnl"] = pnl
     values["terminal_wealth"] = wealth
@@ -266,14 +265,14 @@ def _filled(template: dict, x, s_star, endowment, pnl, wealth) -> EfficientRecor
 
 def _record(scenario: LevyScenario, paths) -> EfficientRecord:
     """One code path for a ``PathSample`` (1-d rows) and a ``PathBatch`` (matrices)."""
-    template, h_left, y_left, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
+    shared, h_left, y_left, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
     endowment = np.vecdot(paths.increments, h_left)
     pnl = np.vecdot(paths.increments, y_left)
     if endowment.ndim == 0:  # a path: floats, which add as float64 scalars do
         endowment, pnl = float(endowment), float(pnl)
     endowment = scenario.schedule.h + endowment
     pnl = pnl + fee
-    return _filled(template, paths.x, paths.x + slope_leg, endowment, pnl, endowment + pnl)
+    return _filled(shared, paths.x, paths.x + slope_leg, endowment, pnl, endowment + pnl)
 
 
 def efficient_path_record(scenario: LevyScenario, path: PathSample) -> EfficientRecord:

@@ -243,20 +243,14 @@ def _same_bits(a, b):
 
 
 def test_a_batch_is_checked_at_construction():
+    """Any row's start counts; tests/test_refusals.py holds the shape refusals."""
     batch = _batch()
-    x, inc, h = batch.x.copy(), batch.increments.copy(), batch.h_prime
-    assert PathBatch(x, inc, h, first=3).first == 3
+    x = batch.x.copy()
+    assert PathBatch(x, batch.increments, batch.h_prime, first=3).first == 3
     x[4, 0] = 1e-300
     with pytest.raises(ParameterError, match="start at x = 0") as refused:
-        PathBatch(x, inc, h)
+        PathBatch(x, batch.increments, batch.h_prime)
     assert refused.value.argument == "x"
-    for argument, arrays in (("increments", (batch.x, inc[:, :-1], h)),
-                             ("increments", (batch.x, inc[:-1], h)),
-                             ("h_prime", (batch.x, inc, h[:-1])),
-                             ("x", (batch.x[0], inc[0], h))):
-        with pytest.raises(ParameterError) as refused:
-            PathBatch(*arrays)
-        assert refused.value.argument == argument
 
 
 def test_a_row_written_away_from_zero_after_construction_is_refused_at_access():
