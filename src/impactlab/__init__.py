@@ -15,7 +15,9 @@ module, and ``from impactlab import X`` imports only X's layer and the layers
 that one imports (``QuadraticModel`` loads ``markov``, ``utility`` and
 ``errors``, not ``dp`` or ``paths``).  A name is looked up in its layer on
 every access, so a rebinding of ``impactlab.<layer>.<name>`` is seen through
-the package too.  ``impactlab.cli`` still imports every layer at its top.
+the package too.  ``impactlab.cli`` imports ``errors`` and ``utility`` and
+registers the other layers as lazy modules, so a CLI mode runs only the
+layers it uses (``markov-fields``: ``markov``, ``utility`` and ``errors``).
 """
 
 import importlib

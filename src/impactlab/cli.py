@@ -9,7 +9,7 @@ included, is read as YAML 1.2 by PyYAML, which is imported only then.
 Validation checks each field's type and shape, then builds each library
 object the run needs, once.  A ``model`` section names its model by
 ``family`` (``levy-sim``) or ``kind``; ``_FAMILIES`` and ``_KINDS`` give each
-model's library type and fields, with their defaults, and one reader,
+model's layer, type name and fields, with their defaults, and one reader,
 ``_model``, builds every model from them (the ``black-scholes`` kind, a
 payoff set, has its own builder).  A malformed field, an ``out`` under a
 file, or a rule a library object refuses (an ArgumentError, whose
@@ -30,6 +30,15 @@ path-independent columns once per run, into a row template that each path
 file fills with its own columns.  ``_emit_path_files`` writes a block's path
 files from up to one process per CPU; their bytes do not depend on that count.
 
+A mode runs the code of only the layers it uses.  ``errors`` and ``utility``,
+which every mode uses, are imported at the top; ``_lazy`` registers
+``cumulants``, ``dp``, ``efficient``, ``markov`` and ``paths`` in
+``sys.modules`` as lazy modules, whose code runs when a name is first read
+from them.  So ``markov-fields`` runs ``markov``; ``dp-value`` and
+``convergence`` run ``dp`` and ``markov``; ``levy-sim`` runs ``cumulants``,
+``paths`` and ``efficient``; ``shockwave`` runs ``cumulants``, ``paths`` and
+``markov``; ``verify`` runs every layer.
+
 ``run`` is the process entry of ``python -m impactlab.cli`` and the
 ``impactlab`` script: it calls ``main`` and freezes the garbage collector
 (``gc.freeze()``) before the process exits, so the interpreter's shutdown
@@ -42,6 +51,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import importlib.util
 import itertools
 import json
 import math
@@ -57,31 +67,24 @@ from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .cumulants import Brownian, GammaProcess, OneSidedStable
-from .dp import (
-    DpScenario,
-    Lattice,
-    buy_and_hold_position,
-    convergence_study,
-    emm_eipu,
-    no_rebalance_check,
-    value_recursion,
-)
-from .efficient import LevyScenario, allocation_value, efficient_batch_record
 from .errors import ArgumentError, ConfigError, NoRootError
-from .markov import (
-    MarkovPayoffs,
-    QuadraticModel,
-    ShockWaveModel,
-    _rules,
-    _state_fields,
-    quadratic_closed_forms,
-    shockwave_batch,
-    shockwave_price,
-    shockwave_strategy,
-)
-from .paths import PathGrid, ShockSchedule, simulate_batch
 from .utility import AgentPair
+
+
+def _lazy(layer: str):
+    """The package's module ``layer``, in ``sys.modules``; its code runs when a name is
+    first read from it, so a mode runs only the layers it uses."""
+    name = f"{__package__}.{layer}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+cumulants, dp, efficient, markov, paths = map(_lazy, ("cumulants", "dp", "efficient", "markov",
+                                                      "paths"))
 
 SCHEMA_VERSION = 1
 
@@ -289,25 +292,26 @@ def _agents(root: Section) -> AgentPair:
         return AgentPair(gamma=gamma, c=c)
 
 
-# each model a model section names by its family (levy-sim) or kind: its library
-# type and its fields, in read order, each with its default (_REQUIRED: none)
-_FAMILIES = {"brownian": (Brownian, dict(b=_REQUIRED, sigma=_REQUIRED)),
-             "gamma": (GammaProcess, dict(alpha=_REQUIRED, beta=_REQUIRED)),
-             "stable": (OneSidedStable, dict(r=_REQUIRED, alpha=_REQUIRED))}
-_KINDS = {"quadratic": (QuadraticModel, dict(g_load=0.0, mu=0.0, sigma=_REQUIRED, a_lin=0.0,
-                                             b_quad=0.0, h_const=0.0)),
-          "shockwave": (ShockWaveModel, dict(mu=0.0, sigma=_REQUIRED, w_c=_REQUIRED, offset=0.0))}
+# each model a model section names by its family (levy-sim) or kind: its layer and
+# type name, and its fields, in read order, each with its default (_REQUIRED: none)
+_FAMILIES = {"brownian": ((cumulants, "Brownian"), dict(b=_REQUIRED, sigma=_REQUIRED)),
+             "gamma": ((cumulants, "GammaProcess"), dict(alpha=_REQUIRED, beta=_REQUIRED)),
+             "stable": ((cumulants, "OneSidedStable"), dict(r=_REQUIRED, alpha=_REQUIRED))}
+_KINDS = {"quadratic": ((markov, "QuadraticModel"), dict(g_load=0.0, mu=0.0, sigma=_REQUIRED,
+                                                         a_lin=0.0, b_quad=0.0, h_const=0.0)),
+          "shockwave": ((markov, "ShockWaveModel"), dict(mu=0.0, sigma=_REQUIRED, w_c=_REQUIRED,
+                                                         offset=0.0))}
 
 
 def _model(sec: Section, selector: str, name: str, table, **given):
     """Model ``name`` of ``table``, built from the arguments ``given`` and its fields
     in the model section ``sec``, whose other key can only be ``selector``, the
     field that named it."""
-    model, fields = table[name]
+    (layer, type_name), fields = table[name]
     sec.require_keys({selector, *fields})
     with _refusals(sec.prefix):
-        return model(**{field: sec.number(field, default) for field, default in fields.items()},
-                     **given)
+        return getattr(layer, type_name)(
+            **{field: sec.number(field, default) for field, default in fields.items()}, **given)
 
 
 def _levy_model(root: Section):
@@ -315,7 +319,7 @@ def _levy_model(root: Section):
     return _model(sec, "family", sec.string("family", choices=tuple(_FAMILIES)), _FAMILIES)
 
 
-def _schedule(root: Section) -> ShockSchedule:
+def _schedule(root: Section) -> paths.ShockSchedule:
     sec = root.section("schedule", required=False)
     sec.require_keys({"initial_value", "h", "shocks"})
     initial = sec.number("initial_value", default=0.0)
@@ -324,10 +328,10 @@ def _schedule(root: Section) -> ShockSchedule:
     if not isinstance(shocks, (list, tuple)):
         raise ConfigError(sec.path("shocks"), "must be a list of [time, jump] pairs")
     with _refusals(sec.prefix):
-        return ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
+        return paths.ShockSchedule(initial_value=initial, shocks=tuple(shocks), h=h)
 
 
-def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> MarkovPayoffs:
+def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> markov.MarkovPayoffs:
     sec.require_keys({"kind", "zeta", "sigma", "alpha", "mu"})
     zeta = sec.number("zeta", positive=True)
     sigma = sec.number("sigma", positive=True)
@@ -351,10 +355,10 @@ def _black_scholes_payoffs(sec: Section, agents: AgentPair) -> MarkovPayoffs:
         w = np.asarray(w, dtype=float)
         return alpha * sigma * w - h_fn(w)
 
-    return MarkovPayoffs(s_fn=s_fn, g_fn=g_fn, h_fn=h_fn, agents=agents)
+    return markov.MarkovPayoffs(s_fn=s_fn, g_fn=g_fn, h_fn=h_fn, agents=agents)
 
 
-def _dp_payoffs(root: Section, agents: AgentPair) -> MarkovPayoffs:
+def _dp_payoffs(root: Section, agents: AgentPair) -> markov.MarkovPayoffs:
     sec = root.section("model")
     kind = sec.string("kind", choices=("black-scholes", *_KINDS))
     if kind == "black-scholes":
@@ -384,15 +388,15 @@ def _over_budget(field: str, what: str, need: float) -> None:
 _PATH_BYTES_PER_POINT = 300
 
 
-def _path_grid(root: Section, default: int) -> PathGrid:
+def _path_grid(root: Section, default: int) -> paths.PathGrid:
     """The path modes' grid, refused over the memory budget."""
     n_steps = root.integer("grid", default, minimum=1)
     _over_budget("grid", f"a path grid of {n_steps} steps", _PATH_BYTES_PER_POINT * (n_steps + 1))
-    return PathGrid(n_steps)
+    return paths.PathGrid(n_steps)
 
 
 def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool = True,
-                 lattice_field: str = "lattice_n") -> DpScenario:
+                 lattice_field: str = "lattice_n") -> dp.DpScenario:
     """``lattice_n`` is the largest lattice the run will build, set by ``lattice_field``.
     A recursion over the memory budget even on the coarsest grid (two points)
     names that field, since no resolution helps; otherwise ``y_resolution``."""
@@ -401,19 +405,19 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool 
     lo, hi = adm.number("lo"), adm.number("hi")
     resolution = root.number("y_resolution", default=1e-3, positive=True)
     points = (hi - lo) / resolution + 1.0  # float: a tiny resolution must not overflow
-    lattice = Lattice(lattice_n)
+    lattice = dp.Lattice(lattice_n)
     for field, grid in ((lattice_field, 2.0), ("y_resolution", points)):
         _over_budget(field, f"the recursion at n={lattice_n} on {grid:.4g} grid points",
                      _DP_BYTES_PER_CELL * lattice.working_cells(grid, refine))
     payoffs = _dp_payoffs(root, agents)
     with _refusals():
-        return DpScenario(lattice, payoffs, (lo, hi), resolution)
+        return dp.DpScenario(lattice, payoffs, (lo, hi), resolution)
 
 
 def _quad_order(root: Section) -> int:
     order = root.integer("order", default=128)
     with _refusals():
-        _rules(order)
+        markov._rules(order)
     return order
 
 
@@ -594,11 +598,13 @@ def _emit_path_files(files, header: Sequence[str], template: _RowTemplate) -> No
 _PATH_BLOCK_VALUES = 1 << 16  # path levels per simulated block: memory stays bounded
 
 
-def _path_blocks(model, grid: PathGrid, schedule: ShockSchedule, seed: int, n_paths: int):
+def _path_blocks(model, grid: paths.PathGrid, schedule: paths.ShockSchedule, seed: int,
+                 n_paths: int):
     """Consecutive ``PathBatch`` blocks of paths 0..n_paths-1."""
     rows = max(1, _PATH_BLOCK_VALUES // (grid.n_steps + 1))
     for first in range(0, n_paths, rows):
-        yield simulate_batch(model, grid, schedule, seed, min(rows, n_paths - first), first=first)
+        yield paths.simulate_batch(model, grid, schedule, seed, min(rows, n_paths - first),
+                                   first=first)
 
 
 def _note(quiet: bool, message: str, stream=None) -> None:
@@ -651,15 +657,15 @@ def _run_levy_sim(args) -> int:
     out = _out_path(root, args)
 
     with _refusals():
-        scenario = LevyScenario(model, agents, loading, schedule, grid)
+        scenario = efficient.LevyScenario(model, agents, loading, schedule, grid)
 
     width = _path_width(n_paths)
-    alloc = allocation_value(scenario)
+    alloc = efficient.allocation_value(scenario)
     header = ("t", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity")
     template, summary = None, []
     with _staged(out, args.quiet) as stage:
         for batch in _path_blocks(model, grid, schedule, seed, n_paths):
-            record = efficient_batch_record(scenario, batch)
+            record = efficient.efficient_batch_record(scenario, batch)
             if template is None:
                 template = _row_template((record.times, None, record.h_prime, record.y_star,
                                           None, record.risk_premium, record.convexity))
@@ -700,11 +706,11 @@ def _run_markov_fields(args) -> int:
     model = _model(sec, "kind", kind, _KINDS, agents=agents)
     if kind == "quadratic":
         def closed(t, w):
-            forms = quadratic_closed_forms(model, t, w)
+            forms = markov.quadratic_closed_forms(model, t, w)
             return forms.y_star, forms.s_star
     else:
         def closed(t, w):
-            return shockwave_strategy(model, t, w), shockwave_price(model, t, w)
+            return markov.shockwave_strategy(model, t, w), markov.shockwave_price(model, t, w)
 
     out = _out_path(root, args)
     payoffs = model.payoffs()
@@ -714,8 +720,8 @@ def _run_markov_fields(args) -> int:
         for t in times:
             for start in range(0, count, _BLOCK_ROWS):
                 ws = w[start:start + _BLOCK_ROWS]
-                yield (np.full(len(ws), t), ws, *_state_fields(payoffs, t, ws, inventory, order),
-                       *closed(t, ws))
+                yield (np.full(len(ws), t), ws,
+                       *markov._state_fields(payoffs, t, ws, inventory, order), *closed(t, ws))
 
     with _staged(out, args.quiet) as stage:
         emit_csv(stage / "markov_fields.csv", ("t", "w", "v", "u", "p", "q", "y_star", "s_star"),
@@ -736,13 +742,13 @@ def _run_shockwave(args) -> int:
     grid = _path_grid(root, 1000)
     out = _out_path(root, args)
 
-    driver = Brownian(b=0.0, sigma=1.0)
+    driver = cumulants.Brownian(b=0.0, sigma=1.0)
     width = _path_width(n_paths)
     header = ("t", "W", "S_star", "Y_star", "wave_position")
     template = None
     with _staged(out, args.quiet) as stage:
-        for batch in _path_blocks(driver, grid, ShockSchedule(), seed, n_paths):
-            record = shockwave_batch(model, batch, grid)
+        for batch in _path_blocks(driver, grid, paths.ShockSchedule(), seed, n_paths):
+            record = markov.shockwave_batch(model, batch, grid)
             if template is None:
                 template = _row_template((record.times, None, None, None, record.wave_position))
             rows = zip(itertools.count(batch.first), record.w, record.s_star, record.y_star)
@@ -763,11 +769,11 @@ def _run_dp_value(args) -> int:
     emm_root = root.boolean("emm_root", default=False)
     if buy_and_hold:
         with _refusals("buy_and_hold"):
-            buy_and_hold_position(scenario)
+            dp.buy_and_hold_position(scenario)
     out = _out_path(root, args)
 
     # every result is computed before the first file is written; each file is one row
-    result = value_recursion(scenario, refine=refine)
+    result = dp.value_recursion(scenario, refine=refine)
     _note_bound_hits(args.quiet, lattice_n, result.bound_hits)
     outputs = [(
         "dp_value.csv",
@@ -775,7 +781,7 @@ def _run_dp_value(args) -> int:
         (lattice_n, result.value, float(result.policies[0][0]), result.pi0_g),
     )]
     if buy_and_hold:
-        report = no_rebalance_check(scenario, result=result)
+        report = dp.no_rebalance_check(scenario, result=result)
         outputs.append((
             "dp_buy_and_hold.csv",
             ("y_star", "is_buy_and_hold", "value_gap", "max_policy_deviation"),
@@ -784,7 +790,7 @@ def _run_dp_value(args) -> int:
         ))
     if emm_root:
         outputs.append(
-            ("dp_emm.csv", ("n", "s_star_root"), (lattice_n, emm_eipu(scenario, 0, 0)))
+            ("dp_emm.csv", ("n", "s_star_root"), (lattice_n, dp.emm_eipu(scenario, 0, 0)))
         )
     with _staged(out, args.quiet) as stage:
         for name, header, row in outputs:
@@ -813,7 +819,7 @@ def _run_convergence(args) -> int:
     scenario = _dp_scenario(root, agents, n_list[-1], refine, f"n_list[{len(n_list) - 1}]")
     out = _out_path(root, args)
 
-    table = convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
+    table = dp.convergence_study(scenario, n_list, limit=limit, refine=refine, order=order)
     for row in table:
         _note_bound_hits(args.quiet, row.n, row.bound_hits)
     with _staged(out, args.quiet) as stage:

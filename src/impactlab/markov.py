@@ -44,7 +44,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import NoRootError, ParameterError, PreconditionError, QuadratureError, _whole_number
 from .utility import AgentPair, _check_time, _divide, ce, newton_root, tilted_mean, tilted_moments
@@ -72,6 +71,8 @@ def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
             f"Hermite rule of order {order} is not computable in double precision"
             f" (the largest is {MAX_ORDER})", "order"
         )
+    from numpy.polynomial.hermite_e import hermegauss  # here: numpy.polynomial costs 3-5 ms
+
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
     total = weights.sum() / math.sqrt(2.0 * math.pi)  # a NaN or inf weight fails it too

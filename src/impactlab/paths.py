@@ -283,9 +283,10 @@ class PathBatch(Sequence):
     ``x`` is (paths, n+1) with column 0 all zero, ``increments`` is
     (paths, n), and the read-only (n+1) series ``h_prime`` is shared by every
     path.  The arrays are checked once, at construction, by the rules of a
-    ``PathSample``.  Indexing and iteration give ``PathSample`` row views (a
-    slice gives a list of them); nothing is copied, and a row is not checked
-    again except for its start, x = 0, which a write into ``x`` can break.
+    ``PathSample``, and ``first`` as ``simulate_batch`` checks it.  Indexing
+    and iteration give ``PathSample`` row views (a slice gives a list of
+    them); nothing is copied, and a row is not checked again except for its
+    start, x = 0, which a write into ``x`` can break.
     """
 
     x: np.ndarray
@@ -295,6 +296,7 @@ class PathBatch(Sequence):
 
     def __post_init__(self):
         _check_paths(self.x, self.increments, self.h_prime, 2)
+        object.__setattr__(self, "first", _whole_number(self.first, "first"))
 
     def __len__(self) -> int:
         return self.x.shape[0]

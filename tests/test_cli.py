@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -326,8 +327,9 @@ def test_an_out_with_a_file_in_its_way_is_refused_up_front(tmp_path, capsys, mon
     def never(*args, **kwargs):
         raise AssertionError("the computation must not start")
 
-    for name in ("simulate_batch", "_state_fields", "value_recursion", "convergence_study"):
-        monkeypatch.setattr(cli, name, never)
+    for layer, name in (("paths", "simulate_batch"), ("markov", "_state_fields"),
+                        ("dp", "value_recursion"), ("dp", "convergence_study")):
+        monkeypatch.setattr(getattr(cli, layer), name, never)
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
     out = str(blocker / under) if under else str(blocker)
@@ -555,7 +557,7 @@ def test_path_file_bytes_do_not_depend_on_the_writer_count(tmp_path, monkeypatch
 def test_markov_fields_failure_mid_table_writes_nothing(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, markov_config(out))
-    real, calls = cli._state_fields, []
+    real, calls = cli.markov._state_fields, []
 
     def failing(*args, **kwargs):
         calls.append(args)
@@ -563,7 +565,7 @@ def test_markov_fields_failure_mid_table_writes_nothing(tmp_path, monkeypatch, c
             raise QuadratureError("injected failure at the second t")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_state_fields", failing)
+    monkeypatch.setattr(cli.markov, "_state_fields", failing)
     assert main(["markov-fields", "--config", cfg]) == 3
     assert stderr_record(capsys)["error"] == "QuadratureError"
     assert not out.exists()
@@ -702,7 +704,6 @@ def test_dp_buy_and_hold_needs_proportional_endowment(tmp_path, capsys):
 
 
 def test_dp_value_runs_recursion_once(tmp_path, monkeypatch):
-    import impactlab.cli
     import impactlab.dp
 
     calls = []
@@ -712,8 +713,7 @@ def test_dp_value_runs_recursion_once(tmp_path, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(impactlab.dp, "value_recursion", counted)
-    monkeypatch.setattr(impactlab.cli, "value_recursion", counted)
+    monkeypatch.setattr(impactlab.dp, "value_recursion", counted)  # the CLI calls it there
     cfg = write_config(tmp_path, dp_config(tmp_path / "o"))
     assert main(["dp-value", "--config", cfg, "--quiet"]) == 0
     assert (tmp_path / "o" / "dp_buy_and_hold.csv").exists()
@@ -774,8 +774,8 @@ def test_dp_memory_estimate_refuses_before_any_output(tmp_path, capsys, monkeypa
     def never(*args, **kwargs):
         raise AssertionError("the recursion must not start")
 
-    monkeypatch.setattr(cli, "value_recursion", never)
-    monkeypatch.setattr(cli, "convergence_study", never)
+    monkeypatch.setattr(cli.dp, "value_recursion", never)
+    monkeypatch.setattr(cli.dp, "convergence_study", never)
     out = tmp_path / "o"
     data = convergence_config(out) if mode == "convergence" else dp_config(out)
     data.update(admissible={"lo": -1.0, "hi": 1.0}, y_resolution=1e-6, refine=False)
@@ -820,8 +820,8 @@ def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on(tmp_path, capsy
     def never(*args, **kwargs):
         raise AssertionError("the recursion must not start")
 
-    monkeypatch.setattr(cli, "value_recursion", never)
-    monkeypatch.setattr(cli, "convergence_study", never)
+    monkeypatch.setattr(cli.dp, "value_recursion", never)
+    monkeypatch.setattr(cli.dp, "convergence_study", never)
     out = tmp_path / "o"
     for mode, field, lattice in (("dp-value", "lattice_n", {"lattice_n": 10_000}),
                                  ("convergence", "n_list[2]", {"n_list": [2, 4, 10_000]})):
@@ -1144,8 +1144,8 @@ def test_path_modes_refuse_a_grid_over_the_memory_budget(tmp_path, capsys, monke
     def never(*args, **kwargs):
         raise AssertionError("no path array may be allocated")
 
-    monkeypatch.setattr(cli, "simulate_batch", never)
-    monkeypatch.setattr(cli.ShockSchedule, "series", never)
+    monkeypatch.setattr(cli.paths, "simulate_batch", never)
+    monkeypatch.setattr(cli.paths.ShockSchedule, "series", never)
     out = tmp_path / "o"
     data = levy_config(out) if mode == "levy-sim" else shockwave_config(out)
     steps = 10**10
@@ -1377,6 +1377,70 @@ def test_cli_import_and_path_modes_load_no_scipy(tmp_path):
     assert json.loads(proc.stdout) == [[], [], [], []]
 
 
+# the impactlab modules whose code each benchmarked mode runs
+MODE_LAYERS = {
+    "convergence": ["dp", "errors", "markov", "utility"],
+    "dp-value": ["dp", "errors", "markov", "utility"],
+    "levy-sim": ["cumulants", "efficient", "errors", "paths", "utility"],
+    "markov-fields": ["errors", "markov", "utility"],
+    "shockwave": ["cumulants", "errors", "markov", "paths", "utility"],
+}
+
+
+def test_each_mode_runs_only_its_layers_and_the_tracer_reads_every_layer(tmp_path):
+    """``python -m impactlab.cli <mode>`` runs the code of the layers its mode uses
+    and no other: a layer it never reads from stays a pending lazy module, which
+    is not a plain ``types.ModuleType``.  After ``import impactlab.cli``, ``vars()``
+    of each layer the benchmark's tracer reads gives that layer's public functions
+    and classes."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert sorted(MODE_LAYERS) == sorted(tracer.CLI_MODES)
+    makers = {"levy-sim": levy_config, "shockwave": shockwave_config,
+              "markov-fields": markov_config, "dp-value": dp_config,
+              "convergence": convergence_config}
+    ran = "sorted(n[len('impactlab.'):] for n, m in sys.modules.items()" \
+          " if n.startswith('impactlab.') and type(m) is types.ModuleType)"
+    for mode, layers in MODE_LAYERS.items():
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps(makers[mode](tmp_path / mode)), encoding="utf-8")
+        code = "\n".join([
+            "import json, runpy, sys, types",
+            f"sys.argv = ['impactlab', {mode!r}, '--config', {str(config)!r}, '--quiet']",
+            "try:",
+            "    runpy.run_module('impactlab.cli', run_name='__main__', alter_sys=True)",
+            "except SystemExit as exit:",
+            f"    print(json.dumps([exit.code, {ran}]))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, layers], mode
+        assert any((tmp_path / mode).iterdir())
+
+    code = "\n".join([
+        "import inspect, json, sys",
+        "import impactlab.cli",
+        f"modules = [sys.modules['impactlab.' + layer] for layer in {tracer.LAYERS!r}]",
+        "print(json.dumps([sorted(a for a, v in vars(m).items() if not a.startswith('_')",
+        "                         and (inspect.isfunction(v) or inspect.isclass(v))",
+        "                         and v.__module__ == m.__name__)",
+        "                  for m in modules]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for layer, names in zip(tracer.LAYERS, json.loads(proc.stdout)):
+        module = importlib.import_module(f"impactlab.{layer}")
+        assert names and names == sorted(
+            a for a, v in vars(module).items() if not a.startswith("_")
+            and (inspect.isfunction(v) or inspect.isclass(v))
+            and v.__module__ == module.__name__), layer
+
+
 def test_every_mode_and_the_strategy_run_with_scipy_unimportable(tmp_path):
     """scipy is a test dependency only: with every scipy import failing, the lattice
     and quadrature modes, ``verify`` and ``optimal_strategy_markov`` still run."""
@@ -1413,7 +1477,7 @@ def test_a_huge_quadrature_order_is_refused_before_the_rule_is_built(tmp_path, c
     def no_rule(order):
         raise AssertionError(f"hermegauss called for order {order}")
 
-    monkeypatch.setattr(markov, "hermegauss", no_rule)
+    monkeypatch.setattr("numpy.polynomial.hermite_e.hermegauss", no_rule)
     out = tmp_path / "o"
     cfg = write_config(tmp_path, dict(markov_config(out), order=100000))
     assert main(["markov-fields", "--config", cfg]) == 2

@@ -291,6 +291,15 @@ REFUSALS = {
     "batch-h-prime-of-another-length": (
         PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2)),
         ParameterError, "h_prime"),
+    "batch-first-negative": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(3), first=-5),
+        ParameterError, "first"),
+    "batch-first-a-string": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(3), first="x"),
+        ParameterError, "first"),
+    "batch-first-a-bool": (
+        PathBatch, lambda: PathBatch(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(3), first=True),
+        ParameterError, "first"),
 }
 
 

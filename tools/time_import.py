@@ -12,7 +12,10 @@ workload's ``build()`` in ``bench/workloads.py`` (read from that file), and
 reference, since every layer imports it.  Each line gives the median time
 of the statement inside the child, timed with ``perf_counter``, and the
 sorted list of ``impactlab.*`` modules it loaded, with ``yaml`` if it loaded
-PyYAML.  That list does not depend on the machine, so two checkouts can be
+PyYAML.  A module counts as loaded once its code has run: a layer that
+``impactlab.cli`` registers as a lazy module, whose code runs on the first
+read of a name from it, is listed apart, as registered.  That list does not
+depend on the machine, so two checkouts can be
 compared by it.  Two more scenarios time ``cli._load_config`` on the
 seed-1 ``fields`` workload's ``markov-fields`` config, written as JSON (as
 the benchmark writes it) and as YAML, in a child that has imported
@@ -49,13 +52,14 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """\
-import json, sys, time
+import json, sys, time, types
 {setup}
 start = time.perf_counter()
 {statement}
 seconds = time.perf_counter() - start
-print(json.dumps([seconds, sorted(m for m in sys.modules
-                                  if m.startswith("impactlab.") or m == "yaml")]))
+modules = {{n: m for n, m in sys.modules.items() if n.startswith("impactlab.") or n == "yaml"}}
+print(json.dumps([seconds, sorted(n for n, m in modules.items() if type(m) is types.ModuleType),
+                  sorted(n for n, m in modules.items() if type(m) is not types.ModuleType)]))
 """
 
 EXIT_CHILD = """\
@@ -100,7 +104,8 @@ def run_child(code):
 
 
 def import_seconds(statement, setup=""):
-    """(seconds, loaded impactlab modules and yaml) of one statement, after ``setup``."""
+    """(seconds, loaded impactlab modules and yaml, registered ones whose code has not
+    run) of one statement, after ``setup``."""
     return json.loads(run_child(CHILD.format(setup=setup, statement=statement)))
 
 
@@ -144,8 +149,10 @@ def main(argv=None):
                                        "--out", str(Path(work) / str(r)), "--quiet"]))
     for k, (label, statement, _) in enumerate(scenarios):
         seconds = statistics.median(run[k][0] for run in runs)
-        loaded = ", ".join(m.removeprefix("impactlab.") for m in runs[-1][k][1]) or "none"
-        print(f"{label} ({statement}): median {seconds * 1e3:.1f} ms; loads {loaded}")
+        loaded, pending = (", ".join(m.removeprefix("impactlab.") for m in names) or "none"
+                           for names in runs[-1][k][1:])
+        registers = "" if pending == "none" else f"; registers, not yet run: {pending}"
+        print(f"{label} ({statement}): median {seconds * 1e3:.1f} ms; loads {loaded}{registers}")
     print(f"exit (python -m impactlab.cli levy-sim, 2 paths): median "
           f"{statistics.median(exits) * 1e3:.1f} ms from the command's return to its "
           "process being reaped")
