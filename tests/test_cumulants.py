@@ -1,9 +1,16 @@
 """Cumulant families: closed forms vs finite differences, domains, samplers."""
 
+import hashlib
+import importlib.util
+import inspect
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab import (
     Brownian,
@@ -173,3 +180,138 @@ def test_sampler_determinism():
     a = model.sample_increments(np.random.default_rng(5), 0.5, 64)
     b = model.sample_increments(np.random.default_rng(5), 0.5, 64)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one statement of each rule: pinned bits, the domain rule, the mean, the tracer
+
+BIT_MODELS = [
+    Brownian(b=0.5, sigma=1.0),
+    Brownian(b=-0.2, sigma=0.3),
+    Brownian(b=0.7, sigma=0.0),
+    Brownian(b=-0.0, sigma=0.0),
+    GammaProcess(alpha=2.0, beta=1.0),
+    GammaProcess(alpha=0.7, beta=3.5),
+    OneSidedStable(r=1.0, alpha=0.5),
+    OneSidedStable(r=2.3, alpha=0.8),
+    OneSidedStable(r=1.0, alpha=0.01),
+]
+
+
+def bit_points():
+    points = [0.0, -0.0, 5e-324, 1e-300, math.inf, -math.inf, math.nan, 1.0, -1.0, 3.5]
+    for alpha in sorted({m.alpha for m in BIT_MODELS if isinstance(m, GammaProcess)}):
+        points += [-alpha, np.nextafter(-alpha, 0.0), np.nextafter(-alpha, -1.0)]
+    points += [np.array([[0.25, 1.0], [2.0, 1e-300]]), np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+               np.array([0.5, -0.0, 2.0])]
+    return points
+
+
+def outcome_bytes(call, *args) -> bytes:
+    """A result as its type and bytes, or a refusal as its type and message."""
+    try:
+        value = call(*args)
+    except (DomainError, NonDifferentiableError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    out = np.asarray(value)
+    return f"{type(value).__name__} {out.dtype.str} {out.shape}".encode() + out.tobytes()
+
+
+# recorded before the kappa* methods lost their private formula layer
+RECORDED_CUMULANT_SHA256 = "c10845acd0772f1871971d9bf814c8b1f09378016c6d1e50482ac2844d339dd0"
+
+
+def test_cumulant_outputs_keep_their_recorded_bits():
+    digest = hashlib.sha256()
+    for model in BIT_MODELS:
+        digest.update(repr(model).encode() + outcome_bytes(model.mean))
+        for u in bit_points():
+            for call in (model.kappa, model.kappa_prime, model.kappa_double_prime,
+                         model.domain_contains):
+                digest.update(outcome_bytes(call, u))
+    assert digest.hexdigest() == RECORDED_CUMULANT_SHA256
+
+
+@st.composite
+def models(draw):
+    family = draw(st.sampled_from(["brownian", "gamma", "stable"]))
+    if family == "brownian":
+        return Brownian(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.0, 10.0)))
+    if family == "gamma":
+        return GammaProcess(draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0)))
+    return OneSidedStable(draw(st.floats(0.01, 100.0)),
+                          draw(st.floats(0.01, 0.99, exclude_max=True)))
+
+
+@st.composite
+def arguments(draw, model):
+    edge = -model.alpha if isinstance(model, GammaProcess) else 0.0
+    near = st.sampled_from([edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
+                            0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf])
+    scalar = st.one_of(near, st.floats(allow_nan=True, allow_infinity=True))
+    shape = draw(st.sampled_from(["float", "0-d", "1-d"]))
+    if shape == "float":
+        return draw(scalar)
+    if shape == "0-d":
+        return np.array(draw(scalar))
+    return np.array(draw(st.lists(scalar, max_size=5)), dtype=float)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a huge u overflows, as it may
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_domain_contains_is_exactly_where_kappa_is_not_refused(data):
+    model = data.draw(models())
+    u = data.draw(arguments(model))
+    try:
+        model.kappa(u)
+    except DomainError:
+        refused = True
+    else:
+        refused = False
+    assert model.domain_contains(u) is not refused
+
+
+@settings(deadline=None, max_examples=200)
+@given(model=models())
+def test_the_mean_is_the_slope_at_zero(model):
+    if isinstance(model, OneSidedStable):
+        with pytest.raises(NonDifferentiableError):
+            model.mean()
+        return
+    mean, slope = model.mean(), model.kappa_prime(0.0)
+    assert type(mean) is float and np.float64(mean).tobytes() == np.float64(slope).tobytes()
+
+
+def test_the_tracer_wraps_each_familys_own_cumulant_methods():
+    """``bench/tracer.py`` patches ``cls.__dict__[name]`` of each family for each of its
+    ``CUMULANT_METHODS``, so every family's own class body must hold them all; a traced
+    call keeps its bits, and leaving the block restores every attribute."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    families = (Brownian, GammaProcess, OneSidedStable)
+    for cls in families:
+        for name in tracer.CUMULANT_METHODS:
+            assert inspect.isfunction(vars(cls).get(name)), (cls.__name__, name)
+
+    layers = [importlib.import_module(f"impactlab.{layer}") for layer in tracer.LAYERS]
+    owners = [importlib.import_module("impactlab"), *layers, *families]
+
+    def attributes():  # vars() also runs a layer that is still a pending lazy module
+        return {(owner.__name__, name): value for owner in owners
+                for name, value in vars(owner).items()}
+
+    originals = attributes()
+    model = GammaProcess(2.0, 1.0)
+    want = model.kappa(1.0)
+    trace = tracer.Tracer()
+    with trace.active():
+        got = model.kappa(1.0)
+    assert [span[0] for span in trace.spans] == ["cumulants.GammaProcess.kappa"]
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    restored = attributes()
+    assert restored.keys() == originals.keys()
+    assert all(restored[key] is value for key, value in originals.items())
