@@ -15,16 +15,17 @@ family is not differentiable at the left edge ``u = 0``; asking for a
 derivative there raises :class:`NonDifferentiableError` rather than
 returning an infinity that would poison downstream arithmetic.
 
-Each public ``kappa*`` method validates its argument (``_check``) and then
-evaluates the formula (``_kappa*``).  A caller that evaluates several of
-them at one argument array validates it once and calls the formulas.
+``_check`` is a family's one statement of ``U``: it refuses an argument
+outside it with :class:`DomainError`, and its strict form, which ``kappa'``
+and ``kappa''`` use, also refuses a point where the slope is infinite.
+:class:`LevyModel` is the families' base: ``domain_contains(u)`` is "``_check``
+refuses nothing" and ``mean()`` is ``kappa'(0)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,8 +43,25 @@ def _value(out):
     return float(out) if out.ndim == 0 else out
 
 
+class LevyModel:
+    """Base of the factor families: the rules they share, stated once.
+
+    A family defines ``_check``, the ``kappa*`` methods and ``sample_increments``.
+    """
+
+    def domain_contains(self, u) -> bool:
+        try:
+            self._check(u)
+        except DomainError:
+            return False
+        return True
+
+    def mean(self) -> float:
+        return self.kappa_prime(0.0)
+
+
 @dataclass(frozen=True)
-class Brownian:
+class Brownian(LevyModel):
     """Drifting Brownian factor: X_t = b*t + sigma*W_t."""
 
     b: float = 0.0
@@ -56,39 +74,26 @@ class Brownian:
         if self.sigma < 0.0:
             raise ParameterError("Brownian sigma must be >= 0", "sigma")
 
-    def domain_contains(self, u) -> bool:
-        return bool(np.all(np.isfinite(np.asarray(u, dtype=float))))
-
     def _check(self, u, strict: bool = False):
         return _as_float_array(u)
 
     def kappa(self, u):
-        return _value(self._kappa(self._check(u)))
+        u = self._check(u)
+        return _value(self.b * u - 0.5 * self.sigma**2 * u**2)
 
     def kappa_prime(self, u):
-        return _value(self._kappa_prime(self._check(u, strict=True)))
+        u = self._check(u, strict=True)
+        return _value(self.b - self.sigma**2 * u)
 
     def kappa_double_prime(self, u):
-        return _value(self._kappa_double_prime(self._check(u, strict=True)))
-
-    def _kappa(self, u):
-        return self.b * u - 0.5 * self.sigma**2 * u**2
-
-    def _kappa_prime(self, u):
-        return self.b - self.sigma**2 * u
-
-    def _kappa_double_prime(self, u):
-        return np.full_like(u, -self.sigma**2)
-
-    def mean(self) -> float:
-        return self.b
+        return _value(np.full_like(self._check(u, strict=True), -self.sigma**2))
 
     def sample_increments(self, rng: np.random.Generator, dt: float, size: int):
         return rng.normal(loc=self.b * dt, scale=self.sigma * math.sqrt(dt), size=size)
 
 
 @dataclass(frozen=True)
-class GammaProcess:
+class GammaProcess(LevyModel):
     """Gamma subordinator with rate alpha and shape beta: X_1 ~ Gamma(beta, rate=alpha)."""
 
     alpha: float
@@ -100,10 +105,6 @@ class GammaProcess:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ParameterError("GammaProcess beta (shape) must be > 0", "beta")
 
-    def domain_contains(self, u) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(np.isfinite(u)) and np.all(u > -self.alpha))
-
     def _check(self, u, strict: bool = False):
         u = _as_float_array(u)
         if np.any(u <= -self.alpha):
@@ -113,35 +114,23 @@ class GammaProcess:
         return u
 
     def kappa(self, u):
-        return _value(self._kappa(self._check(u)))
+        return _value(self.beta * np.log1p(self._check(u) / self.alpha))
 
     def kappa_prime(self, u):
-        return _value(self._kappa_prime(self._check(u, strict=True)))
+        return _value(self.beta / (self.alpha + self._check(u, strict=True)))
 
     def kappa_double_prime(self, u):
-        return _value(self._kappa_double_prime(self._check(u, strict=True)))
-
-    def _kappa(self, u):
-        return self.beta * np.log1p(u / self.alpha)
-
-    def _kappa_prime(self, u):
-        return self.beta / (self.alpha + u)
-
-    def _kappa_double_prime(self, u):
         # d*d, not d**2: a scalar d**2 calls pow, which can differ from the
         # array square in the last bit
-        d = self.alpha + u
-        return -self.beta / (d * d)
-
-    def mean(self) -> float:
-        return self.beta / self.alpha
+        d = self.alpha + self._check(u, strict=True)
+        return _value(-self.beta / (d * d))
 
     def sample_increments(self, rng: np.random.Generator, dt: float, size: int):
         return rng.gamma(shape=self.beta * dt, scale=1.0 / self.alpha, size=size)
 
 
 @dataclass(frozen=True)
-class OneSidedStable:
+class OneSidedStable(LevyModel):
     """Positive stable subordinator: kappa(u) = r * u**alpha, 0 < alpha < 1.
 
     Increments are sampled with the exponential/uniform transformation for
@@ -158,10 +147,6 @@ class OneSidedStable:
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError("OneSidedStable alpha must lie in (0, 1)", "alpha")
 
-    def domain_contains(self, u) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(np.isfinite(u)) and np.all(u >= 0.0))
-
     def _check(self, u, strict: bool = False):
         u = _as_float_array(u)
         if np.any(u < 0.0):
@@ -173,24 +158,17 @@ class OneSidedStable:
         return u
 
     def kappa(self, u):
-        return _value(self._kappa(self._check(u)))
+        return _value(self.r * self._check(u) ** self.alpha)
 
     def kappa_prime(self, u):
-        return _value(self._kappa_prime(self._check(u, strict=True)))
+        u = self._check(u, strict=True)
+        return _value(self.r * self.alpha * u ** (self.alpha - 1.0))
 
     def kappa_double_prime(self, u):
-        return _value(self._kappa_double_prime(self._check(u, strict=True)))
-
-    def _kappa(self, u):
-        return self.r * u**self.alpha
-
-    def _kappa_prime(self, u):
-        return self.r * self.alpha * u ** (self.alpha - 1.0)
-
-    def _kappa_double_prime(self, u):
+        u = self._check(u, strict=True)
         # u**(alpha - 2) overflows for a tiny u; its inf, and so -inf here, is the exact limit
         with np.errstate(over="ignore"):
-            return self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
+            return _value(self.r * self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0))
 
     def mean(self) -> float:
         raise NonDifferentiableError(
@@ -212,7 +190,3 @@ class OneSidedStable:
         ) / (1.0 - a)
         scale = (self.r * dt) ** (1.0 / a)
         return scale * np.exp(((1.0 - a) / a) * (log_a - np.log(expo)))
-
-
-LevyModel = Union[Brownian, GammaProcess, OneSidedStable]
-

@@ -153,7 +153,7 @@ def _fee_leg(scenario: LevyScenario, y: np.ndarray) -> float:
     u = g * (scenario.a - y)
     if not scenario.model.domain_contains(u):
         raise DomainError("strategy leaves the supplier inventory domain")
-    return float(np.sum(scenario.model._kappa(u) - scenario._kappa_ga)) * dt / g
+    return float(np.sum(scenario.model.kappa(u) - scenario._kappa_ga)) * dt / g
 
 
 def realized_pnl(scenario: LevyScenario, path: PathSample | PathBatch, strategy):
