@@ -162,7 +162,8 @@ class OneSidedStable(LevyModel):
 
     def kappa_prime(self, u):
         u = self._check(u, strict=True)
-        return _value(self.r * self.alpha * u ** (self.alpha - 1.0))
+        with np.errstate(over="ignore"):  # as in kappa'': inf is the exact limit
+            return _value(self.r * self.alpha * u ** (self.alpha - 1.0))
 
     def kappa_double_prime(self, u):
         u = self._check(u, strict=True)

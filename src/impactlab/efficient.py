@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .cumulants import LevyModel, OneSidedStable, _value
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NonDifferentiableError, ParameterError
 from .paths import PathBatch, PathGrid, PathSample, ShockSchedule
 from .utility import AgentPair, _check_time, levy_price_curve
 
@@ -47,8 +47,9 @@ class LevyScenario:
     """Market data: factor model, agent pair, supplier loading a, endowment schedule, grid.
 
     Construction verifies that every inventory state the closed-form strategy
-    can reach keeps the cumulant arguments inside the domain U, and that the
-    schedule's shocks snap onto the grid.
+    can reach keeps the cumulant arguments inside the domain U, that kappa'
+    exists at each level's aggregate argument, and that the schedule's shocks
+    snap onto the grid.
     """
 
     model: LevyModel
@@ -65,12 +66,18 @@ class LevyScenario:
             raise DomainError("gamma * a outside the cumulant domain", "a")
         for i, level in enumerate(self.schedule.levels()):
             # gamma*(a - Y*) equals abar*(a + H') identically, so one check
-            # covers both the supplier's and the aggregate's arguments.
-            if not self.model.domain_contains(self._argument(level)):
+            # covers both the supplier's and the aggregate's arguments; the
+            # strict one, as every path quantity reads kappa' there.
+            field = f"schedule.shocks[{i - 1}]" if i else "schedule.initial_value"
+            try:
+                self.model._check(self._argument(level), strict=True)
+            except NonDifferentiableError as exc:
+                raise NonDifferentiableError(
+                    str(exc), "agents.gamma" if self.abar == 0.0 else field) from None
+            except DomainError:
                 raise DomainError(
                     f"endowment level {level} pushes the aggregate argument out of domain",
-                    f"schedule.shocks[{i - 1}]" if i else "schedule.initial_value",
-                )
+                    field) from None
         self.schedule._grid_indices(self.grid, "schedule.shocks")
 
     @property
@@ -109,7 +116,11 @@ def optimal_position(agents: AgentPair, a: float, h_prime):
 def eipu(scenario: LevyScenario, x_t, h_prime_t, t):
     """Expected-impact-adjusted unit value x_t + (1-t) * kappa'(abar*(a+h'))."""
     _check_time(t)
-    return x_t + (1.0 - t) * scenario.model.kappa_prime(scenario._argument(h_prime_t))
+    slope = scenario.model.kappa_prime(scenario._argument(h_prime_t))
+    with np.errstate(invalid="ignore"):
+        leg = (1.0 - t) * slope
+    # a tiny argument makes the stable family's kappa' infinite: 0 at t = 1, not 0 * inf
+    return x_t + _value(np.where(np.isnan(leg), 0.0, leg))
 
 
 def risk_premium(scenario: LevyScenario, h_prime_t, t):

@@ -197,18 +197,29 @@ def test_a_demander_aversion_too_large_for_a_float_reads_as_inf(tmp_path, capsys
     assert stderr_record(capsys)["message"] == "agents.c: must be > 0"
 
 
-def test_stable_levy_sim_with_a_tiny_argument_warns_nothing(tmp_path):
-    # kappa'' overflows to its exact limit -inf at abar*(a + h') = 1e-300 / 2
-    out = tmp_path / "o"
-    data = levy_config(out, agents={"gamma": 0.5, "c": "inf"}, loading=1.0e-300, grid=4,
-                       paths=1, model={"family": "stable", "r": 1.0, "alpha": 0.5},
+def stable_config(out, **overrides):
+    """A one-path stable run whose only endowment level is 0: the argument is abar*a."""
+    data = levy_config(out, seed=3, paths=1, grid=4, agents={"gamma": 0.5, "c": "inf"},
+                       loading=0.5, model={"family": "stable", "r": 1.0, "alpha": 0.5},
                        schedule={"initial_value": 0.0, "h": 0.0, "shocks": []})
+    data.update(overrides)
+    return data
+
+
+@pytest.mark.parametrize("loading, alpha", [(1e-300, 0.5), (1e-320, 0.01)])
+def test_stable_levy_sim_with_a_tiny_argument_warns_nothing(tmp_path, loading, alpha):
+    # kappa'' overflows to its exact limit -inf at abar*(a + h') = loading / 2, and so
+    # does kappa' at a subnormal one: s* is x at t = 1, where (1 - t) * kappa' is 0
+    out = tmp_path / "o"
+    data = stable_config(out, loading=loading, model={"family": "stable", "r": 1.0,
+                                                      "alpha": alpha})
     cfg = write_config(tmp_path, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["levy-sim", "--config", cfg, "--quiet"]) == 0
     _, rows = read_csv(out / "levy_path_000.csv")
     assert [r[6] for r in rows] == ["inf"] * 4 + ["0"]
+    assert rows[-1][0] == "1" and rows[-1][4] == rows[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +923,12 @@ REFUSALS = {
     "shocked-level-outside-domain": (
         "levy-sim", lambda o: _with_shocks(levy_config(o), (0.25, 0.5), (0.5, -10.0)),
         "schedule.shocks[1]"),
+    "stable-zero-aversion": (  # abar = 0: kappa' has no value at the argument 0
+        "levy-sim", lambda o: stable_config(o, agents={"gamma": 0.0, "c": 1.0}), "agents.gamma"),
+    "stable-zero-loading": (
+        "levy-sim", lambda o: stable_config(o, loading=0.0), "schedule.initial_value"),
+    "stable-shock-to-a-zero-argument": (
+        "levy-sim", lambda o: _with_shocks(stable_config(o), (0.5, -0.5)), "schedule.shocks[0]"),
     "stable-alpha-ge-1": (
         "levy-sim", lambda o: levy_config(o, model={"family": "stable", "r": 1.0, "alpha": 1.5}),
         "model.alpha"),

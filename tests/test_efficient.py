@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,22 @@ def test_stable_convexity_is_zero_at_maturity_for_a_tiny_argument():
         record = efficient_batch_record(scn, simulate_batch(scn.model, scn.grid, scn.schedule, 5, 3))
     assert np.all(np.isinf(column[:-1])) and column[-1] == 0.0
     assert np.array_equal(record.convexity, column)
+
+
+def test_stable_eipu_is_x_at_maturity_for_a_subnormal_argument():
+    """kappa' overflows to inf at a subnormal abar*(a + h'): the EIPU is x at t = 1, not NaN."""
+    scn = LevyScenario(
+        OneSidedStable(1.0, 0.01), AgentPair(0.5, math.inf), 1e-320, ShockSchedule(), PathGrid(4),
+    )
+    x = 1.4789985365923419e36
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scn.model.kappa_prime(scn._argument(0.0)) == math.inf
+        assert eipu(scn, x, 0.0, 1.0) == x
+        assert eipu(scn, x, 0.0, 0.5) == math.inf
+        record = efficient_batch_record(scn, simulate_batch(scn.model, scn.grid, scn.schedule, 5, 3))
+    assert np.all(np.isinf(record.s_star[:, :-1]))
+    assert np.array_equal(record.s_star[:, -1], record.x[:, -1])
 
 
 RECORD_FIELDS = ["times", "x", "h_prime", "y_star", "s_star", "risk_premium", "convexity",

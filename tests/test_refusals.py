@@ -18,6 +18,7 @@ from impactlab.errors import (
     ArgumentError,
     DomainError,
     NoRootError,
+    NonDifferentiableError,
     ParameterError,
     QuadratureError,
     ScheduleError,
@@ -53,6 +54,11 @@ PAYOFFS = QuadraticModel(0.0, 0.0, 1.0, 1.0, 0.0, AGENTS).payoffs()
 
 def _levy(a=0.0, schedule=ShockSchedule(), n_steps=4):
     return LevyScenario(GAMMA, AGENTS, a, schedule, PathGrid(n_steps))
+
+
+def _stable_levy(agents, a, schedule=ShockSchedule()):
+    # kappa' of the stable family does not exist at abar*(a + h') = 0
+    return LevyScenario(OneSidedStable(1.0, 0.5), agents, a, schedule, PathGrid(4))
 
 
 def _quadratic(sigma=1.0, b_quad=0.0, agents=AGENTS):
@@ -127,6 +133,16 @@ REFUSALS = {
         LevyScenario,
         lambda: _levy(schedule=ShockSchedule(shocks=((0.25, 0.5), (0.5, -3.0)))), DomainError,
         "schedule.shocks[1]"),
+    "levy-stable-zero-aversion": (
+        LevyScenario, lambda: _stable_levy(AgentPair(0.0, 1.0), 0.5), NonDifferentiableError,
+        "agents.gamma"),
+    "levy-stable-zero-initial-argument": (
+        LevyScenario, lambda: _stable_levy(AgentPair(0.5, math.inf), 0.0),
+        NonDifferentiableError, "schedule.initial_value"),
+    "levy-stable-zero-shocked-argument": (
+        LevyScenario,
+        lambda: _stable_levy(AgentPair(0.5, math.inf), 0.5, ShockSchedule(shocks=((0.5, -0.5),))),
+        NonDifferentiableError, "schedule.shocks[0]"),
     "levy-shocks-snap-off-the-grid": (
         LevyScenario, lambda: _levy(schedule=ShockSchedule(shocks=((0.5, 0.1),)), n_steps=1),
         ScheduleError, "schedule.shocks"),
