@@ -1,5 +1,7 @@
 """Lattice DP: conditional values, sup-convolution, recursion oracles, EMM limits."""
 
+import dataclasses
+import hashlib
 import itertools
 import math
 import time
@@ -243,6 +245,69 @@ def test_value_recursion_calls_each_payoff_once(refine):
     assert (result.refine_evaluations, result.fallback_nodes) == (
         tally["evaluations"], tally["fallback_nodes"])
     assert value_recursion(scn, refine).value == result.value
+
+
+# the two-peak fallback scenario above, gamma = 0, c = inf, and two buy-and-hold books
+BIT_SCENARIOS = [
+    make_scenario(3, lambda w: 0.2 - 0.9 * w + w**2, lambda w: -0.8 - 0.5 * w,
+                  lambda w: 0.3 * w, gamma=4.0, c=1.0, admissible=(-3.0, 3.0), res=1e-3),
+    make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=0.0, c=0.7,
+                  res=1e-2),
+    make_scenario(5, lambda w: np.tanh(w), lambda w: 0.2 * w - 0.1 * w**2, lambda w: 0.5 * w,
+                  gamma=1.3, c=math.inf, admissible=(-2.5, 1.5), res=2e-3),
+    make_scenario(3, IDENT, ZERO, IDENT, admissible=(-1.0, 1.0)),
+    make_scenario(2, IDENT, IDENT, IDENT, gamma=3.0, c=1.0, admissible=(-1.0, 1.0)),
+]
+
+
+def result_bytes(value) -> bytes:
+    """A result as its type and bytes, field by field and item by item."""
+    if dataclasses.is_dataclass(value):
+        return b"".join(f.name.encode() + result_bytes(getattr(value, f.name))
+                        for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(result_bytes(item) for item in value) + b"]"
+    out = np.asarray(value)
+    return f"{type(value).__name__} {out.dtype.str} {out.shape}".encode() + out.tobytes()
+
+
+def outcome_bytes(call, *args, **kwargs) -> bytes:
+    """``result_bytes`` of a call, or a refusal as its type and message."""
+    try:
+        return result_bytes(call(*args, **kwargs))
+    except PreconditionError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+# recorded before value_recursion became a loop of sup_convolution
+RECORDED_LATTICE_SHA256 = "969659588cfd446841c171c1ac073db31b9f5b947040c7172d118b1c695724ff"
+
+
+def test_lattice_outputs_keep_their_recorded_bits():
+    digest = hashlib.sha256()
+    for scn in BIT_SCENARIOS:
+        n, pay = scn.lattice.n, scn.payoffs
+        for refine in (True, False):
+            result = value_recursion(scn, refine)
+            digest.update(result_bytes(result))
+            for level in range(n):
+                digest.update(result_bytes(
+                    sup_convolution(scn, level, result.fields[level + 1], refine)))
+            digest.update(outcome_bytes(no_rebalance_check, scn, refine))
+        # the refine-off step down the whole lattice with one menu array, as given
+        leaves, y = scn.lattice.level_values(n), scn.y_grid()
+        menus = pay.g_fn(leaves)[:, None] - pay.s_fn(leaves)[:, None] * y
+        field = pay.g_fn(leaves) + pay.h_fn(leaves)
+        for level in range(n - 1, -1, -1):
+            field, policy = sup_convolution(scn, level, field, False, menus[:level + 2])
+            digest.update(result_bytes((field, policy, menus[:level + 1])))
+        digest.update(outcome_bytes(buy_and_hold_position, scn))
+        book = lambda w: pay.g_fn(w) - 0.3 * pay.s_fn(w)
+        for level in range(n + 1):
+            for m in range(level + 1):
+                digest.update(result_bytes((emm_eipu(scn, level, m),
+                                            conditional_pi(scn, level, m, book))))
+    assert digest.hexdigest() == RECORDED_LATTICE_SHA256
 
 
 def test_conditional_pi_tower_property():
