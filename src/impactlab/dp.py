@@ -10,13 +10,16 @@ per period applied to the aggregate terminal payoff, which only ever needs
 one-step conditional certainty equivalents plus conditional prices of the
 form Pi_t(G - y*S).  Cash never enters the state: values are stored
 net of cash and the identity V(x, z) = x + V(0, z) is what tests check.
+``DpScenario`` owns the data every step reads, its leaf rows G, S and H and
+its two scan grids, evaluated once per scenario object; ``sup_convolution``
+is the one backward step, and ``value_recursion`` is a loop of it.
 
 Each level is a few array operations over all its nodes.  The menus
 Pi(G - y*S) on a scan grid rise from the leaves by the tower property,
 O(n^2 * grid) in all, and each node takes the grid argmax (ties toward the
 smallest |y|, then negative y).  With refinement off the scan grid is the
 whole inventory grid of resolution ``y_resolution``.  With it on, the scan
-grid is a coarse subset of about 64 intervals (``_scan_grid``), and the
+grid is a coarse subset of about 64 intervals (``_scan_grids``), and the
 argmax is polished by lockstep safeguarded Newton steps between its scan
 neighbours, from the vertex of the parabola through the three scan values.
 The objective's first and second y-derivatives are tilted moments of S over
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,6 +146,32 @@ class DpScenario:
         count = int(round((hi - lo) / self.y_resolution)) + 1
         return np.linspace(lo, hi, count)
 
+    @cached_property
+    def _leaves(self) -> np.ndarray:
+        """G, S and H on all n+1 leaves, read-only rows; a non-finite value
+        raises PreconditionError on every read, as nothing is cached then."""
+        pay = self.payoffs
+        rows = _leaf_payoffs(self, 0, 0, (pay.g_fn, pay.s_fn, pay.h_fn))
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _scan_grids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The y points the menus are carried on and the argmax is taken over,
+        read-only, indexed by ``refine``.  Refine off: the whole y grid.  Refine
+        on: every k-th point of it, for k = ceil((N - 1) / 64), with both ends and
+        the point the whole grid's tie-break picks on a flat objective (smallest
+        |y|, then negative y), so that flat objectives and policies on a bound
+        keep the whole grid's answers, and a grid of at most 65 points is its own subset."""
+        y = self.y_grid()
+        keep = np.zeros(y.size, dtype=bool)
+        keep[::-(-(y.size - 1) // _COARSE_INTERVALS)] = True
+        # the first of the smallest |y| is the negative one: y increases
+        keep[-1] = keep[np.argmin(np.abs(y))] = True
+        coarse = y[keep]
+        y.flags.writeable = coarse.flags.writeable = False
+        return y, coarse
+
 
 def conditional_ce(
     scenario: DpScenario, level: int, m: int, terminal_fn: Callable, aversion: float
@@ -156,45 +186,22 @@ def conditional_pi(scenario: DpScenario, level: int, m: int, terminal_fn: Callab
     return conditional_ce(scenario, level, m, terminal_fn, scenario.agents.gamma)
 
 
-def _leaf_payoffs(scenario: DpScenario, level: int = 0, m: int = 0, fns=None) -> np.ndarray:
-    """G, S and H (or each of ``fns``) on the leaves below node (level, m), by
-    default all n+1 of them, one float row each; PreconditionError if a value
-    is non-finite."""
-    pay = scenario.payoffs
+def _leaf_payoffs(scenario: DpScenario, level: int, m: int, fns) -> np.ndarray:
+    """Each of ``fns`` on the leaves below node (level, m), one float row each;
+    PreconditionError if a value is non-finite."""
     leaves = scenario.lattice.leaf_values_from(level, m)
-    fns = fns or (pay.g_fn, pay.s_fn, pay.h_fn)
     return _payoff_rows(leaves, fns, PreconditionError, "a lattice leaf")
 
 
-def _level_menus(scenario: DpScenario, level: int, y: np.ndarray, leaves) -> np.ndarray:
+def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
     """Pi(G - y*S) on the y grid, one row per node of ``level``: G - y*S at the
-    leaves (``leaves`` is ``_leaf_payoffs(scenario)``), then one coin-flip CE
-    of the children's rows per level up."""
+    leaves, then one coin-flip CE of the children's rows per level up."""
     lat = scenario.lattice
-    g, s, _ = leaves
+    g, s, _ = scenario._leaves
     menus, coin = g[:, None] - s[:, None] * y, lat.coin(3)
     for _ in range(lat.n - level):
         menus = ce(lat.children(menus), coin, scenario.agents.gamma, axis=0)
     return menus
-
-
-def _scan_grid(scenario: DpScenario, refine: bool) -> np.ndarray:
-    """The y points the menus are carried on and the grid argmax is taken over.
-
-    Refine off: the whole y grid.  Refine on: every k-th point of it, for
-    k = ceil((N - 1) / 64), with both ends and the point the whole grid's
-    tie-break picks on a flat objective (smallest |y|, then negative y), so
-    that flat objectives and policies on a bound keep the whole grid's
-    answers, and a grid of at most 65 points is its own subset.
-    """
-    y = scenario.y_grid()
-    if not refine:
-        return y
-    keep = np.zeros(y.size, dtype=bool)
-    keep[::-(-(y.size - 1) // _COARSE_INTERVALS)] = True
-    # the first of the smallest |y| is the negative one: y increases
-    keep[-1] = keep[np.argmin(np.abs(y))] = True
-    return y[keep]
 
 
 def _tie_broken_argmax(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,21 +235,11 @@ def sup_convolution(
     continuation = np.asarray(continuation, dtype=float)
     if continuation.shape != (next_nodes,):
         raise ParameterError("continuation must hold one value per node at level+1")
-    y = _scan_grid(scenario, refine)
-    if menus is not None and menus.shape != (next_nodes, y.size):
-        raise ParameterError("menus must hold one scan-grid row per node at level+1")
-    leaves = _leaf_payoffs(scenario) if refine or menus is None else None
+    y = scenario._scan_grids[bool(refine)]
     if menus is None:
-        menus = _level_menus(scenario, level + 1, y, leaves)
-    return _sup_step(scenario, level, continuation, y, menus, leaves, refine,
-                     Counter() if tally is None else tally)
-
-
-def _sup_step(scenario, level, continuation, y, menus, leaves, refine, tally):
-    """``sup_convolution`` on checked inputs: the scan grid ``y``, the children's
-    ``menus`` on it (overwritten), and the leaf rows ``_leaf_payoffs(scenario)``,
-    which only refinement reads."""
-    lat = scenario.lattice
+        menus = _level_menus(scenario, level + 1, y)
+    elif menus.shape != (next_nodes, y.size):
+        raise ParameterError("menus must hold one scan-grid row per node at level+1")
     gamma, c, coin = scenario.agents.gamma, scenario.agents.c, lat.coin(3)
     owed, pairs = lat.children(continuation), lat.children(menus)
     own = ce(pairs, coin, gamma, axis=0)  # this level's menus, also the supplier term
@@ -251,7 +248,8 @@ def _sup_step(scenario, level, continuation, y, menus, leaves, refine, tally):
     j = _tie_broken_argmax(objective, y)
     if not refine:
         return objective[np.arange(j.size), j], y[j]
-    return _refine(scenario, level, owed, leaves, y, objective, j, tally)
+    return _refine(scenario, level, owed, y, objective, j,
+                   Counter() if tally is None else tally)
 
 
 class _LeafWindows:
@@ -333,23 +331,22 @@ def _peaks(rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(rise[:, :-1] & ~rise[:, 1:], axis=1)
 
 
-def _refine(scenario, level, owed, leaf_rows, y, rows, j, tally):
+def _refine(scenario, level, owed, y, rows, j, tally):
     """Newton from the scan-grid argmax y[j] between its scan-grid neighbours, on
-    the objective from the children's leaves (G and S are the first two of
-    ``leaf_rows``).  A node whose scan row has two
+    the objective from the children's leaves.  A node whose scan row has two
     or more local maxima, or whose objective is convex at Newton's point
     (F'' > 0), is scanned again on the whole y grid from its leaves and
     polished between that grid's neighbours instead.  F'' = 0 exactly is left
     out: it comes from an objective flat or linear in y, whose best scan point
     (the tie-break winner or an end) is already the whole grid's."""
-    leaves = [scenario.lattice.child_leaves(v, level) for v in leaf_rows[:2]]
+    leaves = [scenario.lattice.child_leaves(v, level) for v in scenario._leaves[:2]]
     windows = _LeafWindows(scenario, level, owed, leaves, slice(None))
     values, policies, curvature = windows.polish(y, rows, j)
     tally["evaluations"] += windows.calls
     fallback = np.flatnonzero((_peaks(rows) >= 2) | (curvature > 0.0))
     tally["fallback_nodes"] += fallback.size
     if fallback.size:
-        full = scenario.y_grid()
+        full = scenario._scan_grids[False]
         group = max(1, _SCAN_CELLS // full.size)  # nodes whose whole-grid rows are held at once
         for k in range(0, fallback.size, group):
             nodes = fallback[k:k + group]
@@ -384,17 +381,15 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
 
     F_n = (g+h)(leaves); F_k = one sup-convolution of F_{k+1}; the demander
     value is F_0(root) - Pi_0(G).  One menu array is carried up the levels, and
-    the payoffs and the scan grid are evaluated once.
+    the scenario's leaf rows and scan grid are read by every step.
     """
     lat = scenario.lattice
-    leaves = _leaf_payoffs(scenario)
-    g, _, h = leaves
-    y = _scan_grid(scenario, refine)
+    g, _, h = scenario._leaves
     fields, policies, tally = [g + h], [], Counter()
-    menus = _level_menus(scenario, lat.n, y, leaves)
+    menus = _level_menus(scenario, lat.n, scenario._scan_grids[bool(refine)])
     for level in range(lat.n - 1, -1, -1):
-        current, pol = _sup_step(scenario, level, fields[-1], y, menus[:lat.nodes(level + 1)],
-                                 leaves, refine, tally)
+        current, pol = sup_convolution(scenario, level, fields[-1], refine,
+                                       menus[:level + 2], tally=tally)
         fields.append(current)
         policies.append(pol)
     pi0_g = float(ce(g, lat.leaf_log_weights_from(0), scenario.agents.gamma))
@@ -418,7 +413,7 @@ def buy_and_hold_position(scenario: DpScenario) -> float:
 
     PreconditionError if no such y_star exists or it is inadmissible.
     """
-    g_vals, s_vals, h_vals = _leaf_payoffs(scenario)
+    g_vals, s_vals, h_vals = scenario._leaves
     weight = scenario.agents.demander_weight
     target = weight * (g_vals + h_vals)
     movable = np.abs(s_vals) > 1e-14
@@ -460,7 +455,8 @@ def no_rebalance_check(
 
 def emm_eipu(scenario: DpScenario, level: int, m: int) -> float:
     """Efficient price at a node: E[S exp(-abar*(G+H))] / E[exp(-abar*(G+H))]."""
-    g, s, h = _leaf_payoffs(scenario, level, m)
+    pay = scenario.payoffs
+    g, s, h = _leaf_payoffs(scenario, level, m, (pay.g_fn, pay.s_fn, pay.h_fn))
     logw = scenario.lattice.leaf_log_weights_from(level)
     return tilted_mean(s, g + h, logw, scenario.agents.aggregate_aversion)
 

@@ -2,21 +2,23 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import impactlab.dp
 from impactlab.dp import (
     DpScenario,
     Lattice,
-    _leaf_payoffs,
     _level_menus,
     buy_and_hold_position,
     conditional_ce,
@@ -219,22 +221,25 @@ def test_value_recursion_calls_each_payoff_once(refine):
     # the two-peak scenario below: refine on scans two nodes again on the whole grid
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapped(w):
-            calls[name] += 1
-            return fn(w)
+    def counted(scn):
+        def wrap(name, fn):
+            def wrapped(w):
+                calls[name] += 1
+                return fn(w)
 
-        return wrapped
+            return wrapped
+
+        pay = scn.payoffs
+        return replace(scn, payoffs=replace(
+            pay, s_fn=wrap("s", pay.s_fn), g_fn=wrap("g", pay.g_fn), h_fn=wrap("h", pay.h_fn)))
 
     scn = make_scenario(3, lambda w: 0.2 - 0.9 * w + w**2, lambda w: -0.8 - 0.5 * w,
                         lambda w: 0.3 * w, gamma=4.0, c=1.0, admissible=(-3.0, 3.0), res=1e-3)
-    pay = scn.payoffs
-    result = value_recursion(replace(scn, payoffs=replace(
-        pay, s_fn=counted("s", pay.s_fn), g_fn=counted("g", pay.g_fn), h_fn=counted("h", pay.h_fn)
-    )), refine)
+    once = counted(scn)
+    result = value_recursion(once, refine)
     assert calls == {"s": 1, "g": 1, "h": 1}
     assert result.fallback_nodes == (2 if refine else 0)
-    # the public step, which evaluates the payoffs and the scan grid itself
+    # the public step, given no menus, builds the children's menus from the leaves
     fields, policies, tally = [result.fields[-1]], [], Counter()
     for level in range(2, -1, -1):
         values, pol = sup_convolution(scn, level, fields[-1], refine, tally=tally)
@@ -245,6 +250,39 @@ def test_value_recursion_calls_each_payoff_once(refine):
     assert (result.refine_evaluations, result.fallback_nodes) == (
         tally["evaluations"], tally["fallback_nodes"])
     assert value_recursion(scn, refine).value == result.value
+    # the scenario holds its leaf rows: a second recursion evaluates no payoff, a copy again
+    assert result_bytes(value_recursion(once, refine)) == result_bytes(result)
+    assert calls == {"s": 1, "g": 1, "h": 1}
+    assert result_bytes(value_recursion(replace(once), refine)) == result_bytes(result)
+    assert calls == {"s": 2, "g": 2, "h": 2}
+    # buy_and_hold_position and the recursion of no_rebalance_check read the same rows
+    calls.clear()
+    report = no_rebalance_check(counted(make_scenario(3, IDENT, ZERO, IDENT,
+                                                      admissible=(-1.0, 1.0))), refine)
+    assert report.is_buy_and_hold and calls == {"s": 1, "g": 1, "h": 1}
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_the_tracer_sees_each_step_of_the_recursion(refine):
+    """``bench/tracer.py`` wraps the public ``dp`` functions in their module, so
+    the recursion's n steps are ``dp.sup_convolution`` spans under its own span,
+    and a traced run keeps the untraced bits."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    scn = BIT_SCENARIOS[0]
+    want = value_recursion(scn, refine)
+    trace = tracer.Tracer()
+    with trace.active():
+        got = impactlab.dp.value_recursion(replace(scn), refine)
+    dp_spans = [(i, span) for i, span in enumerate(trace.spans) if span[0].startswith("dp.")]
+    (root, _), *steps = dp_spans
+    assert [span[0] for _, span in dp_spans] == (
+        ["dp.value_recursion"] + ["dp.sup_convolution"] * scn.lattice.n)
+    assert all(span[3] == root for _, span in steps)
+    assert result_bytes(got) == result_bytes(want)
 
 
 # the two-peak fallback scenario above, gamma = 0, c = inf, and two buy-and-hold books
@@ -424,9 +462,9 @@ def test_sup_convolution_menus_contract():
     scn = make_scenario(4, lambda w: 1.0 + 0.4 * w, lambda w: 0.3 * w**2, IDENT, gamma=1.3, c=0.7)
     y = scn.y_grid()
     owed = np.linspace(-0.2, 0.3, 4)
-    menus = _level_menus(scn, 3, y, _leaf_payoffs(scn))
+    menus = _level_menus(scn, 3, y)
     values, policies = sup_convolution(scn, 2, owed, refine=False, menus=menus)
-    assert np.array_equal(menus[:3], _level_menus(scn, 2, y, _leaf_payoffs(scn)))
+    assert np.array_equal(menus[:3], _level_menus(scn, 2, y))
     alone = sup_convolution(scn, 2, owed, refine=False)
     assert np.array_equal(alone[0], values) and np.array_equal(alone[1], policies)
     with pytest.raises(ParameterError):
@@ -673,7 +711,7 @@ def test_tower_menus_match_leaf_enumeration(n, g, s, gamma, ys):
     scn = make_scenario(n, _poly(s), _poly(g), ZERO, gamma=gamma)
     y = np.array(ys)
     for level in range(n + 1):
-        menus = _level_menus(scn, level, y, _leaf_payoffs(scn))
+        menus = _level_menus(scn, level, y)
         for m in range(level + 1):
             for k, yy in enumerate(y):
                 ref = conditional_pi(scn, level, m, lambda w: _poly(g)(w) - yy * _poly(s)(w))
@@ -884,7 +922,7 @@ def test_recursion_policy_is_forward_optimal():
 def pareto_bound(scn):
     """B_n = CE_abar(G + H) - Pi_0(G) over the n + 1 leaves: the demander's value of
     the efficient (Borch) sharing of G + H, which a complete market reaches."""
-    g, _, h = _leaf_payoffs(scn)
+    g, _, h = scn._leaves
     logw = scn.lattice.leaf_log_weights_from(0)
     return float(ce(g + h, logw, scn.agents.aggregate_aversion) - ce(g, logw, scn.agents.gamma))
 

@@ -18,8 +18,10 @@ points).  Each line gives the median wall time, the refinement's evaluation
 and fallback counts where the recursion reports them, the root values with
 all their digits, and a sha256 (16 hex digits) of the bytes of every field
 and policy of the recursions, so two checkouts' outputs can be compared at
-every node, not only at the root.  It imports ``src/impactlab`` from the
-checkout it sits in.
+every node, not only at the root.  A scenario caches its leaf payoffs and
+scan grids, so each timed call runs on a fresh copy (``dataclasses.replace``)
+and every row still times that work, as rows taken before the cache did.  It
+imports ``src/impactlab`` from the checkout it sits in.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import hashlib
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,7 +91,7 @@ def main(argv=None):
         work = LatticeWorkload(seed)
         work.build()
         scenario = work.api_scenario
-        seconds, _ = median_seconds(lambda: no_rebalance_check(scenario), args.repeats)
+        seconds, _ = median_seconds(lambda: no_rebalance_check(replace(scenario)), args.repeats)
         result = value_recursion(scenario)  # the counts: the report does not carry them
         report(f"seed {seed} no_rebalance_check n={scenario.lattice.n} on "
                f"{scenario.y_grid().size} points", seconds, [result], result.value)
@@ -99,14 +102,14 @@ def main(argv=None):
         ).payoffs()
         ladder = [DpScenario(Lattice(n), payoffs, work.ADMISSIBLE, work.RESOLUTION)
                   for n in work.N_LIST]
-        seconds, results = median_seconds(lambda: [value_recursion(s) for s in ladder],
+        seconds, results = median_seconds(lambda: [value_recursion(replace(s)) for s in ladder],
                                           args.repeats)
         report(f"seed {seed} convergence recursions n={work.N_LIST}", seconds, results,
                results[-1].value)
 
         small = work.small_scenarios
         seconds, results = median_seconds(
-            lambda: [value_recursion(s, refine=False) for s in small], args.repeats)
+            lambda: [value_recursion(replace(s), refine=False) for s in small], args.repeats)
         report(f"seed {seed} refine off small lattices n={[s.lattice.n for s in small]}",
                seconds, results, [r.value for r in results])
 
@@ -114,7 +117,7 @@ def main(argv=None):
         payoffs = MarkovPayoffs(s_fn=s, g_fn=g, h_fn=h,
                                 agents=AgentPair(work.bs["gamma"], work.bs["c"]))
         dp_value = DpScenario(Lattice(work.DP_N), payoffs, work.ADMISSIBLE, work.RESOLUTION)
-        seconds, result = median_seconds(lambda: value_recursion(dp_value, refine=False),
+        seconds, result = median_seconds(lambda: value_recursion(replace(dp_value), refine=False),
                                          args.repeats)
         report(f"seed {seed} refine off dp-value n={work.DP_N} on "
                f"{dp_value.y_grid().size} points", seconds, [result], result.value)
@@ -123,7 +126,8 @@ def main(argv=None):
                            agents=AgentPair(1.0, 1.0))
     big = DpScenario(Lattice(args.big_n), model.payoffs(), (-2.0, 2.0), 1e-3)
     # seconds a run at n = 128: few repeats
-    seconds, result = median_seconds(lambda: value_recursion(big), max(1, min(args.repeats, 3)))
+    seconds, result = median_seconds(lambda: value_recursion(replace(big)),
+                                     max(1, min(args.repeats, 3)))
     report(f"quadratic n={args.big_n} on {big.y_grid().size} points", seconds, [result],
            result.value)
     return 0
