@@ -73,13 +73,19 @@ class Brownian(LevyModel):
                 raise ParameterError("Brownian parameters must be finite", name)
         if self.sigma < 0.0:
             raise ParameterError("Brownian sigma must be >= 0", "sigma")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ParameterError("Brownian sigma squared must be finite", "sigma")
 
     def _check(self, u, strict: bool = False):
         return _as_float_array(u)
 
     def kappa(self, u):
         u = self._check(u)
-        return _value(self.b * u - 0.5 * self.sigma**2 * u**2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half_square = 0.5 * self.sigma**2 * u**2
+            # 0 * inf where sigma^2 underflows or u^2 overflows: (sigma*u)^2 is finite there
+            half_square = np.where(np.isnan(half_square), 0.5 * (self.sigma * u) ** 2, half_square)
+        return _value(self.b * u - half_square)
 
     def kappa_prime(self, u):
         u = self._check(u, strict=True)

@@ -946,6 +946,10 @@ REFUSALS = {
         "levy-sim",
         lambda o: levy_config(o, model={"family": "brownian", "b": 0.0, "sigma": -1.0}),
         "model.sigma"),
+    "brownian-sigma-squared-overflows": (
+        "levy-sim",
+        lambda o: levy_config(o, model={"family": "brownian", "b": 0.0, "sigma": 1e200}),
+        "model.sigma"),
     "agents-c-le-0": ("levy-sim", lambda o: _with_agents(levy_config(o), 1.0, 0.0), "agents.c"),
     "b_quad-curvature-markov-fields": (
         "markov-fields",

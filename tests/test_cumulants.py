@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,16 @@ def test_kappa_closed_form_anchors():
     assert OneSidedStable(r=1.0, alpha=0.5).kappa_double_prime(1.0) == pytest.approx(
         -0.25, abs=1e-15
     )
+
+
+def test_brownian_kappa_is_finite_where_its_square_term_is_zero_times_infinity():
+    # sigma^2 * u^2 is 0 * inf where sigma = 0 and u^2 overflows, or where sigma^2 underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Brownian(0.5, 0.0).kappa(1e200) == 5e199
+        got = Brownian(0.5, 0.0).kappa(np.array([1e200, -1e200, 1.0]))
+        assert got.tolist() == [5e199, -5e199, 0.5]
+        assert Brownian(0.0, 1e-200).kappa(1e200) == -0.5
 
 
 def test_kappa_zero_and_concavity():

@@ -76,6 +76,8 @@ REFUSALS = {
     "brownian-b-nan": (Brownian, lambda: Brownian(b=math.nan), ParameterError, "b"),
     "brownian-sigma-inf": (Brownian, lambda: Brownian(sigma=math.inf), ParameterError, "sigma"),
     "brownian-sigma-negative": (Brownian, lambda: Brownian(sigma=-1.0), ParameterError, "sigma"),
+    "brownian-sigma-squared-overflows": (
+        Brownian, lambda: Brownian(sigma=1e200), ParameterError, "sigma"),
     "gamma-alpha-zero": (
         GammaProcess, lambda: GammaProcess(alpha=0.0, beta=1.0), ParameterError, "alpha"),
     "gamma-beta-negative": (
