@@ -333,10 +333,10 @@ def _peaks(rows: np.ndarray) -> np.ndarray:
 
 def _refine(scenario, level, owed, y, rows, j, tally):
     """Newton from the scan-grid argmax y[j] between its scan-grid neighbours, on
-    the objective from the children's leaves.  A node whose scan row has two
-    or more local maxima, or whose objective is convex at Newton's point
-    (F'' > 0), is scanned again on the whole y grid from its leaves and
-    polished between that grid's neighbours instead.  F'' = 0 exactly is left
+    the objective from the children's leaves.  A node whose scan row has two or
+    more local maxima, or whose objective is convex at Newton's point (F'' > 0),
+    is scanned again on the whole y grid from its leaves and polished between
+    that grid's neighbours instead.  F'' = 0 exactly is left
     out: it comes from an objective flat or linear in y, whose best scan point
     (the tie-break winner or an end) is already the whole grid's."""
     leaves = [scenario.lattice.child_leaves(v, level) for v in scenario._leaves[:2]]
