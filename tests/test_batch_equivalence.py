@@ -7,6 +7,8 @@ Every column of the batched results, and of the one-row wrappers, must
 have the same bytes as theirs.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -276,3 +278,43 @@ def test_records_follow_the_path_h_prime_not_the_last_one_seen():
     got, want = efficient_path_record(scn, custom), old_efficient_path_record(scn, custom)
     assert same_bits(got.y_star, want["y_star"])
     assert same_bits(got.trading_pnl, want["trading_pnl"])
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the path pass
+
+BIT_SCENARIOS = [
+    LevyScenario(GammaProcess(3.0, 0.8), AgentPair(1.2, 2.5), 0.5,
+                 ShockSchedule(0.4, ((0.5, -0.9),), 0.2), PathGrid(16)),
+    LevyScenario(Brownian(0.1, 0.7), AgentPair(1.0, math.inf), -0.3,
+                 ShockSchedule(0.2, ((0.25, 0.3), (0.75, -0.6)), 1.0), PathGrid(12)),
+    LevyScenario(OneSidedStable(1.2, 0.6), AgentPair(0.7, 2.0), 0.4,
+                 ShockSchedule(0.1, ((0.4, 0.5),), -0.5), PathGrid(10)),
+]
+
+
+def value_bytes(value) -> bytes:
+    """A field as its type, dtype, shape and bytes."""
+    out = np.asarray(value)
+    return f"{type(value).__name__} {out.dtype.str} {out.shape}".encode() + out.tobytes()
+
+
+# recorded before the record's two sums became one and the stream loop reused one state
+RECORDED_PATH_PASS_SHA256 = "8e4d17618d381e0d180da0edf8f83806b0753c97a1bee12c468835a819538b64"
+
+
+def test_path_pass_keeps_its_recorded_bits():
+    """simulate_batch's levels and increments, and every field of every path's and
+    batch's record, for three families with shocks; the batch at 2**32 - 2 crosses
+    the carry of a path index into a second uint32 word."""
+    digest = hashlib.sha256()
+    for scn in BIT_SCENARIOS:
+        for first, n_paths in ((0, 5), (2**32 - 2, 4)):
+            batch = simulate_batch(scn.model, scn.grid, scn.schedule, 23, n_paths, first=first)
+            digest.update(value_bytes(batch.x) + value_bytes(batch.increments))
+            records = [efficient_path_record(scn, path) for path in batch]
+            records.append(efficient_batch_record(scn, batch))
+            for record in records:
+                for field in dataclasses.fields(record):
+                    digest.update(value_bytes(getattr(record, field.name)))
+    assert digest.hexdigest() == RECORDED_PATH_PASS_SHA256
