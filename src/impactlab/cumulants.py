@@ -85,7 +85,10 @@ class Brownian(LevyModel):
             half_square = 0.5 * self.sigma**2 * u**2
             # 0 * inf where sigma^2 underflows or u^2 overflows: (sigma*u)^2 is finite there
             half_square = np.where(np.isnan(half_square), 0.5 * (self.sigma * u) ** 2, half_square)
-        return _value(self.b * u - half_square)
+            value = self.b * u - half_square
+            # inf - inf where b*u overflows too: the factored form has the dominant term's sign
+            value = np.where(np.isnan(value), u * (self.b - 0.5 * self.sigma**2 * u), value)
+        return _value(value)
 
     def kappa_prime(self, u):
         u = self._check(u, strict=True)

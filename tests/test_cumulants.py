@@ -69,6 +69,18 @@ def test_brownian_kappa_is_finite_where_its_square_term_is_zero_times_infinity()
         assert Brownian(0.0, 1e-200).kappa(1e200) == -0.5
 
 
+def test_brownian_kappa_has_the_sign_of_its_dominant_term_where_both_terms_overflow():
+    # b*u and sigma^2 u^2 / 2 both overflow, so b*u - sigma^2 u^2 / 2 is inf - inf at u > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Brownian(1e10, 1.0).kappa(1e300) == -math.inf
+        assert Brownian(1e10, 1.0).kappa(-1e300) == -math.inf
+        assert Brownian(1e300, 1e-10).kappa(1e300) == math.inf
+        assert Brownian(1e300, 1e-10).kappa(-1e300) == -math.inf
+        got = Brownian(1e300, 1e-10).kappa(np.array([1e300, -1e300, 1.0]))
+        assert got.tolist() == [math.inf, -math.inf, 1e300]
+
+
 def test_kappa_zero_and_concavity():
     rng = np.random.default_rng(11)
     for model in MODELS:
