@@ -20,8 +20,9 @@ payoff, the P&L and the terminal wealth are computed per path.  One record
 type holds either a path or a batch: a path is the one-row case.
 
 A per-path record is mostly fixed cost, so ``_record`` keeps it small: the
-shared columns and the interval slices of H' and Y* are memoised per H'
-series; a path's two sums (one ``np.vecdot`` each) are added as floats; and
+shared columns and a (2, n) matrix of each interval's H' and Y* are memoised
+per H' series; a path's two sums are one ``np.vecdot`` of that matrix with its
+increments, added as floats; and
 the frozen record is filled through its ``__dict__``, in field order, without
 the guarded ``object.__setattr__`` per field of the dataclass ``__init__``.
 ``dataclasses.replace`` and the public constructor give a record with the
@@ -230,9 +231,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _shared_columns(scenario: LevyScenario, h_prime):
     """For one H' series: the record columns every path shares (times, h_prime,
-    y_star, risk_premium, convexity, in field order); the H' and Y* of each
-    interval, which weigh a path's increments; s_star - x; and the fee leg of the
-    P&L at Y*.  Memoised on the series' bytes."""
+    y_star, risk_premium, convexity, in field order); the (2, n) rows of each
+    interval's H' and Y*, which weigh a path's increments; s_star - x; and the fee
+    leg of the P&L at Y*.  Memoised on the series' bytes."""
     h = np.asarray(h_prime, dtype=float)
     key = (h.shape, h.tobytes())
     entry = scenario._columns_memo[0]
@@ -248,7 +249,8 @@ def _shared_columns(scenario: LevyScenario, h_prime):
         premium = risk_premium(scenario, h, times)
     shared = tuple(_read_only(column) for column in (
         times, h.copy(), y_star, premium, efficient_convexity(scenario, h, times)))
-    value = (shared, shared[1][:-1], y_star[:-1], slope_leg, _fee_leg(scenario, y_star[:-1]))
+    weights = _read_only(np.stack((h[:-1], y_star[:-1])))
+    value = (shared, weights, slope_leg, _fee_leg(scenario, weights[1]))
     scenario._columns_memo[0] = (key, value)
     return value
 
@@ -276,11 +278,12 @@ def _filled(shared: tuple, x, s_star, endowment, pnl, wealth) -> EfficientRecord
 
 def _record(scenario: LevyScenario, paths) -> EfficientRecord:
     """One code path for a ``PathSample`` (1-d rows) and a ``PathBatch`` (matrices)."""
-    shared, h_left, y_left, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
-    endowment = np.vecdot(paths.increments, h_left)
-    pnl = np.vecdot(paths.increments, y_left)
-    if endowment.ndim == 0:  # a path: floats, which add as float64 scalars do
-        endowment, pnl = float(endowment), float(pnl)
+    shared, weights, slope_leg, fee = _shared_columns(scenario, paths.h_prime)
+    increments = paths.increments
+    if increments.ndim == 1:  # a path: floats, which add as float64 scalars do
+        endowment, pnl = np.vecdot(weights, increments).tolist()
+    else:
+        endowment, pnl = np.vecdot(weights[:, None, :], increments)
     endowment = scenario.schedule.h + endowment
     pnl = pnl + fee
     return _filled(shared, paths.x, paths.x + slope_leg, endowment, pnl, endowment + pnl)

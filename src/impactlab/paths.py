@@ -247,24 +247,6 @@ def _stream_words(seed: int, first: int, n_paths: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _pcg64_states(words: np.ndarray):
-    """The ``state`` of ``PCG64`` seeded with each row of ``_stream_words``.
-
-    Words 0-1 are its initstate and words 2-3 its initseq, high word first;
-    seeding sets inc = (initseq << 1) | 1 and steps the LCG from 0, adds
-    initstate, and steps again: state = ((inc + initstate) * M + inc) mod 2**128.
-    """
-    for state_hi, state_lo, seq_hi, seq_lo in words.tolist():
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
 def simulate_path(
     model: LevyModel,
     grid: PathGrid,
@@ -324,9 +306,13 @@ def simulate_batch(
     """Paths first..first+n_paths-1 as one ``PathBatch``; its row k - first
     equals ``simulate_path(model, grid, schedule, seed, k)``.
 
-    Row k - first is drawn from the stream of ``path_generator(seed, k)``:
-    every path's ``SeedSequence([seed, k])`` words are hashed at once, and one
-    ``Generator`` is set to each path's PCG64 state before its draws.
+    Row k - first is drawn from the stream of ``path_generator(seed, k)``.
+    Every path's ``SeedSequence([seed, k])`` words are hashed at once.  Words
+    0-1 of a path's row are its PCG64 initstate and words 2-3 its initseq, high
+    word first; seeding sets inc = (initseq << 1) | 1 and steps the LCG from 0,
+    adds initstate, and steps again: state = ((inc + initstate) * M + inc) mod
+    2**128.  The loop writes each path's two ints into one state dict, which
+    one ``Generator``'s PCG64 copies before the path's draws.
     """
     seed, first = _whole_number(seed, "seed"), _whole_number(first, "first")
     n_paths = _whole_number(n_paths, "n_paths", 1)
@@ -337,7 +323,14 @@ def simulate_batch(
     bit_generator = np.random.PCG64(0)  # every path sets its own state
     rng = np.random.Generator(bit_generator)
     sample, dt = model.sample_increments, grid.dt
-    for row, state in zip(increments, _pcg64_states(_stream_words(seed, first, n_paths))):
+    # the state setter copies the two ints, so one dict serves every path
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    lcg = state["state"]
+    words = _stream_words(seed, first, n_paths).tolist()
+    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(increments, words):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        lcg["state"] = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        lcg["inc"] = inc
         bit_generator.state = state
         row[:] = sample(rng, dt, n)
     x = np.empty((n_paths, n + 1))
