@@ -231,8 +231,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _shared_columns(scenario: LevyScenario, h_prime):
     """For one H' series: the record columns every path shares (times, h_prime,
-    y_star, risk_premium, convexity, in field order); the (2, n) rows of each
-    interval's H' and Y*, which weigh a path's increments; s_star - x; and the fee
+    y_star, risk_premium, convexity, in field order); a (2, n) matrix of each
+    interval's H' and Y*, which weighs a path's increments; s_star - x; and the fee
     leg of the P&L at Y*.  Memoised on the series' bytes."""
     h = np.asarray(h_prime, dtype=float)
     key = (h.shape, h.tobytes())
