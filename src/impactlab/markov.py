@@ -250,11 +250,18 @@ def _probe_gradients(s, g, probes, gamma, t, order, h=None, abar=0.0) -> list:
     if gamma == 0.0:  # then abar = 0 too: every row untilted
         return _grad_rows(rows, t, gamma, order).tolist()
     nodes, logw = _rules(order)
-    aversion = np.full(len(rows), gamma)
-    if head:
-        aversion[0] = abar
+    aversion = _probe_aversion(gamma, abar if head else gamma, len(rows))
     mean = tilted_mean(nodes, rows, logw, aversion[:, None])
-    return (-mean / (aversion * math.sqrt(1.0 - t))).tolist()
+    return (mean / (aversion * -math.sqrt(1.0 - t))).tolist()  # negation is exact
+
+
+@lru_cache(maxsize=64)
+def _probe_aversion(gamma: float, head: float, rows: int) -> np.ndarray:
+    """The probe rows' aversions, ``head`` then gamma, read-only; float64 for an int gamma."""
+    aversion = np.full(rows, gamma, dtype=float)
+    aversion[0] = head
+    aversion.flags.writeable = False
+    return aversion
 
 
 def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
@@ -372,13 +379,16 @@ class QuadraticModel:
             )
 
     def payoffs(self) -> MarkovPayoffs:
+        mu, sigma, g_load, h_const, a_lin, b_quad = (
+            self.mu, self.sigma, self.g_load, self.h_const, self.a_lin, self.b_quad)
+
+        def h_fn(w):
+            w = np.asarray(w, dtype=float)
+            return h_const + a_lin * w + 0.5 * b_quad * w**2
         return MarkovPayoffs(
-            s_fn=lambda w: self.mu + self.sigma * np.asarray(w, dtype=float),
-            g_fn=lambda w: self.g_load * (self.mu + self.sigma * np.asarray(w, dtype=float)),
-            h_fn=lambda w: self.h_const
-            + self.a_lin * np.asarray(w, dtype=float)
-            + 0.5 * self.b_quad * np.asarray(w, dtype=float) ** 2,
-            agents=self.agents,
+            s_fn=lambda w: mu + sigma * np.asarray(w, dtype=float),
+            g_fn=lambda w: g_load * (mu + sigma * np.asarray(w, dtype=float)),
+            h_fn=h_fn, agents=self.agents,
         )
 
 
@@ -479,14 +489,15 @@ class ShockWaveModel:
         return self.agents.aggregate_aversion
 
     def payoffs(self) -> MarkovPayoffs:
-        a = self.wave_aversion
+        a, mu, sigma, w_c, offset = self.wave_aversion, self.mu, self.sigma, self.w_c, self.offset
+
+        def h_fn(w):
+            w = np.asarray(w, dtype=float)
+            return w - _log_cosh(a * (w - w_c)) / a + offset
         return MarkovPayoffs(
-            s_fn=lambda w: self.mu - self.sigma * np.asarray(w, dtype=float),
+            s_fn=lambda w: mu - sigma * np.asarray(w, dtype=float),
             g_fn=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
-            h_fn=lambda w: np.asarray(w, dtype=float)
-            - _log_cosh(a * (np.asarray(w, dtype=float) - self.w_c)) / a
-            + self.offset,
-            agents=self.agents,
+            h_fn=h_fn, agents=self.agents,
         )
 
 

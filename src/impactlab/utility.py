@@ -175,6 +175,18 @@ def tilted_moments(
     ``ce(values, logw, aversion, axis)``, bit for bit, which for a finite
     a > 0 comes from the same tilt's normaliser.
     """
+    exponent = None
+    if axis == -1 and not with_ce and 0.0 < aversion < math.inf:
+        exponent = logw - aversion * values
+        if exponent.ndim == 1 and np.ndim(x) <= 1 and (other is None or np.ndim(other) <= 1):
+            # one row (a Newton step's): the ufuncs below, in order, without keepdims or squeeze
+            exponent -= np.maximum.reduce(exponent)
+            tilt = np.exp(exponent, exponent)
+            tilt /= np.add.reduce(tilt)
+            mean = np.add.reduce(tilt * x)
+            spread = x - mean
+            other = other if other is None else other - np.add.reduce(tilt * other)
+            return mean, np.add.reduce(tilt * spread * (spread if other is None else other))
     # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
     with quiet:
@@ -185,7 +197,7 @@ def tilted_moments(
                 np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
             )
             exponent = np.where(values == lowest, logw, -np.inf)
-        else:
+        elif exponent is None:
             exponent = logw - aversion * values
         tilt, total, top = _tilt(exponent, axis, keepdims=True)
         tilt /= total
@@ -244,7 +256,9 @@ def newton_root(fn, x, neg, pos):
     most of a scalar root's Newton time.  fn then gets a numpy float64 (a
     float with the array methods) and should return two Python floats.
     """
-    if isinstance(x, Real) and isinstance(neg, Real) and isinstance(pos, Real):
+    # type() first: a numbers.Real test is an ABC check, a fixed cost of every root
+    if type(x) is type(neg) is type(pos) is float or all(
+            isinstance(v, Real) for v in (x, neg, pos)):
         x, neg, pos = float(x), float(neg), float(pos)
         where, any_, maximum, divide, quiet, point = (
             _choose, bool, max, _divide, contextlib.nullcontext, np.float64)

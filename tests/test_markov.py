@@ -1079,3 +1079,25 @@ def test_fields_workload_roots_keep_their_recorded_bits(seed):
                       for pay in _fields_workload_payoffs(seed)])
     assert roots.shape == (2, 656)
     assert hashlib.sha256(roots.tobytes()).hexdigest() == _FIELDS_ROOTS_SHA256[seed]
+
+
+def test_probe_aversions_are_cached_read_only_float_rows():
+    aversion = markov._probe_aversion(1, 0.5, 10)  # an int gamma: the head is not truncated
+    assert aversion.dtype == np.float64 and aversion.tolist() == [0.5] + [1.0] * 9
+    assert markov._probe_aversion(1, 0.5, 10) is aversion  # roots share it
+    column = aversion[:, None]  # the column tilted_mean reads
+    assert not aversion.flags.writeable and not column.flags.writeable
+    with pytest.raises(ValueError):
+        column[0, 0] = 2.0
+
+
+def test_integer_aversions_give_the_roots_of_float_ones():
+    # np.full of an int gamma was an int row, which truncated the abar of dv/dw's
+    # row to 0: the probes' residuals lost their sign change and the root failed
+    def strategy(gamma, c):
+        model = QuadraticModel(g_load=0.2, mu=0.1, sigma=1.0, a_lin=0.5, b_quad=0.2,
+                               agents=AgentPair(gamma, c))
+        return optimal_strategy_markov(model.payoffs(), 0.3, 0.2)
+
+    assert strategy(1, 2).hex() == strategy(1.0, 2.0).hex()
+    assert strategy(2, 3).hex() == strategy(2.0, 3.0).hex()

@@ -1,11 +1,14 @@
 """Certainty equivalents, agent pairs, and the Levy indifference prices."""
 
+import contextlib
 import math
 import warnings
+from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -619,3 +622,127 @@ def test_float_division_gives_numpys_bits():
             got = utility._divide(a, b)
             assert type(got) is float
             assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+
+
+def _newton_root_by_abc_test(fn, x, neg, pos):
+    """``utility.newton_root`` verbatim from before its exact float type test:
+    the numbers.Real test alone picks the float loop."""
+    if isinstance(x, Real) and isinstance(neg, Real) and isinstance(pos, Real):
+        x, neg, pos = float(x), float(neg), float(pos)
+        where, any_, maximum, divide, quiet, point = (
+            utility._choose, bool, max, utility._divide, contextlib.nullcontext, np.float64)
+    else:
+        x = np.asarray(x, dtype=float)
+        where, any_, maximum, divide, quiet, point = (
+            np.where, np.any, np.maximum, np.divide, utility._quiet, np.asarray)
+    tol = utility._EPS * maximum(abs(neg), abs(pos))
+    step = prev = abs(pos - neg)
+    f, slope = fn(point(x))
+    active = f != 0.0
+    for _ in range(utility._NEWTON_CAP):
+        neg = where(f < 0.0, x, neg)
+        pos = where(f > 0.0, x, pos)
+        # a tiny slope overflows the step, and the step the bracket test: an
+        # infinite product reads as outside the bracket, which it is
+        with quiet():
+            dx = divide(f, slope)
+            new = x - dx
+            take = ((new - neg) * (new - pos) < 0.0) & (abs(dx) <= 0.5 * prev)
+        new = where(take, new, 0.5 * (neg + pos))
+        prev, step = step, abs(new - x)
+        active &= step > tol
+        if not any_(active):
+            break
+        x = where(active, new, x)
+        f, slope = fn(point(x))
+        active &= f != 0.0
+    return x, f
+
+
+# each input type newton_root may be given for a point or a bracket end: the
+# integral ones take whole values (bool: 0 or 1), the others any float
+_NUMBER_TYPES = {
+    "float": float, "float64": np.float64, "float32": np.float32, "int": int,
+    "int64": np.int64, "bool": bool, "Fraction": Fraction, "0-d array": np.array,
+}
+
+
+@st.composite
+def _typed_number(draw, kind=None):
+    kind = kind or draw(st.sampled_from(sorted(_NUMBER_TYPES)))
+    if kind == "bool":
+        return bool(draw(st.integers(0, 1)))
+    if kind in ("int", "int64"):
+        return _NUMBER_TYPES[kind](draw(st.integers(-4, 4)))
+    return _NUMBER_TYPES[kind](draw(st.floats(-4.0, 4.0)))
+
+
+def _bits(v):
+    """The type, dtype and bytes of a result: a float's and a 0-d array's alike."""
+    return type(v), np.asarray(v).dtype, np.asarray(v).tobytes()
+
+
+@st.composite
+def _typed_numbers(draw):
+    """x, neg and pos: of one type, or of floats but one, or of any three types."""
+    kinds = sorted(_NUMBER_TYPES)
+    mix = draw(st.sampled_from(["one type", "floats but one", "any"]))
+    if mix == "one type":
+        kinds = [draw(st.sampled_from(kinds))] * 3
+    elif mix == "floats but one":
+        kinds = ["float"] * 3
+        kinds[draw(st.integers(0, 2))] = draw(st.sampled_from(sorted(_NUMBER_TYPES)))
+    else:
+        kinds = [None] * 3
+    return tuple(draw(_typed_number(kind)) for kind in kinds)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_typed_numbers(), st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
+       st.booleans())
+@example((0.5, -4.0, np.array(4.0)), 0.3, 1.0, 1.0, False)
+@example((0.5, -4.0, 4.0), 0.3, 1.0, 1.0, False)
+def test_newton_root_keeps_the_path_and_bits_of_the_abc_test(start, root, curvature, line,
+                                                             falling):
+    # a random monotone function, increasing or falling: every input type takes
+    # the path, the points, the bits and the result types of the numbers.Real test
+    x, neg, pos = start
+    sign = -1.0 if falling else 1.0
+
+    def fn(y):
+        points.append(_bits(y))
+        d = y - root
+        return sign * (np.sinh(curvature * d) + line * d), sign * (
+            curvature * np.cosh(curvature * d) + line)
+
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for newton in (newton_root, _newton_root_by_abc_test):
+            points = []
+            got, value = newton(fn, x, neg, pos)
+            runs.append((_bits(got), _bits(value), points))
+    assert runs[0] == runs[1]
+
+
+_ROW_ORDERS = st.sampled_from([2, 3, 7, 33, 127, 128, 129, 370])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ROW_ORDERS, st.sampled_from([5e-324, 1e-310]) | st.floats(1e-300, 1e3),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_one_row_tilted_moments_give_the_bits_of_a_matrix_row(order, aversion, seed, given_other):
+    # a 1-d row takes tilted_moments' one-row branch; as a (1, n) matrix, the
+    # generic one: the same ufuncs in the same order, so the same bits
+    from impactlab.markov import _rules
+
+    nodes, logw = _rules(order)
+    rng = np.random.default_rng(seed)
+    s, g = rng.normal(size=(2, order))
+    values, other = g - rng.uniform(-2.0, 2.0) * s, s if given_other else None
+    mean, cov = tilted_moments(nodes, values, logw, aversion, other=other)
+    mean_m, cov_m = tilted_moments(nodes, values[None, :], logw, aversion, other=other)
+    assert type(mean) is type(cov) is np.float64  # the one-row branch's scalars
+    assert mean_m.shape == cov_m.shape == (1,)
+    assert np.asarray(mean).reshape(1).tobytes() == mean_m.tobytes()
+    assert np.asarray(cov).reshape(1).tobytes() == cov_m.tobytes()

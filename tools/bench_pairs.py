@@ -15,15 +15,21 @@ each workload, ten seeds make ten pairs; one pair runs
 in the two worktrees, one after the other: the parent first for odd seeds,
 the change first for even seeds.  The run length is ``bench/run.py``'s own
 default.  The k-th workload named (counting from 0) takes seeds
-``first-seed + 20 k`` onwards.  With ``--traced-seed`` each side also makes
-one ``--trace 1`` run of every workload at that seed.
+``first-seed + 20 k`` onwards.  With ``--traced-seed`` each workload also
+makes ``TRACED_PAIRS`` alternating pairs of ``--trace 1`` runs, at seeds
+``traced-seed`` onwards, in the same order; one traced run a side cannot tell
+a layer's change from the host's drift between the two runs.
 
 The output has the schema of ``BENCH_16.json``: for every end-to-end
 metric of ``BENCHMARK.json``, each side's median and quartiles
 (``numpy.percentile`` 25 and 75), its per-run values in seed order, and
 in how many pairs the change is lower; per workload, the seeds and each
 side's attempted and failed operations, and whether every check held;
-and the Python and numpy versions, ``nproc`` and the commands.  It is
+for the traced pairs, each side's median of every metric the tracer prints
+and in how many pairs the change is lower; and the Python and numpy
+versions, numpy's baseline and active dispatch targets (its runtime CPU
+dispatch picks the kernels, and so the bits, of ``exp``, ``log`` and the
+reductions), ``nproc`` and the commands.  It is
 written to the repository root.  The extracted trees are removed at the end,
 also when a run fails.
 """
@@ -44,7 +50,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED_PAIRS = 4
 COMMAND = "python3 bench/run.py --workload W --seed {seed} --trace {trace}"
+# the interpreter's and numpy's versions, and numpy's dispatch level: the baseline
+# it was built for and the dispatch targets this CPU runs
+VERSIONS = """
+import json, platform, numpy
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+active = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+print(json.dumps({"python": platform.python_version(), "numpy": numpy.__version__,
+                  "numpy_cpu_baseline": list(__cpu_baseline__),
+                  "numpy_cpu_dispatch_active": active}))
+"""
 TRACED_NOTE = ("the tracer records spans in the run's own process only: where path files "
                "are written by forked writers, cli.emit_csv_s, cli.csv_bytes and "
                "cli.emit_mb_per_s count only the run's own share")
@@ -69,6 +86,30 @@ def summary(values):
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
             "q3": round(float(q3), 4)}
+
+
+def alternating_runs(trees, workload, seeds, trace, names):
+    """runs[side][i] at seeds[i]: the parent first for odd seeds, the change first for even."""
+    runs = {side: [] for side in SIDES}
+    for seed in seeds:
+        for side in SIDES if seed % 2 else SIDES[::-1]:
+            runs[side].append(bench(trees[side], workload, seed, trace))
+            print(f"{workload} seed {seed} trace {trace} {side}: " + ", ".join(
+                f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}" for name in names),
+                file=sys.stderr)
+    return runs
+
+
+def traced_record(runs, seeds):
+    """Each side's median of every traced metric, and in how many pairs the change is lower."""
+    names = sorted(runs["parent"][0]["metrics"])
+    values = {side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in names}
+              for side in SIDES}
+    return {"seeds": seeds, "metrics": {name: {
+        **{side: round(float(np.median(values[side][name])), 4) for side in SIDES},
+        "change_lower_in_pairs": sum(c < p for p, c in zip(values["parent"][name],
+                                                           values["change"][name])),
+    } for name in names}}
 
 
 def workload_record(runs, seeds, metrics):
@@ -116,14 +157,12 @@ def main(argv=None):
     if args.claim:
         workload, metric = args.claim.split(":")
         result["claim"] = {"workload": workload, "metric": metric}
-    versions = subprocess.run(
-        [sys.executable, "-c", "import platform, numpy; print(platform.python_version(), "
-         "numpy.__version__)"], check=True, capture_output=True, text=True).stdout.split()
+    versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], check=True,
+                                         capture_output=True, text=True).stdout)
     result.update({
         "command": COMMAND.format(seed="S", trace=0),
         "order": "alternating pairs: parent first for odd seeds, change first for even seeds",
-        "python": versions[0],
-        "numpy": versions[1],
+        **versions,
         "nproc": len(os.sched_getaffinity(0)),
         "host": f"{os.cpu_count()}-CPU {platform.machine()} host",
         "quartiles": "numpy.percentile 25 / 50 / 75 over the runs of each side",
@@ -139,24 +178,20 @@ def main(argv=None):
             archive = subprocess.run(["git", "archive", commits[side]], cwd=ROOT, check=True,
                                      capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive, check=True)
+        names = [name for name, _ in metrics]
         for k, workload in enumerate(workloads):
             seeds = [args.first_seed + 20 * k + i for i in range(PAIRS)]
-            runs = {side: [] for side in SIDES}
-            for seed in seeds:
-                for side in SIDES if seed % 2 else SIDES[::-1]:
-                    runs[side].append(bench(trees[side], workload, seed, 0))
-                    print(f"{workload} seed {seed} {side}: " + ", ".join(
-                        f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}"
-                        for name, _ in metrics), file=sys.stderr)
+            runs = alternating_runs(trees, workload, seeds, 0, names)
             result["workloads"][workload] = workload_record(runs, seeds, metrics)
         if args.traced_seed is not None:
-            result["traced"] = {"command": COMMAND.format(seed=args.traced_seed, trace=1)
-                                + ", one run a side", "note": TRACED_NOTE}
+            seeds = [args.traced_seed + i for i in range(TRACED_PAIRS)]
+            result["traced"] = {
+                "command": COMMAND.format(seed="S", trace=1),
+                "order": f"{TRACED_PAIRS} alternating pairs a workload, as above; medians",
+                "note": TRACED_NOTE}
             for workload in workloads:
-                result["traced"][workload] = {"seed": args.traced_seed, **{
-                    side: {name: round(m["value"], 4) for name, m in sorted(bench(
-                        trees[side], workload, args.traced_seed, 1
-                    )["metrics"].items())} for side in SIDES}}
+                runs = alternating_runs(trees, workload, seeds, 1, names)
+                result["traced"][workload] = traced_record(runs, seeds)
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
