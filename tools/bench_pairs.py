@@ -51,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 TRACED_PAIRS = 4
+TRACED_SHOWN = ("markov.self_s", "dp.self_s", "efficient.self_s", "trace.overhead_s")
 COMMAND = "python3 bench/run.py --workload W --seed {seed} --trace {trace}"
 # the interpreter's and numpy's versions, and numpy's dispatch level: the baseline
 # it was built for and the dispatch targets this CPU runs
@@ -89,13 +90,15 @@ def summary(values):
 
 
 def alternating_runs(trees, workload, seeds, trace, names):
-    """runs[side][i] at seeds[i]: the parent first for odd seeds, the change first for even."""
+    """runs[side][i] at seeds[i]: the parent first for odd seeds, the change first for even.
+    Each run's metrics among ``names`` are printed (a traced run has other metrics)."""
     runs = {side: [] for side in SIDES}
     for seed in seeds:
         for side in SIDES if seed % 2 else SIDES[::-1]:
             runs[side].append(bench(trees[side], workload, seed, trace))
+            metrics = runs[side][-1]["metrics"]
             print(f"{workload} seed {seed} trace {trace} {side}: " + ", ".join(
-                f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}" for name in names),
+                f"{name} {metrics[name]['value']:.4g}" for name in names if name in metrics),
                 file=sys.stderr)
     return runs
 
@@ -190,7 +193,7 @@ def main(argv=None):
                 "order": f"{TRACED_PAIRS} alternating pairs a workload, as above; medians",
                 "note": TRACED_NOTE}
             for workload in workloads:
-                runs = alternating_runs(trees, workload, seeds, 1, names)
+                runs = alternating_runs(trees, workload, seeds, 1, TRACED_SHOWN)
                 result["traced"][workload] = traced_record(runs, seeds)
 
     out = ROOT / f"BENCH_{args.pr}.json"
