@@ -105,7 +105,7 @@ def alternating_runs(trees, workload, seeds, trace, names):
 
 def traced_record(runs, seeds):
     """Each side's median of every traced metric, and in how many pairs the change is lower."""
-    names = sorted(runs["parent"][0]["metrics"])
+    names = sorted(set.intersection(*(set(r["metrics"]) for side in SIDES for r in runs[side])))
     values = {side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in names}
               for side in SIDES}
     return {"seeds": seeds, "metrics": {name: {
@@ -171,6 +171,7 @@ def main(argv=None):
         "quartiles": "numpy.percentile 25 / 50 / 75 over the runs of each side",
         "workloads": {},
     })
+    out = ROOT / f"BENCH_{args.pr}.json"
     commits = {side: git("rev-parse", ref)
                for side, ref in zip(SIDES, (args.parent, args.change))}
 
@@ -186,6 +187,7 @@ def main(argv=None):
             seeds = [args.first_seed + 20 * k + i for i in range(PAIRS)]
             runs = alternating_runs(trees, workload, seeds, 0, names)
             result["workloads"][workload] = workload_record(runs, seeds, metrics)
+        out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")  # before traced runs
         if args.traced_seed is not None:
             seeds = [args.traced_seed + i for i in range(TRACED_PAIRS)]
             result["traced"] = {
@@ -196,7 +198,6 @@ def main(argv=None):
                 runs = alternating_runs(trees, workload, seeds, 1, TRACED_SHOWN)
                 result["traced"][workload] = traced_record(runs, seeds)
 
-    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0
