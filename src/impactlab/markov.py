@@ -23,11 +23,11 @@ safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
 mean of the nodes) and its y-derivative (a tilted covariance of the nodes
 and s).  A root is one state's scalar problem, and most of its cost is the
 fixed cost of each numpy call, so the calls are few: dv/dw and the first
-bracket's 9 probe residuals come from one tilt of 10 stacked rows, a
-bracket's probe grid is built once and cached, and the bracket bookkeeping
-and Newton run on Python floats, all rounding as float64 arrays do.  On the
-benchmark's ``fields`` pass a root takes about 140-200 us (busy 2-vCPU VM;
-``tools/time_fields.py`` times it in process).
+bracket's 9 probe residuals come from one tilt of 10 stacked rows with cached
+aversions, a probe grid is cached, a Newton step tilts one row, and the
+bookkeeping and Newton run on Python floats, all rounding as float64 arrays
+do.  A ``fields`` benchmark root takes about 72 us on its quadratic model (1
+Newton step) and 93 us on its wave (1.75; ``tools/time_fields.py``, 2 vCPUs).
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and

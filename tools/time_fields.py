@@ -11,7 +11,10 @@ times and 41 factor levels on its quadratic and its shock-wave model, 1,312
 roots.  Each line gives the median wall time and the time a root, the
 number of Newton evaluations the pass takes (calls of
 ``markov.tilted_moments``, one tilt of the nodes each), and a sha256 of the
-roots' bytes, so two checkouts' roots can be compared.  A second line a seed
+roots' bytes, so two checkouts' roots can be compared.  Two more lines a
+seed give the same median and count for each model's 656 roots alone: the
+quadratic model's roots take fewer Newton evaluations than the shock wave's,
+so their costs differ.  A last line a seed
 times the table of the workload's ``markov-fields`` command: its config is
 read by the command line's own readers, and ``markov._state_fields`` gives
 the v, u, p, q rows at each of its 16 times over its 301 factor levels.  The
@@ -38,7 +41,7 @@ from time_dp import median_seconds  # noqa: E402
 from workloads import Fields  # noqa: E402
 
 
-def evaluations(work):
+def evaluations(api_pass):
     """Newton evaluations of one library pass, counted as tilts of the nodes."""
     calls = collections.Counter()
     tilt = markov.tilted_moments
@@ -48,8 +51,14 @@ def evaluations(work):
         return tilt(*args, **kwargs)
 
     with mock.patch.object(markov, "tilted_moments", counted):
-        work.api_pass()
+        api_pass()
     return calls["tilts"]
+
+
+def model_pass(work, payoffs):
+    """A callable giving one model's roots of the workload's library pass."""
+    return lambda: [markov.optimal_strategy_markov(payoffs, t, float(w))
+                    for t in work.API_TIMES for w in work.API_W]
 
 
 def table_pass(work):
@@ -76,7 +85,13 @@ def main(argv=None):
         digest = hashlib.sha256(roots.tobytes()).hexdigest()
         print(f"seed {seed} optimal_strategy_markov x {roots.size}: median {seconds * 1e3:.2f} ms"
               f" ({seconds / roots.size * 1e6:.1f} us a root); "
-              f"Newton evaluations {evaluations(work)}; roots sha256 {digest}")
+              f"Newton evaluations {evaluations(work.api_pass)}; roots sha256 {digest}")
+        for name, payoffs in zip(("quadratic", "shock-wave"), work.models):
+            seconds, roots = median_seconds(model_pass(work, payoffs), args.repeats)
+            count = evaluations(model_pass(work, payoffs))
+            print(f"seed {seed}   {name} x {len(roots)}: median {seconds * 1e3:.2f} ms"
+                  f" ({seconds / len(roots) * 1e6:.1f} us a root); Newton evaluations {count}"
+                  f" ({count / len(roots):.2f} a root)")
         seconds, rows = median_seconds(table_pass(work), args.repeats)
         digest = hashlib.sha256(rows.tobytes()).hexdigest()
         print(f"seed {seed} markov-fields table, {len(work.TIMES)} t x {work.W_RANGE[2]} w: "
