@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError, _whole_number
 from .markov import MarkovPayoffs, _payoff_rows, field_p, field_v
-from .utility import ce, newton_root, tilted_mean, tilted_moments
+from .utility import _ce_from_normaliser, _tilt, ce, newton_root, tilted_mean, tilted_moments
 
 _COARSE_INTERVALS = 64  # the refine-on scan grid's intervals over the admissible range
 _SLOPE_FLOOR = 4 * np.finfo(float).eps  # F' this close to its terms' cancellation is 0
@@ -85,27 +85,32 @@ class Lattice:
         return (2 * (m + np.arange(self.n - level + 1)) - self.n) / math.sqrt(self.n)
 
     def leaf_log_weights_from(self, level: int) -> np.ndarray:
-        """Log binomial weights of the leaves from any node at this level (exact binomials)."""
-        remaining = self.n - level
-        logs, binom = [], 1
-        for k in range(remaining + 1):
-            logs.append(math.log(binom))
-            binom = binom * (remaining - k) // (k + 1)
-        return np.array(logs) - remaining * math.log(2.0)
+        """Log binomial weights of the leaves from any node at this level (exact
+        binomials), read-only and built once for each number of remaining steps."""
+        if not 0 <= level <= self.n:
+            raise ParameterError("level outside the lattice")
+        return _leaf_log_weights(self.n - level)
 
     def coin(self, ndim: int = 1) -> np.ndarray:
-        """Log-weights of one step's (down, up) children, along the first of ``ndim`` axes."""
-        return np.full((2,) + (1,) * (ndim - 1), -math.log(2.0))
+        """Log-weights of one step's (down, up) children, along the first of ``ndim``
+        axes, read-only and built once for each ``ndim``."""
+        return _coin(ndim)
 
-    def children(self, rows: np.ndarray) -> np.ndarray:
-        """(down child, up child) rows of every node one level up, stacked on axis 0."""
-        return np.stack((rows[:-1], rows[1:]))
+    def children(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(down child, up child) rows of every node one level up, stacked on axis 0,
+        written into ``out`` when it is given."""
+        if out is None:
+            out = np.empty((2, len(rows) - 1) + rows.shape[1:], dtype=rows.dtype)
+        out[0], out[1] = rows[:-1], rows[1:]
+        return out
 
     def child_leaves(self, leaves: np.ndarray, level: int) -> np.ndarray:
-        """A read-only (children, nodes, leaves) view of the n+1 ``leaves``: entry
-        [k, m, l] is leaf m + k + l, leaf l of child (level+1, m+k) of node m."""
-        shape = (2, self.nodes(level), self.n - level)
-        return as_strided(leaves, shape, (leaves.strides[0],) * 3, writeable=False)
+        """A read-only (..., children, nodes, leaves) view of the n+1 ``leaves`` along
+        the last axis: entry [..., k, m, l] is leaf m + k + l, leaf l of child
+        (level+1, m+k) of node m."""
+        shape = leaves.shape[:-1] + (2, self.nodes(level), self.n - level)
+        strides = leaves.strides[:-1] + (leaves.strides[-1],) * 3
+        return as_strided(leaves, shape, strides, writeable=False)
 
     def working_cells(self, points: float, refine: bool) -> float:
         """About how many floats the value recursion holds at once on a y grid
@@ -116,6 +121,39 @@ class Lattice:
         if not refine:
             return rows * points
         return rows * (min(points, _COARSE_INTERVALS + 2.0) + rows / 2) + points + _SCAN_CELLS
+
+
+# levels of up to 127 steps: a recursion that refines reads each level's weights once
+@lru_cache(maxsize=128)
+def _leaf_log_weights(remaining: int) -> np.ndarray:
+    """Log binomial weights of the leaves ``remaining`` steps on, read-only."""
+    logs, binom = [], 1
+    for k in range(remaining + 1):
+        logs.append(math.log(binom))
+        binom = binom * (remaining - k) // (k + 1)
+    logw = np.array(logs) - remaining * math.log(2.0)
+    logw.flags.writeable = False
+    return logw
+
+
+@lru_cache(maxsize=8)
+def _coin(ndim: int) -> np.ndarray:
+    """The coin's log-weights -log 2 along the first of ``ndim`` axes, read-only."""
+    coin = np.full((2,) + (1,) * (ndim - 1), -math.log(2.0))
+    coin.flags.writeable = False
+    return coin
+
+
+@lru_cache(maxsize=16)
+def _coin_aversions(gamma: float, c: float, ndim: int) -> Optional[np.ndarray]:
+    """The aversions (gamma, c) as a read-only column of ``ndim`` axes, for one tilt
+    of the supplier's and the demander's coin flips; None where either tilt is a
+    mean (gamma = 0) or a minimum (c = inf), which the CE takes without a tilt."""
+    if gamma == 0.0 or math.isinf(c):
+        return None
+    column = np.array((gamma, c), dtype=float).reshape((2,) + (1,) * (ndim - 1))
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -156,21 +194,25 @@ class DpScenario:
         return rows
 
     @cached_property
-    def _scan_grids(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _scan_grids(self) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """The y points the menus are carried on and the argmax is taken over,
-        read-only, indexed by ``refine``.  Refine off: the whole y grid.  Refine
-        on: every k-th point of it, for k = ceil((N - 1) / 64), with both ends and
-        the point the whole grid's tie-break picks on a flat objective (smallest
-        |y|, then negative y), so that flat objectives and policies on a bound
-        keep the whole grid's answers, and a grid of at most 65 points is its own subset."""
+        each with its tie-break order (``_tie_order``), read-only, indexed by
+        ``refine``.  Refine off: the whole y grid.  Refine on: every k-th point
+        of it, for k = ceil((N - 1) / 64), with both ends and the point the whole
+        grid's tie-break picks on a flat objective (smallest |y|, then negative
+        y), so that flat objectives and policies on a bound keep the whole grid's
+        answers, and a grid of at most 65 points is its own subset."""
         y = self.y_grid()
         keep = np.zeros(y.size, dtype=bool)
         keep[::-(-(y.size - 1) // _COARSE_INTERVALS)] = True
         # the first of the smallest |y| is the negative one: y increases
         keep[-1] = keep[np.argmin(np.abs(y))] = True
-        coarse = y[keep]
-        y.flags.writeable = coarse.flags.writeable = False
-        return y, coarse
+        grids = []
+        for points in (y, y[keep]):
+            order = _tie_order(points)
+            points.flags.writeable = order.flags.writeable = False
+            grids.append((points, order))
+        return tuple(grids)
 
 
 def conditional_ce(
@@ -204,11 +246,39 @@ def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
     return menus
 
 
-def _tie_broken_argmax(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column of each row's maximum; ties go to the smallest |y|, then to negative y."""
-    order = np.lexsort((y >= 0.0, np.abs(y)))
+def _tie_order(y: np.ndarray) -> np.ndarray:
+    """The columns of y by smallest |y|, then negative y: the tie-break's ranking."""
+    return np.lexsort((y >= 0.0, np.abs(y)))
+
+
+def _tie_broken_argmax(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Column of each row's maximum; ties go to the column first in ``order``
+    (``_tie_order`` of the grid: the smallest |y|, then negative y)."""
     ranked = rows[:, order]
-    return order[np.argmax(ranked == ranked.max(axis=1, keepdims=True), axis=1)]
+    return order[(ranked == np.maximum.reduce(ranked, 1, keepdims=True)).argmax(1)]
+
+
+def _coin_flips(scenario: DpScenario, menus: np.ndarray, owed: np.ndarray):
+    """The supplier's coin-flip CE (at gamma) of the children's ``menus``, which is
+    this level's menus, and the objective on the scan grid: the demander's
+    coin-flip CE (at c) of ``owed`` less the children's menus, plus the supplier's.
+    Where both tilts are finite they are one tilt of a stack, the exponent
+    written over the stack and the two CEs over its normaliser; the stack is
+    freed before the argmax copies the objective."""
+    lat, gamma, c = scenario.lattice, scenario.agents.gamma, scenario.agents.c
+    coin, aversions = lat.coin(3), _coin_aversions(gamma, c, 4)
+    if aversions is None:  # a mean or a minimum: a call each
+        pairs = lat.children(menus)
+        own = ce(pairs, coin, gamma, axis=0)
+        return own, ce(np.subtract(owed[:, :, None], pairs, out=pairs), coin, c, axis=0) + own
+    stack = np.empty((2,) + owed.shape + menus.shape[1:])
+    pairs = lat.children(menus, out=stack[0])
+    np.subtract(owed[:, :, None], pairs, out=stack[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = np.subtract(coin, np.multiply(stack, aversions, out=stack), out=stack)
+        _, total, top = _tilt(exponent, 1)
+        own, demand = _ce_from_normaliser(total, top, aversions, 1)
+    return own, np.add(demand, own, out=demand)
 
 
 def sup_convolution(
@@ -235,17 +305,15 @@ def sup_convolution(
     continuation = np.asarray(continuation, dtype=float)
     if continuation.shape != (next_nodes,):
         raise ParameterError("continuation must hold one value per node at level+1")
-    y = scenario._scan_grids[bool(refine)]
+    y, order = scenario._scan_grids[bool(refine)]
     if menus is None:
         menus = _level_menus(scenario, level + 1, y)
     elif menus.shape != (next_nodes, y.size):
         raise ParameterError("menus must hold one scan-grid row per node at level+1")
-    gamma, c, coin = scenario.agents.gamma, scenario.agents.c, lat.coin(3)
-    owed, pairs = lat.children(continuation), lat.children(menus)
-    own = ce(pairs, coin, gamma, axis=0)  # this level's menus, also the supplier term
-    objective = ce(np.subtract(owed[:, :, None], pairs, out=pairs), coin, c, axis=0) + own
+    owed = lat.children(continuation)
+    own, objective = _coin_flips(scenario, menus, owed)
     menus[:len(own)] = own
-    j = _tie_broken_argmax(objective, y)
+    j = _tie_broken_argmax(objective, order)
     if not refine:
         return objective[np.arange(j.size), j], y[j]
     return _refine(scenario, level, owed, y, objective, j,
@@ -260,19 +328,24 @@ class _LeafWindows:
     def __init__(self, scenario: DpScenario, level: int, owed: np.ndarray, leaves, nodes):
         lat = scenario.lattice
         self.gamma, self.c = scenario.agents.gamma, scenario.agents.c
+        # (gamma, c) for one tilt of both coin flips, stacked on a first axis; None: two tilts
+        self.aversions = _coin_aversions(self.gamma, self.c, 4)
         self.logw = lat.leaf_log_weights_from(level + 1)
         self.coin = lat.coin(2)  # along the children axis, which the nodes axis follows
-        self.g, self.s = (v[:, nodes] for v in leaves)
+        self.g, self.s = leaves[:, :, nodes]
         self.owed = owed[:, nodes]
         self.calls = 0
         self.curvature = None  # F'' at the last derivative call
 
     def objective(self, yy):
-        """F at the points yy, whose last axis runs over the nodes."""
+        """F at the points yy, (points, nodes)."""
         self.calls += 1
         pi = ce(self.g - np.asarray(yy)[..., None, :, None] * self.s, self.logw, self.gamma)
         coin = self.coin
-        return ce(self.owed - pi, coin, self.c, axis=-2) + ce(pi, coin, self.gamma, axis=-2)
+        if self.aversions is None:
+            return ce(self.owed - pi, coin, self.c, axis=-2) + ce(pi, coin, self.gamma, axis=-2)
+        own, demand = ce(np.array((pi, self.owed - pi)), coin, self.aversions, axis=-2)
+        return demand + own
 
     def negated_derivatives(self, yy):
         """-F' and -F'' from pi' = -E^gamma[S] and pi'' = -gamma*Var^gamma[S] per
@@ -283,9 +356,14 @@ class _LeafWindows:
         gamma, c, coin = self.gamma, self.c, self.coin
         book = self.g - yy[:, None] * self.s
         mean, var, pi = tilted_moments(self.s, book, self.logw, gamma, with_ce=True)
-        pi_d = np.stack((-mean, -gamma * var))  # pi' and pi'' of each child
-        dem, dem_var = tilted_moments(-pi_d, self.owed - pi, coin, c, axis=-2)
-        sup, sup_var = tilted_moments(pi_d, pi, coin, gamma, axis=-2)
+        slopes = np.array((mean, gamma * var))  # -pi' and -pi'' of each child
+        if self.aversions is None:
+            dem, dem_var = tilted_moments(slopes, self.owed - pi, coin, c, axis=-2)
+            sup, sup_var = tilted_moments(-slopes, pi, coin, gamma, axis=-2)
+        else:  # one tilt of both coin flips, each with its derivatives on the axis after
+            (sup, dem), (sup_var, dem_var) = tilted_moments(
+                np.array((-slopes, slopes)), np.array((pi, self.owed - pi))[:, None], coin,
+                self.aversions, axis=-2)
         slope = dem[0] + sup[0]
         floor = _SLOPE_FLOOR * (np.abs(dem[0]) + np.abs(sup[0]))
         # a*Var^a[f'] tends to 0 as a -> inf wherever the minimizing child is unique
@@ -307,19 +385,20 @@ class _LeafWindows:
         where the three tie); the result replaces y[j] when it does at least
         as well.  Returns the values, the points and F'' at Newton's point."""
         below, above = np.maximum(j - 1, 0), np.minimum(j + 1, y.size - 1)
-        lo, hi = y[below], y[above]
+        lo, at, hi = y[below], y[j], y[above]
         nodes = np.arange(j.size)
-        d0, d2 = lo - y[j], hi - y[j]
-        g0, g2 = rows[nodes, below] - rows[nodes, j], rows[nodes, above] - rows[nodes, j]
+        d0, d2 = lo - at, hi - at
+        mid = rows[nodes, j]
+        g0, g2 = rows[nodes, below] - mid, rows[nodes, above] - mid
         den = 2.0 * (d0 * g2 - d2 * g0)
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.where(den > 0.0, (d0 * d0 * g2 - d2 * d2 * g0) / den, 0.0)
-        start = np.clip(y[j] + shift, lo, hi)
+        start = (at + shift).clip(lo, hi)
         best, _ = newton_root(self.negated_derivatives, start, lo, hi)
         curvature = self.curvature  # newton_root's last call is at the point it returns
-        f_best, f_grid = self.objective(np.stack((best, y[j])))
+        f_best, f_grid = self.objective(np.array((best, at)))
         better = f_best >= f_grid
-        return np.where(better, f_best, f_grid), np.where(better, best, y[j]), curvature
+        return np.where(better, f_best, f_grid), np.where(better, best, at), curvature
 
 
 def _peaks(rows: np.ndarray) -> np.ndarray:
@@ -328,7 +407,7 @@ def _peaks(rows: np.ndarray) -> np.ndarray:
     rise = np.ones((rows.shape[0], rows.shape[1] + 1), dtype=bool)
     rise[:, -1] = False
     np.greater(rows[:, 1:], rows[:, :-1], out=rise[:, 1:-1])
-    return np.count_nonzero(rise[:, :-1] & ~rise[:, 1:], axis=1)
+    return np.add.reduce(rise[:, :-1] & ~rise[:, 1:], 1)
 
 
 def _refine(scenario, level, owed, y, rows, j, tally):
@@ -339,21 +418,21 @@ def _refine(scenario, level, owed, y, rows, j, tally):
     that grid's neighbours instead.  F'' = 0 exactly is left
     out: it comes from an objective flat or linear in y, whose best scan point
     (the tie-break winner or an end) is already the whole grid's."""
-    leaves = [scenario.lattice.child_leaves(v, level) for v in scenario._leaves[:2]]
+    leaves = scenario.lattice.child_leaves(scenario._leaves[:2], level)  # G and S
     windows = _LeafWindows(scenario, level, owed, leaves, slice(None))
     values, policies, curvature = windows.polish(y, rows, j)
     tally["evaluations"] += windows.calls
     fallback = np.flatnonzero((_peaks(rows) >= 2) | (curvature > 0.0))
     tally["fallback_nodes"] += fallback.size
     if fallback.size:
-        full = scenario._scan_grids[False]
+        full, order = scenario._scan_grids[False]
         group = max(1, _SCAN_CELLS // full.size)  # nodes whose whole-grid rows are held at once
         for k in range(0, fallback.size, group):
             nodes = fallback[k:k + group]
             windows = _LeafWindows(scenario, level, owed, leaves, nodes)
             scanned = windows.scan(full)
             values[nodes], policies[nodes], _ = windows.polish(
-                full, scanned, _tie_broken_argmax(scanned, full)
+                full, scanned, _tie_broken_argmax(scanned, order)
             )
             tally["evaluations"] += windows.calls
     return values, policies
@@ -386,7 +465,7 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     lat = scenario.lattice
     g, _, h = scenario._leaves
     fields, policies, tally = [g + h], [], Counter()
-    menus = _level_menus(scenario, lat.n, scenario._scan_grids[bool(refine)])
+    menus = _level_menus(scenario, lat.n, scenario._scan_grids[bool(refine)][0])
     for level in range(lat.n - 1, -1, -1):
         current, pol = sup_convolution(scenario, level, fields[-1], refine,
                                        menus[:level + 2], tally=tally)
@@ -395,7 +474,8 @@ def value_recursion(scenario: DpScenario, refine: bool = True) -> DpValue:
     pi0_g = float(ce(g, lat.leaf_log_weights_from(0), scenario.agents.gamma))
     lo, hi = scenario.admissible
     tol = 1e-12 * (hi - lo)  # refinement stops a few 1e-15 widths short of a binding end
-    hits = sum(int(np.count_nonzero((p <= lo + tol) | (p >= hi - tol))) for p in policies)
+    every = np.concatenate(policies)
+    hits = int(np.count_nonzero((every <= lo + tol) | (every >= hi - tol)))
     return DpValue(float(current[0]) - pi0_g, fields[::-1], policies[::-1], pi0_g, hits,
                    tally["evaluations"], tally["fallback_nodes"])
 

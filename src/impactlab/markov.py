@@ -58,7 +58,7 @@ MAX_ORDER = 370
 _WEIGHT_SUM_TOL = 1e-12  # |sum of the weights / sqrt(2*pi) - 1| is <= 4.4e-16 at orders 2-370
 _RESIDUAL_TOL = 1e-10  # the inversion's stopping residual, and how often it doubles the bracket
 _MAX_EXPANSIONS = 30
-_STATE_BLOCK = 512  # states per node evaluation: the (block, order) arrays bound the memory
+_STATE_BLOCK = 128  # states per node evaluation: the (block, order) arrays bound the memory
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 

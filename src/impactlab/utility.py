@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from typing import TYPE_CHECKING
 
@@ -102,22 +103,32 @@ class SampleSet:
         return SampleSet(self.values + float(cash), self.weights)
 
 
-def ce(values, logw, aversion: float, axis: int = -1):
+def ce(values, logw, aversion, axis: int = -1):
     """-(1/a) log sum_i exp(logw_i - a v_i) along ``axis``.
 
     ``logw`` holds log-weights summing to one along ``axis`` and broadcasts
     against ``values``; entries of -inf are outside the support.  a = 0
     gives the weighted mean, a = inf the minimum over the support.
+    ``aversion`` may also be a column of finite aversions above 0, one per
+    slice along axis 0 (shape (k, 1, ..., 1), an axis for each of ``values``'s,
+    with ``axis`` not 0): k stacked payoffs from one tilt, each slice with the
+    bits of its own call.
     """
     # ufunc reductions rather than ndarray methods: this runs tens of
     # thousands of times per lattice on arrays of a few elements
-    if aversion == 0.0:
-        return np.add.reduce(np.exp(logw) * values, axis)
-    if math.isinf(aversion):
-        return np.minimum.reduce(np.where(np.isneginf(logw), np.inf, values), axis)
+    if not _column(aversion):
+        if aversion == 0.0:
+            return np.add.reduce(np.exp(logw) * values, axis)
+        if math.isinf(aversion):
+            return np.minimum.reduce(np.where(np.isneginf(logw), np.inf, values), axis)
     with np.errstate(over="ignore", invalid="ignore"):
         _, total, top = _tilt(logw - aversion * values, axis)
-    return _ce_from_normaliser(total, top, aversion, axis)
+        return _ce_from_normaliser(total, top, aversion, axis)
+
+
+def _column(aversion) -> bool:
+    """Whether ``aversion`` is a column of aversions, one per slice along axis 0."""
+    return isinstance(aversion, np.ndarray) and aversion.ndim > 0
 
 
 def _tilt(exponent, axis: int, keepdims: bool = False):
@@ -129,12 +140,19 @@ def _tilt(exponent, axis: int, keepdims: bool = False):
     return tilt, np.add.reduce(tilt, axis, keepdims=keepdims), top
 
 
-def _ce_from_normaliser(total, top, aversion: float, axis: int):
+def _ce_from_normaliser(total, top, aversion, axis: int):
     """-(1/a) log sum_i exp(logw_i - a v_i), from the sum ``total`` of the tilt
     exp(logw - a*v - top) along ``axis`` and its shift ``top`` (axis kept), for
-    a finite a > 0; OverflowError if the result is non-finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = -(np.log(total) + top.squeeze(axis)) / aversion
+    a finite a > 0 or a column of them (see ``ce``); OverflowError if the result
+    is non-finite.  A ``total`` with axes is overwritten with the result, so a
+    large normaliser allocates nothing more.  Called with overflow and invalid
+    operations ignored, as ``ce`` tilts, so that the error is the one report."""
+    if _column(aversion):
+        aversion = aversion.squeeze(axis)
+    into = total if total.ndim else None  # a 0-d total gives a scalar, as ce of a row does
+    out = np.log(total, out=into)
+    out = np.negative(np.add(out, top.squeeze(axis), out=into), out=into)
+    out = np.divide(out, aversion, out=into)
     if not np.isfinite(out).all():
         raise OverflowError("certainty equivalent is non-finite even after shifting")
     return out
@@ -154,11 +172,11 @@ def tilted_mean(x, values, logw, aversion: float, with_ce: bool = False):
         tilt, total, top = _tilt(logw - aversion * values, -1)
         # one dot product per row: a matrix-vector product sums in another order
         mean = np.vecdot(tilt, x) / total
+        if with_ce and aversion != 0.0:
+            return mean, _ce_from_normaliser(total, top, aversion, -1)
     if not with_ce:
         return mean
-    if aversion == 0.0:  # the tilt does not weigh the values
-        return mean, ce(values, logw, aversion)
-    return mean, _ce_from_normaliser(total, top, aversion, -1)
+    return mean, ce(values, logw, aversion)  # a = 0: the tilt does not weigh the values
 
 
 def tilted_moments(
@@ -173,10 +191,12 @@ def tilted_moments(
     a = inf keeps only the supported minimizers of ``values`` (the tilt
     ``ce``'s minimum is the limit of).  ``with_ce`` appends
     ``ce(values, logw, aversion, axis)``, bit for bit, which for a finite
-    a > 0 comes from the same tilt's normaliser.
+    a > 0 comes from the same tilt's normaliser.  ``aversion`` may be a column,
+    as for ``ce``: k stacked ``values`` tilted at once, each slice with the bits
+    of its own call (``x`` and ``other`` broadcast against the stack).
     """
     exponent = None
-    if axis == -1 and not with_ce and 0.0 < aversion < math.inf:
+    if axis == -1 and not with_ce and not _column(aversion) and 0.0 < aversion < math.inf:
         exponent = logw - aversion * values
         if exponent.ndim == 1 and np.ndim(x) <= 1 and (other is None or np.ndim(other) <= 1):
             # one row (a Newton step's): the ufuncs below, in order, without keepdims or squeeze
@@ -187,12 +207,15 @@ def tilted_moments(
             spread = x - mean
             other = other if other is None else other - np.add.reduce(tilt * other)
             return mean, np.add.reduce(tilt * spread * (spread if other is None else other))
+    # the limits' tilts do not weigh the values, and their CE is ce's own
+    limit = not _column(aversion) and (aversion == 0.0 or math.isinf(aversion))
     # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
     with quiet:
-        if aversion == 0.0:  # a new array to tilt in place: -0.0 + 0.0 is 0.0, which tilts alike
+        # a = 0: a new array to tilt in place; -0.0 + 0.0 is 0.0, which tilts alike
+        if limit and aversion == 0.0:
             exponent = logw + np.zeros_like(values, dtype=float)
-        elif math.isinf(aversion):
+        elif limit:
             lowest = np.minimum.reduce(
                 np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
             )
@@ -206,13 +229,12 @@ def tilted_moments(
         if other is not None:
             other = other - np.add.reduce(tilt * other, axis, keepdims=True)
         cov = np.add.reduce(tilt * spread * (spread if other is None else other), axis)
+        if with_ce and not limit:
+            return mean.squeeze(axis), cov, _ce_from_normaliser(total.squeeze(axis), top,
+                                                                aversion, axis)
     if not with_ce:
         return mean.squeeze(axis), cov
-    if aversion == 0.0 or math.isinf(aversion):  # the tilt does not weigh the values
-        certainty = ce(values, logw, aversion, axis)
-    else:
-        certainty = _ce_from_normaliser(total.squeeze(axis), top, aversion, axis)
-    return mean.squeeze(axis), cov, certainty
+    return mean.squeeze(axis), cov, ce(values, logw, aversion, axis)
 
 
 _NEWTON_CAP = 128  # steps; bisecting any bracket down to the stopping step takes at most 53
@@ -264,8 +286,9 @@ def newton_root(fn, x, neg, pos):
             _choose, bool, max, _divide, contextlib.nullcontext, np.float64)
     else:
         x = np.asarray(x, dtype=float)
-        where, any_, maximum, divide, quiet, point = (
-            np.where, np.any, np.maximum, np.divide, _quiet, np.asarray)
+        where, maximum, divide, quiet, point = (
+            np.where, np.maximum, np.divide, _quiet, np.asarray)
+        any_ = partial(np.logical_or.reduce, axis=None)  # np.any's answer, without its wrapper
     tol = _EPS * maximum(abs(neg), abs(pos))
     step = prev = abs(pos - neg)
     f, slope = fn(point(x))
