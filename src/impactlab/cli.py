@@ -366,9 +366,10 @@ def _dp_payoffs(root: Section, agents: AgentPair) -> markov.MarkovPayoffs:
     return _model(sec, "kind", kind, _KINDS, agents=agents).payoffs()
 
 
-# value_recursion holds the (n+1, grid) menus plus (2, n, grid) pair arrays
-# and CE temporaries at its widest level: about 9 float64s per (n+2) * grid
-# cell as measured with tracemalloc; 10 leaves some room.  The budget also
+# value_recursion holds the (n+1, grid) menus plus, at its widest level, the
+# (2, 2, n, grid) stack of both coin flips' tilt, its (2, n, grid) shift and
+# normaliser: about 9 float64s per (n+2) * grid cell as measured with
+# tracemalloc (8.47 at n = 20, 8.99 at n = 64); 10 leaves some room.  The budget also
 # bounds the markov-fields w grid, 8 bytes a point.
 _DP_BYTES_PER_CELL = 10 * 8
 _DP_MEMORY_BUDGET = 2 * 1024**3

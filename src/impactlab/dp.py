@@ -3,16 +3,25 @@
 The factor takes +-1/sqrt(n) steps with probability 1/2 over n periods,
 so level j holds j+1 nodes at values (2m - j)/sqrt(n).  ``Lattice`` owns
 this binomial step: the coin's log-weights, each node's (down, up) children,
-the leaves each child reaches, and the node and cell counts behind the
-recursion's working set, which the command line's memory check reads.  The
+the leaves each child reaches and their log-weights (the weights built once
+and held read-only), and the node and cell counts behind the recursion's
+working set, which the command line's memory check reads.  The
 demander's value function is computed in composed form: one sup-convolution
 per period applied to the aggregate terminal payoff, which only ever needs
 one-step conditional certainty equivalents plus conditional prices of the
 form Pi_t(G - y*S).  Cash never enters the state: values are stored
 net of cash and the identity V(x, z) = x + V(0, z) is what tests check.
 ``DpScenario`` owns the data every step reads, its leaf rows G, S and H and
-its two scan grids, evaluated once per scenario object; ``sup_convolution``
-is the one backward step, and ``value_recursion`` is a loop of it.
+its two scan grids with their tie-break orders, evaluated once per scenario
+object; ``sup_convolution`` is the one backward step, and
+``value_recursion`` is a loop of it.
+
+Every coin flip takes two certainty equivalents of the same two children,
+the supplier's at gamma and the demander's at c.  Where both are tilts
+(gamma > 0, c < inf) they are one tilt of the two stacked, through a column
+of the aversions, each with its own tilt's bits; the step writes the tilt's
+exponent over its own (2, 2, nodes, grid) buffer and the CEs over the
+normaliser.  gamma = 0 (a mean) or c = inf (a minimum) takes two calls.
 
 Each level is a few array operations over all its nodes.  The menus
 Pi(G - y*S) on a scan grid rise from the leaves by the tower property,
@@ -93,8 +102,8 @@ class Lattice:
 
     def coin(self, ndim: int = 1) -> np.ndarray:
         """Log-weights of one step's (down, up) children, along the first of ``ndim``
-        axes, read-only and built once for each ``ndim``."""
-        return _coin(ndim)
+        axes: a read-only view of one array built once."""
+        return _COIN.reshape((2,) + (1,) * (ndim - 1))
 
     def children(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """(down child, up child) rows of every node one level up, stacked on axis 0,
@@ -123,7 +132,7 @@ class Lattice:
         return rows * (min(points, _COARSE_INTERVALS + 2.0) + rows / 2) + points + _SCAN_CELLS
 
 
-# levels of up to 127 steps: a recursion that refines reads each level's weights once
+# every level of a lattice of up to 127 steps, and at most 128 rows of n+1 floats held
 @lru_cache(maxsize=128)
 def _leaf_log_weights(remaining: int) -> np.ndarray:
     """Log binomial weights of the leaves ``remaining`` steps on, read-only."""
@@ -136,22 +145,18 @@ def _leaf_log_weights(remaining: int) -> np.ndarray:
     return logw
 
 
-@lru_cache(maxsize=8)
-def _coin(ndim: int) -> np.ndarray:
-    """The coin's log-weights -log 2 along the first of ``ndim`` axes, read-only."""
-    coin = np.full((2,) + (1,) * (ndim - 1), -math.log(2.0))
-    coin.flags.writeable = False
-    return coin
+_COIN = np.full(2, -math.log(2.0))
+_COIN.flags.writeable = False
 
 
 @lru_cache(maxsize=16)
-def _coin_aversions(gamma: float, c: float, ndim: int) -> Optional[np.ndarray]:
-    """The aversions (gamma, c) as a read-only column of ``ndim`` axes, for one tilt
-    of the supplier's and the demander's coin flips; None where either tilt is a
-    mean (gamma = 0) or a minimum (c = inf), which the CE takes without a tilt."""
+def _coin_aversions(gamma: float, c: float) -> Optional[np.ndarray]:
+    """(gamma, c) as a read-only (2, 1, 1, 1) column, for one tilt of the supplier's
+    and the demander's coin flips; None where one of them is a mean (gamma = 0)
+    or a minimum (c = inf), which ``ce`` takes without a tilt."""
     if gamma == 0.0 or math.isinf(c):
         return None
-    column = np.array((gamma, c), dtype=float).reshape((2,) + (1,) * (ndim - 1))
+    column = np.array((gamma, c), dtype=float).reshape(2, 1, 1, 1)
     column.flags.writeable = False
     return column
 
@@ -196,8 +201,7 @@ class DpScenario:
     @cached_property
     def _scan_grids(self) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """The y points the menus are carried on and the argmax is taken over,
-        each with its tie-break order (``_tie_order``), read-only, indexed by
-        ``refine``.  Refine off: the whole y grid.  Refine on: every k-th point
+        each with the order of its tie-break, read-only, indexed by ``refine``.  Refine off: the whole y grid.  Refine on: every k-th point
         of it, for k = ceil((N - 1) / 64), with both ends and the point the whole
         grid's tie-break picks on a flat objective (smallest |y|, then negative
         y), so that flat objectives and policies on a bound keep the whole grid's
@@ -209,7 +213,7 @@ class DpScenario:
         keep[-1] = keep[np.argmin(np.abs(y))] = True
         grids = []
         for points in (y, y[keep]):
-            order = _tie_order(points)
+            order = np.lexsort((points >= 0.0, np.abs(points)))  # smallest |y|, then y < 0
             points.flags.writeable = order.flags.writeable = False
             grids.append((points, order))
         return tuple(grids)
@@ -246,27 +250,20 @@ def _level_menus(scenario: DpScenario, level: int, y: np.ndarray) -> np.ndarray:
     return menus
 
 
-def _tie_order(y: np.ndarray) -> np.ndarray:
-    """The columns of y by smallest |y|, then negative y: the tie-break's ranking."""
-    return np.lexsort((y >= 0.0, np.abs(y)))
-
-
 def _tie_broken_argmax(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Column of each row's maximum; ties go to the column first in ``order``
-    (``_tie_order`` of the grid: the smallest |y|, then negative y)."""
+    (a scan grid's: the smallest |y|, then negative y)."""
     ranked = rows[:, order]
     return order[(ranked == np.maximum.reduce(ranked, 1, keepdims=True)).argmax(1)]
 
 
 def _coin_flips(scenario: DpScenario, menus: np.ndarray, owed: np.ndarray):
-    """The supplier's coin-flip CE (at gamma) of the children's ``menus``, which is
-    this level's menus, and the objective on the scan grid: the demander's
-    coin-flip CE (at c) of ``owed`` less the children's menus, plus the supplier's.
-    Where both tilts are finite they are one tilt of a stack, the exponent
-    written over the stack and the two CEs over its normaliser; the stack is
-    freed before the argmax copies the objective."""
+    """This level's menus, the supplier's coin-flip CE of the children's ``menus``,
+    and the objective: the demander's coin-flip CE of ``owed`` less the children's
+    menus, plus the supplier's.  The stack both are tilted in is freed on return,
+    before the argmax copies the objective."""
     lat, gamma, c = scenario.lattice, scenario.agents.gamma, scenario.agents.c
-    coin, aversions = lat.coin(3), _coin_aversions(gamma, c, 4)
+    coin, aversions = lat.coin(3), _coin_aversions(gamma, c)
     if aversions is None:  # a mean or a minimum: a call each
         pairs = lat.children(menus)
         own = ce(pairs, coin, gamma, axis=0)
@@ -328,8 +325,7 @@ class _LeafWindows:
     def __init__(self, scenario: DpScenario, level: int, owed: np.ndarray, leaves, nodes):
         lat = scenario.lattice
         self.gamma, self.c = scenario.agents.gamma, scenario.agents.c
-        # (gamma, c) for one tilt of both coin flips, stacked on a first axis; None: two tilts
-        self.aversions = _coin_aversions(self.gamma, self.c, 4)
+        self.aversions = _coin_aversions(self.gamma, self.c)  # None: two tilts
         self.logw = lat.leaf_log_weights_from(level + 1)
         self.coin = lat.coin(2)  # along the children axis, which the nodes axis follows
         self.g, self.s = leaves[:, :, nodes]

@@ -11,7 +11,8 @@ leaves or quadrature nodes, goes through one array kernel, ``ce``, and
 its exponential tilt, ``tilted_mean``.  The kernel shifts the exponent by
 its maximum before summing, so large negative payoffs cannot overflow;
 builtin ``OverflowError`` is raised only if even the shifted sum is
-non-finite.
+non-finite.  A column of aversions tilts stacked payoffs at once, each
+with the bits of its own call: the lattice's two coin-flip CEs are one tilt.
 
 The derivatives of a CE map are tilted moments: if the payoff v depends on
 a parameter y, d ce/dy = E^a[dv/dy] and d2 ce/dy2 = E^a[d2v/dy2] -
