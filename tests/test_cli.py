@@ -27,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 from impactlab import cli, markov
 from impactlab.cli import emit_csv, main
 from impactlab.cumulants import GammaProcess
-from impactlab.dp import DpScenario, Lattice, emm_eipu
+from impactlab.dp import DpScenario, Lattice, emm_eipu, value_recursion
 from impactlab.efficient import LevyScenario, allocation_value, efficient_path_record
 from impactlab.errors import QuadratureError
 from impactlab.markov import QuadraticModel, ShockWaveModel, quadratic_closed_forms
@@ -811,6 +811,24 @@ def test_dp_memory_estimate_accepts_documented_sizes():
         scenario = cli._dp_scenario(cli.Section(data), agents, n)
         assert scenario.lattice.n == n and scenario.y_grid().size == round((hi - lo) / res) + 1
     assert cli._DP_BYTES_PER_CELL * (64 + 2) * 2_000_001 > cli._DP_MEMORY_BUDGET
+
+
+def test_dp_memory_estimate_bounds_the_traced_peak_of_a_recursion():
+    # the refusal's estimate must not fall behind the kernel: a refine-off
+    # recursion's peak, at the widest level's stacked tilt, is about 9 float64s
+    # per (n+2) * grid cell as tracemalloc counts it (8.99 at n = 64)
+    model = QuadraticModel(g_load=0.3, mu=0.1, sigma=1.1, a_lin=0.6, b_quad=0.4,
+                           agents=AgentPair(1.0, 1.0))
+    scenario = DpScenario(Lattice(64), model.payoffs(), (-1.0, 1.0), 1e-3)
+    scenario._leaves, scenario._scan_grids  # the scenario's own inputs, built first
+    tracemalloc.start()
+    try:
+        value_recursion(scenario, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = scenario.lattice.working_cells(scenario.y_grid().size, refine=False)
+    assert peak < cli._DP_BYTES_PER_CELL * cells, peak / (8 * cells)
 
 
 def test_dp_memory_estimate_follows_the_scan_grid_with_refine_on(tmp_path, capsys, monkeypatch):

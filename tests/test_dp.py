@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,9 @@ def test_lattice_validation():
         lat.node_value(2, 3)
     with pytest.raises(ParameterError):
         lat.level_values(-1)
+    for level in (-1, 4):  # refused before the weights' cache: -1 gave 5 weights, 4 none
+        with pytest.raises(ParameterError, match="level outside the lattice"):
+            lat.leaf_log_weights_from(level)
 
 
 def test_scenario_validation():
@@ -296,6 +300,36 @@ BIT_SCENARIOS = [
     make_scenario(3, IDENT, ZERO, IDENT, admissible=(-1.0, 1.0)),
     make_scenario(2, IDENT, IDENT, IDENT, gamma=3.0, c=1.0, admissible=(-1.0, 1.0)),
 ]
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("scn", [BIT_SCENARIOS[0], BIT_SCENARIOS[4]])
+def test_one_tilt_of_both_coin_flips_gives_the_bits_of_two_calls(scn, refine):
+    # finite gamma and c: the step, the leaf-window objective and Newton's
+    # derivatives tilt both coin flips at once; without the aversion column
+    # they take the two calls gamma = 0 and c = inf take, with the same bits
+    assert impactlab.dp._coin_aversions(scn.agents.gamma, scn.agents.c) is not None
+    stacked = value_recursion(scn, refine)
+    with mock.patch.object(impactlab.dp, "_coin_aversions", lambda *args: None):
+        two_calls = value_recursion(replace(scn), refine)
+    assert result_bytes(stacked) == result_bytes(two_calls)
+
+
+def test_cached_lattice_arrays_are_read_only():
+    # the coin and leaf log-weights, the (gamma, c) columns and the scan grids with
+    # their tie-break orders are built once and shared by every step that reads them
+    lat, scn = Lattice(5), BIT_SCENARIOS[0]
+    shared = [lat.coin(3), lat.leaf_log_weights_from(2), impactlab.dp._coin_aversions(1.5, 2.0),
+              *(a for grid in scn._scan_grids for a in grid)]
+    assert lat.coin(3).base is lat.coin(2).base is not None
+    assert Lattice(7).leaf_log_weights_from(4) is shared[1]
+    assert impactlab.dp._coin_aversions(1.5, 2.0) is shared[2]
+    for array in shared:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert impactlab.dp._coin_aversions(0.0, 2.0) is None
+    assert impactlab.dp._coin_aversions(1.5, math.inf) is None
 
 
 def result_bytes(value) -> bytes:
@@ -724,10 +758,12 @@ def test_tower_menus_match_leaf_enumeration(n, g, s, gamma, ys):
     g=_POLY,
     s=_POLY,
     h=_POLY,
-    gamma=st.floats(0.2, 2.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.2, 2.0)),
     c=st.one_of(st.floats(0.2, 2.0), st.just(math.inf)),
 )
 def test_value_recursion_matches_direct_recursion_on_random_lattices(n, g, s, h, gamma, c):
+    # gamma = 0 (a mean) or c = inf (a minimum) takes each coin flip's two CEs
+    # in two calls; otherwise they are one tilt
     scn = make_scenario(
         n, _poly(s), _poly(g), _poly(h), gamma=gamma, c=c, admissible=(-1.0, 1.0), res=0.25
     )
@@ -811,7 +847,10 @@ def _pi_node_factory(scenario):
             )
             from scipy.special import logsumexp
 
-            cache[key] = float(-logsumexp(logw - gamma * vals) / gamma)
+            if gamma == 0.0:  # a risk-neutral supplier prices at the mean
+                cache[key] = float(np.exp(logw) @ vals)
+            else:
+                cache[key] = float(-logsumexp(logw - gamma * vals) / gamma)
         return cache[key]
 
     return pi_node

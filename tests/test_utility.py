@@ -746,3 +746,134 @@ def test_one_row_tilted_moments_give_the_bits_of_a_matrix_row(order, aversion, s
     assert mean_m.shape == cov_m.shape == (1,)
     assert np.asarray(mean).reshape(1).tobytes() == mean_m.tobytes()
     assert np.asarray(cov).reshape(1).tobytes() == cov_m.tobytes()
+
+
+def _ce_before_columns(values, logw, aversion, axis=-1):
+    """``utility.ce`` verbatim from before it took a column of aversions."""
+    if aversion == 0.0:
+        return np.add.reduce(np.exp(logw) * values, axis)
+    if math.isinf(aversion):
+        return np.minimum.reduce(np.where(np.isneginf(logw), np.inf, values), axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, total, top = _tilt_before_columns(logw - aversion * values, axis)
+    return _normaliser_before_columns(total, top, aversion, axis)
+
+
+def _tilt_before_columns(exponent, axis, keepdims=False):
+    """``utility._tilt`` verbatim from before the column (unchanged by it)."""
+    top = np.maximum.reduce(exponent, axis, keepdims=True)
+    exponent -= top
+    tilt = np.exp(exponent, exponent)
+    return tilt, np.add.reduce(tilt, axis, keepdims=keepdims), top
+
+
+def _normaliser_before_columns(total, top, aversion, axis):
+    """``utility._ce_from_normaliser`` verbatim from before the column, which
+    allocated its result rather than write it over the normaliser."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -(np.log(total) + top.squeeze(axis)) / aversion
+    if not np.isfinite(out).all():
+        raise OverflowError("certainty equivalent is non-finite even after shifting")
+    return out
+
+
+def _moments_before_columns(x, values, logw, aversion, other=None, axis=-1, with_ce=False):
+    """``utility.tilted_moments`` verbatim from before it took a column of aversions."""
+    exponent = None
+    if axis == -1 and not with_ce and 0.0 < aversion < math.inf:
+        exponent = logw - aversion * values
+        if exponent.ndim == 1 and np.ndim(x) <= 1 and (other is None or np.ndim(other) <= 1):
+            # one row (a Newton step's): the ufuncs below, in order, without keepdims or squeeze
+            exponent -= np.maximum.reduce(exponent)
+            tilt = np.exp(exponent, exponent)
+            tilt /= np.add.reduce(tilt)
+            mean = np.add.reduce(tilt * x)
+            spread = x - mean
+            other = other if other is None else other - np.add.reduce(tilt * other)
+            return mean, np.add.reduce(tilt * spread * (spread if other is None else other))
+    # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
+    quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()
+    with quiet:
+        if aversion == 0.0:  # a new array to tilt in place: -0.0 + 0.0 is 0.0, which tilts alike
+            exponent = logw + np.zeros_like(values, dtype=float)
+        elif math.isinf(aversion):
+            lowest = np.minimum.reduce(
+                np.where(np.isneginf(logw), np.inf, values), axis, keepdims=True
+            )
+            exponent = np.where(values == lowest, logw, -np.inf)
+        elif exponent is None:
+            exponent = logw - aversion * values
+        tilt, total, top = _tilt_before_columns(exponent, axis, keepdims=True)
+        tilt /= total
+        mean = np.add.reduce(tilt * x, axis, keepdims=True)
+        spread = x - mean
+        if other is not None:
+            other = other - np.add.reduce(tilt * other, axis, keepdims=True)
+        cov = np.add.reduce(tilt * spread * (spread if other is None else other), axis)
+    if not with_ce:
+        return mean.squeeze(axis), cov
+    if aversion == 0.0 or math.isinf(aversion):  # the tilt does not weigh the values
+        certainty = _ce_before_columns(values, logw, aversion, axis)
+    else:
+        certainty = _normaliser_before_columns(total.squeeze(axis), top, aversion, axis)
+    return mean.squeeze(axis), cov, certainty
+
+
+def _outcome(call, pick=lambda v: v):
+    """The shapes and bytes of a call's results (``pick`` of each), or OverflowError."""
+    try:
+        out = call()
+    except OverflowError:
+        return OverflowError
+    return [(np.shape(pick(v)), np.asarray(pick(v)).tobytes())
+            for v in (out if isinstance(out, tuple) else (out,))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
+       st.data())
+def test_an_aversion_column_gives_each_slice_the_bits_of_its_own_call(
+        ndim, k, moments, given_other, with_ce, data):
+    # k slices of 1-d to 4-d values, each reduced along axis 0, 1 or -2 at its own
+    # aversion (subnormal to 1e3), stacked on a new axis 0; with ``moments`` x and
+    # other carry two moments on the axis after it and the values a 1 there, as
+    # the lattice's Newton derivatives stack them, and the axis counts from the end
+    # (from the start it would count x's moments).  Each slice of the stacked call
+    # has the bits of its own call, and of the kernel before it took a column; a
+    # CE that overflows in any slice is refused for the stack.
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim)))
+    axis = data.draw(st.sampled_from([a for a in (0, 1, -2) if -ndim <= a < ndim]))
+    logw = _log_weights(data.draw, shape[axis]).reshape(
+        [-1 if d == axis % ndim else 1 for d in range(ndim)])
+    aversions = data.draw(st.lists(st.floats(5e-324, 1e3), min_size=k, max_size=k))
+    lead = (2,) if moments else ()
+    values = [data.draw(arrays(float, shape, elements=_VALUES)) for _ in range(k)]
+    xs = [data.draw(arrays(float, lead + shape, elements=_VALUES)) for _ in range(k)]
+    others = [data.draw(arrays(float, lead + shape, elements=_VALUES)) if given_other else None
+              for _ in range(k)]
+    stacked_values = np.stack(values)[:, None] if moments else np.stack(values)
+    column = np.array(aversions).reshape((k,) + (1,) * (stacked_values.ndim - 1))
+    if moments and axis >= 0:
+        axis -= ndim
+    stacked_axis = axis + 1 if axis >= 0 else axis
+    stacked_other = np.stack(others) if given_other else None
+
+    calls = {
+        "ce": (lambda v, a, x, o, ax, kernel: kernel(v, logw, a, ax), (ce, _ce_before_columns)),
+        "moments": (lambda v, a, x, o, ax, kernel: kernel(x, v, logw, a, other=o, axis=ax,
+                                                         with_ce=with_ce),
+                    (tilted_moments, _moments_before_columns)),
+    }
+    for name, (call, kernels) in calls.items():
+        slices = [[_outcome(lambda: call(values[i], aversions[i], xs[i], others[i], axis, kernel))
+                   for i in range(k)] for kernel in kernels]
+        assert slices[0] == slices[1], name
+        for i in range(k):
+            # with moments a CE keeps the values' axis of 1, where a mean has its 2 moments
+            pick = (lambda v, i=i: v[i, 0] if moments and v.shape[1] == 1 else v[i])
+            stacked = _outcome(lambda: call(stacked_values, column, np.stack(xs), stacked_other,
+                                            stacked_axis, kernels[0]), pick)
+            if OverflowError in slices[0]:
+                assert stacked is OverflowError, name
+            else:
+                assert stacked == slices[0][i], (name, i)
