@@ -6,7 +6,11 @@ Run from the repository root:
     python3 tools/time_dp.py --seeds 1 --repeats 1 --big-n 16   # a quick pass
 
 For each seed of the benchmark's ``lattice`` workload (``bench/workloads.py``)
-it times the workload's refine-on calls: ``no_rebalance_check`` on the
+it first times the workload's library pass as ``bench/run.py`` times its
+``api_s``: ``api_pass`` on the workload's own scenario objects, reused from
+call to call after a warm one, so their cached leaf rows and scan grids are
+not rebuilt.  The line gives the median and the pass's results with all their
+digits.  Then it times the workload's refine-on calls: ``no_rebalance_check`` on the
 library pass's Black-Scholes scenario, and the ``convergence`` invocation's
 recursions (quadratic model, each n of its ``n_list``, without the
 quadrature limit).  Then its refine-off calls: the library pass's six small
@@ -90,6 +94,10 @@ def main(argv=None):
     for seed in args.seeds:
         work = LatticeWorkload(seed)
         work.build()
+        seconds, (small, rebalance) = median_seconds(work.api_pass, args.repeats)
+        print(f"seed {seed} library pass, scenarios reused (api_s): median {seconds * 1e3:.2f} ms; "
+              f"values {small!r}; no-rebalance gap {rebalance.value_gap!r}")
+
         scenario = work.api_scenario
         seconds, _ = median_seconds(lambda: no_rebalance_check(replace(scenario)), args.repeats)
         result = value_recursion(scenario)  # the counts: the report does not carry them
