@@ -201,10 +201,11 @@ class DpScenario:
     @cached_property
     def _scan_grids(self) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """The y points the menus are carried on and the argmax is taken over,
-        each with the order of its tie-break, read-only, indexed by ``refine``.  Refine off: the whole y grid.  Refine on: every k-th point
-        of it, for k = ceil((N - 1) / 64), with both ends and the point the whole
-        grid's tie-break picks on a flat objective (smallest |y|, then negative
-        y), so that flat objectives and policies on a bound keep the whole grid's
+        each with the order of its tie-break, read-only, indexed by ``refine``.
+        Refine off: the whole y grid.  Refine on: every k-th point of it, for
+        k = ceil((N - 1) / 64), with both ends and the point the whole grid's
+        tie-break picks on a flat objective (smallest |y|, then negative y), so
+        that flat objectives and policies on a bound keep the whole grid's
         answers, and a grid of at most 65 points is its own subset."""
         y = self.y_grid()
         keep = np.zeros(y.size, dtype=bool)
