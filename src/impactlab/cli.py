@@ -416,7 +416,7 @@ def _dp_scenario(root: Section, agents: AgentPair, lattice_n: int, refine: bool 
 
 
 def _quad_order(root: Section) -> int:
-    order = root.integer("order", default=128)
+    order = root.integer("order", default=markov.DEFAULT_ORDER)
     with _refusals():
         markov._rules(order)
     return order

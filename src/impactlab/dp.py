@@ -55,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError, _whole_number
-from .markov import MarkovPayoffs, _payoff_rows, field_p, field_v
+from .markov import DEFAULT_ORDER, MarkovPayoffs, _payoff_rows, field_p, field_v
 from .utility import _ce_from_normaliser, _tilt, ce, newton_root, tilted_mean, tilted_moments
 
 _COARSE_INTERVALS = 64  # the refine-on scan grid's intervals over the admissible range
@@ -551,7 +551,7 @@ def convergence_study(
     n_list: Sequence[int],
     limit: Optional[float] = None,
     refine: bool = True,
-    order: int = 128,
+    order: int = DEFAULT_ORDER,
 ) -> List[ConvergenceRow]:
     """Root DP value against the continuous-market limit for each lattice size.
 

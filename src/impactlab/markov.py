@@ -3,31 +3,21 @@
 The terminal data are payoff functions of the factor level W_1 (security
 s, supplier book g, demander endowment h).  Value fields come from the
 Cole-Hopf form: conditional exponential certainty equivalents of the
-terminal data under the Gaussian transition, evaluated with probabilists'
-Gauss-Hermite quadrature in log space.  Spatial gradients use the exact
-Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s, so no
-derivative of the terminal callables is ever needed.  Each entry point
-checks its state once (``_check_state``); ``_node_values`` builds the node
-values w + sqrt(1-t)*z_k, one row for a float w and a row per state for a
-column of them, from one call of each payoff; and v, u, p, q are reductions
-of those rows along the node axis (``_ce_rows``, and ``_grad_rows``, which
-also gives the certainty equivalent from the same tilt).  A table of states
-(``_state_fields``) is evaluated ``_STATE_BLOCK`` states at a time, which
-bounds its (block, order) arrays; the ``markov-fields`` command hands it
-blocks of its own 4,096 rows.  It takes v and u from one tilt of each row of
-g + h, and p and q from one tilt of g - y*s, bit for bit as the four single
-fields give them.  Root-finding
-for the strategy reuses the node values of s, g (and h, for dv/dw), checks
-each bracket at 9 points with one batched residual, and polishes by
-safeguarded Newton, one tilt of the nodes giving both the residual (a tilted
-mean of the nodes) and its y-derivative (a tilted covariance of the nodes
-and s).  A root is one state's scalar problem, and most of its cost is the
-fixed cost of each numpy call, so the calls are few: dv/dw and the first
-bracket's 9 probe residuals come from one tilt of 10 stacked rows with cached
-aversions, a probe grid is cached, a Newton step tilts one row, and the
-bookkeeping and Newton run on Python floats, all rounding as float64 arrays
-do.  A ``fields`` benchmark root takes about 72 us on its quadratic model (1
-Newton step) and 93 us on its wave (1.75; ``tools/time_fields.py``, 2 vCPUs).
+terminal data under the Gaussian transition, by quadrature in log space.
+The rule of a state, or of a column of states, is one read-only record,
+``_Rule``: where the payoffs are read, their log-weights (a row shared by
+every state, or a row each), and the score and scale that turn a tilted mean
+into u = dv/dw, so no terminal callable is ever differentiated.  ``_hermite``
+alone builds a rule and reads sqrt(1-t) and the Gauss-Hermite nodes z_k
+(``_rules``): points w + sqrt(1-t)*z_k, score z_k and scale sqrt(1-t), the
+Gaussian kernel identity d/dw E[G(w+s*Z)] = E[Z*G(w+s*Z)]/s.  Each entry
+point checks its state (``_check_state``) and builds one rule, which reads
+the payoffs at its points; v, u, p, q reduce those rows along the node axis
+(``_ce_rows``; ``_grad_rows``, with the CE from the same tilt).  A table
+(``_state_fields``) takes ``_STATE_BLOCK`` states a rule.  A ``fields``
+benchmark root (``optimal_strategy_markov``) takes about 82 us on its
+quadratic model (1 Newton step) and 94 us on its wave (1.75 steps;
+``tools/time_fields.py``, 2 vCPUs).
 
 Two parametric families carry their own closed forms for cross-checks:
 ``QuadraticModel`` (linear security, linear-plus-quadratic endowment) and
@@ -41,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -66,23 +56,42 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def _rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes and normalized log-weights."""
     order = _whole_number(order, "order", least=2)
+    refusal = f"Hermite rule of order {order} is not computable in double precision"
     if order > MAX_ORDER:
-        raise QuadratureError(
-            f"Hermite rule of order {order} is not computable in double precision"
-            f" (the largest is {MAX_ORDER})", "order"
-        )
+        raise QuadratureError(f"{refusal} (the largest is {MAX_ORDER})", "order")
     from numpy.polynomial.hermite_e import hermegauss  # here: numpy.polynomial costs 3-5 ms
 
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = hermegauss(order)
     total = weights.sum() / math.sqrt(2.0 * math.pi)  # a NaN or inf weight fails it too
     if not (np.isfinite(nodes).all() and abs(total - 1.0) <= _WEIGHT_SUM_TOL):
-        raise QuadratureError(
-            f"Hermite rule of order {order} is not computable in double precision", "order"
-        )
+        raise QuadratureError(refusal, "order")
     with np.errstate(divide="ignore"):
         logw = np.log(weights) - _LOG_SQRT_2PI
+    nodes.flags.writeable = logw.flags.writeable = False  # every field at this order reads them
     return nodes, logw
+
+
+class _Rule(NamedTuple):
+    """A read-only quadrature rule for one state or a column of states: payoffs are read
+    at ``points`` (a row, or a row per state) and weighed by ``logw`` (a shared row, or a
+    row per state), and u = -E^a[score]/(a*scale), E[score*G]/scale at a = 0."""
+
+    points: np.ndarray
+    logw: np.ndarray
+    score: np.ndarray
+    scale: float
+
+
+def _hermite(t: float, order: int, w, *fns):
+    """The rule at time t for a float w or a column of states (score z_k, scale sqrt(1-t)),
+    and each callable at its points: (rule, *rows).  At t = 1 node 0 is w + (-0.0), w."""
+    nodes, logw = _rules(order)
+    scale = math.sqrt(1.0 - t)
+    points = w + scale * nodes
+    points.flags.writeable = False
+    rule = _Rule(points, logw, nodes, scale)
+    return (rule, *_node_values(rule, *fns))
 
 
 @dataclass(frozen=True)
@@ -119,34 +128,30 @@ def _payoff_rows(points: np.ndarray, fns, error, where: str) -> np.ndarray:
     return out
 
 
-def _node_values(t: float, w, order: int, *fns):
-    """Each callable at the nodes w + sqrt(1-t)*z_k, from one call on the raveled points:
-    one row of nodes for a float w, a row per state for a column of states.  At t = 1
-    node 0 (z_0 < 0) is w + (-0.0), which is w, a signed zero included."""
-    points = w + math.sqrt(1.0 - t) * _rules(order)[0]
-    vals = _payoff_rows(points.ravel(), fns, QuadratureError, "a quadrature node")
-    return vals.reshape((len(fns),) + points.shape)
+def _node_values(rule: _Rule, *fns):
+    """Each callable at the rule's points, from one call on the raveled points: one
+    row of nodes for a float w, a row per state for a column of states."""
+    vals = _payoff_rows(rule.points.ravel(), fns, QuadratureError, "a quadrature node")
+    return vals.reshape((len(fns),) + rule.points.shape)
 
 
-def _ce_rows(vals, t: float, aversion: float, order: int):
-    """Conditional certainty equivalent of each row of node values."""
-    if t == 1.0:
+def _ce_rows(vals, rule: _Rule, aversion: float):
+    """Conditional certainty equivalent of each row of node values (node 0 at t = 1)."""
+    if rule.scale == 0.0:
         return vals[..., 0]
-    return ce(vals, _rules(order)[1], aversion)
+    return ce(vals, rule.logw, aversion)
 
 
-def _grad_rows(vals, t: float, aversion: float, order: int, with_ce: bool = False):
-    """w-derivative of _ce_rows via the Gaussian kernel identity (t < 1); ``with_ce``
+def _grad_rows(vals, rule: _Rule, aversion: float, with_ce: bool = False):
+    """w-derivative of _ce_rows from the rule's score and scale (t < 1); ``with_ce``
     puts _ce_rows first, from the same tilt of each row: (ce, gradient)."""
-    nodes, logw = _rules(order)
-    spread = math.sqrt(1.0 - t)
     if aversion == 0.0:
-        grad = np.vecdot(nodes * vals, np.exp(logw)) / spread
-        return (ce(vals, logw, aversion), grad) if with_ce else grad
+        grad = np.vecdot(rule.score * vals, np.exp(rule.logw)) / rule.scale
+        return (ce(vals, rule.logw, aversion), grad) if with_ce else grad
     if with_ce:
-        mean, certainty = tilted_mean(nodes, vals, logw, aversion, with_ce=True)
-        return certainty, -mean / (aversion * spread)
-    return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
+        mean, certainty = tilted_mean(rule.score, vals, rule.logw, aversion, with_ce=True)
+        return certainty, -mean / (aversion * rule.scale)
+    return -tilted_mean(rule.score, vals, rule.logw, aversion) / (aversion * rule.scale)
 
 
 def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DEFAULT_ORDER):
@@ -157,17 +162,18 @@ def _state_fields(payoffs: MarkovPayoffs, t: float, w, y: float, order: int = DE
     out = np.empty((4, len(w)))
     for start in range(0, len(w), _STATE_BLOCK):
         rows = slice(start, start + _STATE_BLOCK)
-        s, g, h = _node_values(t, w[rows, None], order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
-        out[:2, rows] = _grad_rows(g + h, t, abar, order, with_ce=True)
-        out[2:, rows] = _grad_rows(g - y * s, t, gamma, order, with_ce=True)
+        rule, s, g, h = _hermite(t, order, w[rows, None], payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+        out[:2, rows] = _grad_rows(g + h, rule, abar, with_ce=True)
+        out[2:, rows] = _grad_rows(g - y * s, rule, gamma, with_ce=True)
+        del rule, s, g, h  # one block's points and node values are live at a time
     return out
 
 
 def field_v(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """Aggregate allocation value v(t, w): CE of (g+h)(W_1) at aversion c*gamma/(c+gamma)."""
     _check_state(t, w, terminal_ok=True)
-    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
-    return float(_ce_rows(g + h, t, payoffs.agents.aggregate_aversion, order))
+    rule, g, h = _hermite(t, order, w, payoffs.g_fn, payoffs.h_fn)
+    return float(_ce_rows(g + h, rule, payoffs.agents.aggregate_aversion))
 
 
 def field_p(
@@ -175,15 +181,15 @@ def field_p(
 ) -> float:
     """Supplier book value p(t, w, y): CE of (g - y*s)(W_1) at aversion gamma."""
     _check_state(t, w, terminal_ok=True, y=y)
-    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
-    return float(_ce_rows(g - y * s, t, payoffs.agents.gamma, order))
+    rule, s, g = _hermite(t, order, w, payoffs.s_fn, payoffs.g_fn)
+    return float(_ce_rows(g - y * s, rule, payoffs.agents.gamma))
 
 
 def field_u(payoffs: MarkovPayoffs, t: float, w: float, order: int = DEFAULT_ORDER) -> float:
     """u = dv/dw, computed by differentiating under the quadrature."""
     _check_state(t, w, terminal_ok=False)
-    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
-    return float(_grad_rows(g + h, t, payoffs.agents.aggregate_aversion, order))
+    rule, g, h = _hermite(t, order, w, payoffs.g_fn, payoffs.h_fn)
+    return float(_grad_rows(g + h, rule, payoffs.agents.aggregate_aversion))
 
 
 def field_q(
@@ -191,8 +197,8 @@ def field_q(
 ) -> float:
     """q = dp/dw at inventory y, computed by differentiating under the quadrature."""
     _check_state(t, w, terminal_ok=False, y=y)
-    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
-    return float(_grad_rows(g - y * s, t, payoffs.agents.gamma, order))
+    rule, s, g = _hermite(t, order, w, payoffs.s_fn, payoffs.g_fn)
+    return float(_grad_rows(g - y * s, rule, payoffs.agents.gamma))
 
 
 def replication_price(
@@ -200,8 +206,8 @@ def replication_price(
 ) -> float:
     """Supplier indifference charge for taking on -H: CE_gamma(g) - CE_gamma(g+h)."""
     _check_state(t, w, terminal_ok=True)
-    g, h = _node_values(t, w, order, payoffs.g_fn, payoffs.h_fn)
-    ce_g, ce_gh = _ce_rows(np.vstack((g, g + h)), t, payoffs.agents.gamma, order)
+    rule, g, h = _hermite(t, order, w, payoffs.g_fn, payoffs.h_fn)
+    ce_g, ce_gh = _ce_rows(np.vstack((g, g + h)), rule, payoffs.agents.gamma)
     return float(ce_g - ce_gh)
 
 
@@ -221,8 +227,8 @@ def completeness_invert(
     (ends included, one batched residual), then polishes by safeguarded Newton
     inside the probe interval where the sign changes, to |residual| <= _RESIDUAL_TOL."""
     _check_state(t, w, terminal_ok=False)
-    s, g = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn)
-    return _invert(s, g, payoffs.agents.gamma, t, z, order, bracket)
+    rule, s, g = _hermite(t, order, w, payoffs.s_fn, payoffs.g_fn)
+    return _invert(s, g, payoffs.agents.gamma, rule, z, bracket)
 
 
 @lru_cache(maxsize=64)
@@ -235,24 +241,23 @@ def _probe_grid(lo: float, hi: float) -> np.ndarray:
     return probes
 
 
-def _probe_gradients(s, g, probes, gamma, t, order, h=None, abar=0.0) -> list:
+def _probe_gradients(s, g, probes, gamma, rule: _Rule, h=None, abar=0.0) -> list:
     """_grad_rows of g - y*s at each y of ``probes`` (aversion gamma), as floats, from
     one tilt of the rows; with ``h``, the _grad_rows of g + h at aversion abar comes
     first, from the same tilt, which takes each row at its own aversion."""
     if h is not None and (abar == 0.0) != (gamma == 0.0):  # c*gamma underflowed to abar = 0
-        return [float(_grad_rows(g + h, t, abar, order)),
-                *_probe_gradients(s, g, probes, gamma, t, order)]
+        return [float(_grad_rows(g + h, rule, abar)),
+                *_probe_gradients(s, g, probes, gamma, rule)]
     head = 0 if h is None else 1
     rows = np.empty((head + len(probes), s.size))
     np.subtract(g, np.multiply.outer(probes, s), out=rows[head:])
     if head:
         np.add(g, h, out=rows[0])
     if gamma == 0.0:  # then abar = 0 too: every row untilted
-        return _grad_rows(rows, t, gamma, order).tolist()
-    nodes, logw = _rules(order)
+        return _grad_rows(rows, rule, gamma).tolist()
     aversion = _probe_aversion(gamma, abar if head else gamma, len(rows))
-    mean = tilted_mean(nodes, rows, logw, aversion[:, None])
-    return (mean / (aversion * -math.sqrt(1.0 - t))).tolist()  # negation is exact
+    mean = tilted_mean(rule.score, rows, rule.logw, aversion[:, None])
+    return (mean / (aversion * -rule.scale)).tolist()  # negation is exact
 
 
 @lru_cache(maxsize=64)
@@ -264,23 +269,20 @@ def _probe_aversion(gamma: float, head: float, rows: int) -> np.ndarray:
     return aversion
 
 
-def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
+def _invert(s, g, gamma, rule: _Rule, z, bracket, h=None, agents=None) -> float:
     """``completeness_invert`` on the node values s and g of one state.  Given the
     node values h and the agents, z is -(c/(c+gamma)) * dv/dw instead, dv/dw coming
     from the first probes' tilt (``optimal_strategy_markov``)."""
-    nodes, logw = _rules(order)
-    spread = math.sqrt(1.0 - t)
-
     def with_slope(y):
-        # one tilt gives the residual (its tilted mean of the nodes, for gamma > 0)
-        # and its y-derivative, the gamma-tilted covariance of the nodes and s
+        # one tilt gives the residual (its tilted mean of the score, for gamma > 0)
+        # and its y-derivative, the gamma-tilted covariance of the score and s
         vals = g - np.multiply.outer(y, s)
-        mean, cov = tilted_moments(nodes, vals, logw, gamma, other=s)
+        mean, cov = tilted_moments(rule.score, vals, rule.logw, gamma, other=s)
         if gamma == 0.0:
-            value = -float(_grad_rows(vals, t, gamma, order)) - z
-        else:  # a subnormal gamma may leave gamma * spread at 0
-            value = _divide(float(mean), gamma * spread) - z
-        return value, float(cov) / spread
+            value = -float(_grad_rows(vals, rule, gamma)) - z
+        else:  # a subnormal gamma may leave gamma * scale at 0
+            value = _divide(float(mean), gamma * rule.scale) - z
+        return value, float(cov) / rule.scale
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -292,10 +294,9 @@ def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
     # arrays do: numpy's bits without numpy's fixed cost per call
     probes = _probe_grid(lo, hi)
     if h is None:
-        gradients = _probe_gradients(s, g, probes, gamma, t, order)
+        gradients = _probe_gradients(s, g, probes, gamma, rule)
     else:
-        dv, *gradients = _probe_gradients(s, g, probes, gamma, t, order, h,
-                                          agents.aggregate_aversion)
+        dv, *gradients = _probe_gradients(s, g, probes, gamma, rule, h, agents.aggregate_aversion)
         z = -agents.demander_weight * dv
     vals = [-q - z for q in gradients]
     expansions = 0
@@ -310,7 +311,7 @@ def _invert(s, g, gamma, t, z, order, bracket, h=None, agents=None) -> float:
                               " the next leaves the float range")
         lo, hi = mid - width, mid + width
         probes = _probe_grid(lo, hi)
-        vals = [-q - z for q in _probe_gradients(s, g, probes, gamma, t, order)]
+        vals = [-q - z for q in _probe_gradients(s, g, probes, gamma, rule)]
         expansions += 1
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     # deep exponential tilts flatten numerically at the bracket ends, so only a
@@ -341,13 +342,11 @@ def optimal_strategy_markov(
     order: int = DEFAULT_ORDER,
     bracket: Tuple[float, float] = (-50.0, 50.0),
 ) -> float:
-    """Optimal demander position: invert completeness at z = -(c/(c+gamma)) * dv/dw.
-
-    s, g and h are evaluated at the nodes once, for dv/dw and the inversion, and
-    dv/dw comes from the tilt of the first bracket's probes."""
+    """Optimal demander position: invert completeness at z = -(c/(c+gamma)) * dv/dw,
+    dv/dw coming from the tilt of the first bracket's probes."""
     _check_state(t, w, terminal_ok=False)
-    s, g, h = _node_values(t, w, order, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
-    return _invert(s, g, payoffs.agents.gamma, t, None, order, bracket, h, payoffs.agents)
+    rule, s, g, h = _hermite(t, order, w, payoffs.s_fn, payoffs.g_fn, payoffs.h_fn)
+    return _invert(s, g, payoffs.agents.gamma, rule, None, bracket, h, payoffs.agents)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,10 @@ def _ce_from_normaliser(total, top, aversion, axis: int):
 def tilted_mean(x, values, logw, aversion: float, with_ce: bool = False):
     """E[x exp(-a v)] / E[exp(-a v)] along the last axis, for finite a >= 0.
 
-    ``x`` and ``logw`` are 1-d over the support; each row of ``values`` is
-    tilted on its own, and without ``with_ce`` ``aversion`` may be a column,
-    one a row.  ``with_ce`` also returns ``ce(values, logw, aversion)``, bit
-    for bit, which for a > 0 comes from the same tilt's normaliser: (mean, ce).
+    Each row of ``values`` is tilted on its own; ``x`` and ``logw`` broadcast
+    against ``values`` (a row shared by every row, or a row each), and without
+    ``with_ce`` ``aversion`` may be a column, one a row.  ``with_ce`` also gives
+    ``ce(values, logw, aversion)``, bit for bit (the same tilt's, a > 0): (mean, ce).
     """
     # with the CE, a non-finite one is reported as ce reports it: OverflowError, no warning
     quiet = np.errstate(over="ignore", invalid="ignore") if with_ce else contextlib.nullcontext()

@@ -21,8 +21,11 @@ from impactlab.markov import (
     _MAX_EXPANSIONS,
     _RESIDUAL_TOL,
     MarkovPayoffs,
+    _ce_rows,
     _grad_rows,
+    _hermite,
     _node_values,
+    _Rule,
     _rules,
     _state_fields,
     QuadraticModel,
@@ -46,7 +49,7 @@ from impactlab.markov import (
 )
 from impactlab.paths import PathGrid, PathSample, ShockSchedule, simulate_batch, simulate_path
 from impactlab.cumulants import Brownian
-from impactlab.utility import _NEWTON_CAP, AgentPair, tilted_moments
+from impactlab.utility import _NEWTON_CAP, AgentPair, ce, tilted_mean, tilted_moments
 
 
 def quad_model(gamma=1.0, c=2.0, g_load=0.4, mu=0.1, sigma=1.3, a_lin=0.7, b_quad=0.5, h_const=0.2):
@@ -753,6 +756,73 @@ def test_a_rule_whose_weights_do_not_sum_to_one_is_refused(scale):
     assert refused.value.argument == "order"
 
 
+def test_cached_rule_arrays_are_read_only():
+    # the nodes and log-weights are cached per order and read by every field at that
+    # order, so one stray write would move them all; a rule's points are its own
+    pay = quad_model().payoffs()
+    before = field_v(pay, 0.5, 0.1, 8)
+    nodes, logw = _rules(8)
+    rule, = _hermite(0.5, 8, np.array([[0.1], [0.2]]))
+    assert rule.score is nodes and rule.logw is logw and rule.scale == math.sqrt(0.5)
+    for array in (nodes, logw, rule.points):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1.0
+    assert field_v(pay, 0.5, 0.1, 8) == before
+
+
+def _split_rule(t, w, kink, half=64):
+    """A rule of the Gaussian law N(w, 1-t) split at ``kink``, for a column of states
+    w: Gauss-Legendre with ``half`` nodes on each side of the kink over
+    w +- 12 sqrt(1-t), the Gaussian density in the log-weights, score x - w and
+    scale 1 - t, so that u = -E^a[x - w]/(a(1-t)) as for any rule of that law."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, weights = leggauss(half)
+    tau = 1.0 - t
+    lo, hi = w - 12.0 * math.sqrt(tau), w + 12.0 * math.sqrt(tau)
+    assert (lo < kink).all() and (kink < hi).all()
+    sides = [((kink + lo) / 2, (kink - lo) / 2), ((hi + kink) / 2, (hi - kink) / 2)]
+    points = np.hstack([mid + width * x for mid, width in sides])
+    logw = np.hstack([np.log(width * weights) for _, width in sides])
+    logw = logw - 0.5 * (points - w) ** 2 / tau - 0.5 * math.log(2.0 * math.pi * tau)
+    return _Rule(points, logw, points - w, tau)
+
+
+def _phi(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _kinked_closed_forms(t, w, kink, a):
+    """v and u = dv/dw for G = 0 and H = (W_1 - kink)^+ at aggregate aversion a:
+    E[exp(-a H)] = Phi(-d) + exp(-a(w - kink) + a^2 tau/2) Phi(d - a sqrt(tau))."""
+    tau = 1.0 - t
+    d = (w - kink) / math.sqrt(tau)
+    above = math.exp(-a * (w - kink) + 0.5 * a * a * tau) * _phi(d - a * math.sqrt(tau))
+    total = _phi(-d) + above
+    return -math.log(total) / a, above / total
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.9])
+def test_a_rule_split_at_the_kink_reads_the_closed_form_through_the_same_reductions(t):
+    # G = 0, H = (W_1 - 0.3)^+, gamma = c = 2: the Hermite rule is O(1/order) off
+    # across the kink; a rule split there, as a record with a row of log-weights
+    # and score per state, goes through the same node values and reductions
+    kink, w = 0.3, np.array([-1.0, 0.0, 0.3, 1.0])
+    pay = MarkovPayoffs(s_fn=lambda x: x, g_fn=lambda x: 0.0 * x,
+                        h_fn=lambda x: np.maximum(x - kink, 0.0), agents=AgentPair(2.0, 2.0))
+    abar = pay.agents.aggregate_aversion
+    rule = _split_rule(t, w[:, None], kink)
+    g, h = _node_values(rule, pay.g_fn, pay.h_fn)
+    v = _ce_rows(g + h, rule, abar)
+    v_tilt, u = _grad_rows(g + h, rule, abar, with_ce=True)
+    assert v.shape == u.shape == w.shape and (v_tilt == v).all()
+    for k, x in enumerate(w.tolist()):
+        v_exact, u_exact = _kinked_closed_forms(t, x, kink, abar)
+        assert abs(v[k] - v_exact) <= 1e-12
+        assert abs(u[k] - u_exact) <= 1e-12
+
+
 # s = w, g = w/2 and h = w keep the sign of a zero w through g + h
 _SIGNED = MarkovPayoffs(s_fn=lambda w: w, g_fn=lambda w: 0.5 * w, h_fn=lambda w: w,
                         agents=AgentPair(1.0, 2.0))
@@ -792,6 +862,20 @@ def test_completeness_invert_expands_a_bracket_with_an_end_at_zero():
 # the inversion against its form before the float bookkeeping, bit for bit
 
 
+def _grad_rows_before_the_rule(vals, t: float, aversion: float, order: int, with_ce: bool = False):
+    """``markov._grad_rows`` verbatim from before the quadrature rule was one record:
+    the reference inversion's gradient, kept apart from the code it checks."""
+    nodes, logw = _rules(order)
+    spread = math.sqrt(1.0 - t)
+    if aversion == 0.0:
+        grad = np.vecdot(nodes * vals, np.exp(logw)) / spread
+        return (ce(vals, logw, aversion), grad) if with_ce else grad
+    if with_ce:
+        mean, certainty = tilted_mean(nodes, vals, logw, aversion, with_ce=True)
+        return certainty, -mean / (aversion * spread)
+    return -tilted_mean(nodes, vals, logw, aversion) / (aversion * spread)
+
+
 def _invert_with_numpy_bookkeeping(s, g, gamma, t, z, order, bracket) -> float:
     """``markov._invert`` verbatim from before the probe grid was cached and the
     bracket bookkeeping moved to Python floats, calling the ``newton_root`` of
@@ -801,7 +885,7 @@ def _invert_with_numpy_bookkeeping(s, g, gamma, t, z, order, bracket) -> float:
     spread = math.sqrt(1.0 - t)
 
     def residual(y):
-        return -_grad_rows(g - np.multiply.outer(y, s), t, gamma, order) - z
+        return -_grad_rows_before_the_rule(g - np.multiply.outer(y, s), t, gamma, order) - z
 
     def with_slope(y):
         # one tilt gives the residual (its tilted mean of the nodes, for gamma > 0)
@@ -909,11 +993,9 @@ def _outcome(call):
 def _both_inversions(pay, t, w, z, bracket, order=128):
     """(current, reference) outcome pairs for completeness_invert at z and for
     optimal_strategy_markov."""
-    s, g, h = _node_values(t, w, order, pay.s_fn, pay.g_fn, pay.h_fn)
+    rule, s, g, h = _hermite(t, order, w, pay.s_fn, pay.g_fn, pay.h_fn)
     agents = pay.agents
-    target = -agents.demander_weight * float(
-        _grad_rows(g + h, t, agents.aggregate_aversion, order)
-    )
+    target = -agents.demander_weight * float(_grad_rows(g + h, rule, agents.aggregate_aversion))
     return [
         (_outcome(lambda: completeness_invert(pay, t, w, z, order, bracket)),
          _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, agents.gamma, t, z, order, bracket))),
@@ -948,12 +1030,12 @@ def test_inversion_equals_its_numpy_bookkeeping_form(pay, t, w, z, bracket, orde
 def test_stacked_probe_tilt_equals_separate_tilts(pay, t, w, bracket, order):
     lo, hi = sorted(bracket)
     probes = np.linspace(lo, hi + (lo == hi), 9)
-    s, g, h = _node_values(t, w, order, pay.s_fn, pay.g_fn, pay.h_fn)
+    rule, s, g, h = _hermite(t, order, w, pay.s_fn, pay.g_fn, pay.h_fn)
     gamma, abar = pay.agents.gamma, pay.agents.aggregate_aversion
-    separate = _grad_rows(g - np.multiply.outer(probes, s), t, gamma, order).tolist()
-    head = float(_grad_rows(g + h, t, abar, order))
-    assert markov._probe_gradients(s, g, probes, gamma, t, order) == separate
-    assert markov._probe_gradients(s, g, probes, gamma, t, order, h, abar) == [head, *separate]
+    separate = _grad_rows(g - np.multiply.outer(probes, s), rule, gamma).tolist()
+    head = float(_grad_rows(g + h, rule, abar))
+    assert markov._probe_gradients(s, g, probes, gamma, rule) == separate
+    assert markov._probe_gradients(s, g, probes, gamma, rule, h, abar) == [head, *separate]
 
 
 def test_inversion_refusals_equal_the_numpy_bookkeeping_form():
@@ -1000,8 +1082,9 @@ def test_nan_probe_residuals_leave_the_monotonicity_scale_at_one():
     s, g = np.zeros(order), np.zeros(order)
     s[66], s[68] = 1e308, -1e308  # at the nodes 0.69 and 1.25
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = -_grad_rows(g - np.multiply.outer(np.linspace(*bracket, 9), s), 0.0, 1.0, order) - z
-        got = _outcome(lambda: markov._invert(s, g, 1.0, 0.0, z, order, bracket))
+        rule, = _hermite(0.0, order, 0.0)
+        vals = -_grad_rows(g - np.multiply.outer(np.linspace(*bracket, 9), s), rule, 1.0) - z
+        got = _outcome(lambda: markov._invert(s, g, 1.0, rule, z, bracket))
         want = _outcome(lambda: _invert_with_numpy_bookkeeping(s, g, 1.0, 0.0, z, order, bracket))
     assert np.isnan(vals).tolist() == [True] * 3 + [False] * 3 + [True] * 3
     assert got == want == (PreconditionError, "y -> -dp/dw is not monotone on the searched bracket")

@@ -734,9 +734,10 @@ _ROW_ORDERS = st.sampled_from([2, 3, 7, 33, 127, 128, 129, 370])
 def test_one_row_tilted_moments_give_the_bits_of_a_matrix_row(order, aversion, seed, given_other):
     # a 1-d row takes tilted_moments' one-row branch; as a (1, n) matrix, the
     # generic one: the same ufuncs in the same order, so the same bits
-    from impactlab.markov import _rules
+    from impactlab.markov import _hermite
 
-    nodes, logw = _rules(order)
+    rule, = _hermite(0.0, order, 0.0)
+    nodes, logw = rule.score, rule.logw
     rng = np.random.default_rng(seed)
     s, g = rng.normal(size=(2, order))
     values, other = g - rng.uniform(-2.0, 2.0) * s, s if given_other else None

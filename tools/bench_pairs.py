@@ -31,7 +31,7 @@ versions, numpy's baseline and active dispatch targets (its runtime CPU
 dispatch picks the kernels, and so the bits, of ``exp``, ``log`` and the
 reductions), ``nproc`` and the commands.  It is
 written to the repository root.  The extracted trees are removed at the end,
-also when a run fails.
+also when a run fails or the tool is stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -152,6 +153,8 @@ def main(argv=None):
     parser.add_argument("--note", default="", help="the 'change' field: what the change does")
     parser.add_argument("--traced-seed", type=int, help="also one --trace 1 run a side")
     args = parser.parse_args(argv)
+    # SIGTERM raises SystemExit, so the temporary directory's with block removes the trees
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     workloads = args.workload or ["lattice", "fields", "montecarlo"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["unit"]) for m in declared["end_to_end"]]
